@@ -15,6 +15,7 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -80,8 +81,6 @@ def _apply_env_base_seed(plan):
         seed = int(raw)
     except ValueError:
         raise ValueError(f"{ENV_BASE_SEED} must be an integer, got {raw!r}") from None
-    from dataclasses import replace
-
     return replace(plan, base_seed=seed)
 
 
@@ -210,8 +209,6 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     plan = parse_plan(builtin_plan_text(args.name))
     if args.repetitions is not None:
-        from dataclasses import replace
-
         if args.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         plan = replace(plan, repetitions=args.repetitions)

@@ -11,6 +11,13 @@ count when final winners are tallied.
 All randomness flows through a counter-based uniform source keyed by
 (channel, iteration, agent, lane), so draws are independent of
 evaluation order and can be replaced wholesale in tests.
+
+Cost per iteration: leader selection gathers scores through the
+graph's padded neighbor table (:meth:`Graph.neighbor_table`), so it is
+O(N * (k_max + 1)) for N agents and largest degree k_max.  On the
+complete graph with the agent in its own neighborhood every leader is
+the same, found by one O(N) argmax.  The velocity and position update
+is O(N * d) for dimension d.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ __all__ = [
     "TraceRecord",
     "RunResult",
     "initialize",
-    "neighborhood_best",
     "step",
     "randomized_death",
     "survival_expectation",
@@ -139,15 +145,6 @@ class SwarmState:
     def alive_count(self) -> int:
         return int(np.count_nonzero(self.alive))
 
-    def copy(self) -> "SwarmState":
-        return SwarmState(
-            positions=self.positions.copy(),
-            velocities=self.velocities.copy(),
-            best_positions=self.best_positions.copy(),
-            best_scores=self.best_scores.copy(),
-            alive=self.alive.copy(),
-        )
-
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -190,33 +187,32 @@ def initialize(config: SwarmConfig, objective, rand_fn=None) -> SwarmState:
     )
 
 
-def _candidate_matrix(graph: Graph, include_self: bool) -> np.ndarray:
-    cand = np.array(graph.adjacency, dtype=bool)
-    if include_self:
-        np.fill_diagonal(cand, True)
-    return cand
-
-
-def neighborhood_best(
-    agent: int, graph: Graph, swarm: SwarmState, include_self: bool = True
+def _leaders(
+    graph: Graph, include_self: bool, scores: np.ndarray, alive: np.ndarray
 ) -> np.ndarray:
-    """Best-known position among an agent's alive candidates.
+    """Neighborhood leader of every agent.
 
-    Candidates are the agent's graph neighbors, plus itself unless
-    ``include_self`` is off.  Ties break toward the lowest agent
-    index.  If every candidate is dead the agent falls back to its
-    own best (no outside information is available).
+    An agent's candidates are its graph neighbors, plus itself when
+    ``include_self`` is on.  The leader is the alive candidate with the
+    highest score, ties going to the lowest index; an agent with no
+    alive candidate leads itself.
     """
-    if not 0 <= agent < swarm.n_agents:
-        raise ValueError(f"agent {agent} out of range")
-    row = np.array(graph.adjacency[agent])
-    if include_self:
-        row[agent] = True
-    candidates = np.flatnonzero(row & swarm.alive)
-    if candidates.size == 0:
-        return swarm.best_positions[agent].copy()
-    winner = candidates[int(np.argmax(swarm.best_scores[candidates]))]
-    return swarm.best_positions[winner].copy()
+    n = scores.shape[0]
+    if include_self and graph.is_complete:
+        # every agent's candidates are the whole swarm: one argmax serves all
+        if not alive.any():
+            return np.arange(n)
+        return np.full(n, np.argmax(np.where(alive, scores, -np.inf)))
+    table = graph.neighbor_table(include_self)
+    # slot n backs the padding sentinel: dead, scoring -inf
+    padded_scores = np.full(n + 1, -np.inf)
+    np.copyto(padded_scores[:n], scores, where=alive)
+    padded_alive = np.zeros(n + 1, dtype=bool)
+    padded_alive[:n] = alive
+    # ascending rows: argmax takes the lowest index among tied bests
+    leaders = table[np.arange(n), padded_scores[table].argmax(axis=1)]
+    # a row with no alive candidate is all -inf and lands on a dead slot
+    return np.where(padded_alive[leaders], leaders, np.arange(n))
 
 
 def step(
@@ -246,11 +242,7 @@ def step(
     alive = swarm.alive
 
     # neighborhood leader per agent, from the snapshot
-    eligible = _candidate_matrix(graph, config.include_self) & alive[None, :]
-    scores = np.where(eligible, snap_best_scores[None, :], -np.inf)
-    leaders = np.argmax(scores, axis=1)  # ties take the lowest index
-    no_candidates = ~eligible.any(axis=1)
-    leaders = np.where(no_candidates, np.arange(n), leaders)
+    leaders = _leaders(graph, config.include_self, snap_best_scores, alive)
     social_targets = snap_best_pos[leaders]
 
     r_personal = rand_fn(CHANNEL_VELOCITY_PERSONAL, iteration, n)[:, 0]

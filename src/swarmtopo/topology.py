@@ -16,6 +16,7 @@ with a specific message on bad input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 import numpy as np
 
 __all__ = [
@@ -32,7 +33,6 @@ __all__ = [
     "make_small_world",
     "TopologySpec",
     "TOPOLOGY_KINDS",
-    "RANDOMIZED_KINDS",
     "KIND_FIELDS",
     "build_topology",
     "SPECTRUM_SEGMENTS",
@@ -103,6 +103,37 @@ class Graph:
         if not 0 <= node < self.node_count:
             raise ValueError(f"node {node} out of range")
         return np.flatnonzero(self.adjacency[node])
+
+    @cached_property
+    def is_complete(self) -> bool:
+        """Whether every pair of distinct nodes is adjacent."""
+        n = self.node_count
+        return self.edge_count == n * (n - 1) // 2
+
+    def neighbor_table(self, include_self: bool) -> np.ndarray:
+        """Every node's candidate set as one padded, ascending table.
+
+        Row ``i`` lists the neighbors of ``i``, plus ``i`` itself when
+        ``include_self`` is on, in ascending order, then repeats the
+        sentinel ``node_count`` up to the widest row.  The table has
+        at least one column.  It is built on first use, cached on the
+        graph and read-only.
+        """
+        # the dataclass is frozen: like cached_property, cache in __dict__
+        tables = self.__dict__.setdefault("_neighbor_tables", {})
+        if include_self not in tables:
+            n = self.node_count
+            candidates = self.adjacency
+            if include_self:
+                candidates = candidates | np.eye(n, dtype=bool)
+            rows, cols = np.nonzero(candidates)  # row-major: ascending per row
+            counts = np.bincount(rows, minlength=n)
+            starts = np.cumsum(counts) - counts
+            table = np.full((n, max(int(counts.max()), 1)), n, dtype=np.intp)
+            table[rows, np.arange(rows.size) - starts[rows]] = cols
+            table.setflags(write=False)
+            tables[include_self] = table
+        return tables[include_self]
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as ``(i, j)`` with ``i < j``, lexicographically sorted."""
@@ -409,8 +440,6 @@ TOPOLOGY_KINDS = (
     "random",
     "small-world",
 )
-
-RANDOMIZED_KINDS = ("scale-free", "random", "small-world")
 
 # fields each kind requires beyond node_count (von-neumann replaces
 # node_count with the grid shape)

@@ -8,7 +8,8 @@ and hand-evaluated trade-off arithmetic.  The desk-scale sweep checks
 (criteria 6 and 7) are statistical: they run a pinned 20-repetition
 plan and assert trend inequalities, not digits.
 
-The sweep fixture takes ~35 s; everything else is seconds.
+The sweep fixture takes ~95 s on a 2-core Xeon VM; everything else is
+seconds.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ and the leader switches to agent 1 at step 3.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swarmtopo.engine import (
     CHANNEL_DEATH,
@@ -16,17 +17,61 @@ from swarmtopo.engine import (
     CHANNEL_VELOCITY_SOCIAL,
     SwarmConfig,
     SwarmState,
+    _leaders,
     _mix64,
     initialize,
     make_rand_source,
-    neighborhood_best,
     randomized_death,
     run,
     step,
     survival_expectation,
 )
 from swarmtopo.objectives import default_spec
-from swarmtopo.topology import Graph, make_complete, make_ring, make_star
+from swarmtopo.topology import (
+    TOPOLOGY_KINDS,
+    Graph,
+    TopologySpec,
+    build_topology,
+    make_complete,
+    make_ring,
+    make_star,
+)
+
+
+def neighborhood_best(
+    agent: int, graph: Graph, swarm: SwarmState, include_self: bool = True
+) -> np.ndarray:
+    """Per-agent oracle: best-known position among an agent's alive
+    candidates.
+
+    Candidates are the agent's graph neighbors, plus itself unless
+    ``include_self`` is off.  Ties break toward the lowest agent
+    index.  If every candidate is dead the agent falls back to its
+    own best (no outside information is available).
+    """
+    row = np.array(graph.adjacency[agent])
+    if include_self:
+        row[agent] = True
+    candidates = np.flatnonzero(row & swarm.alive)
+    if candidates.size == 0:
+        return swarm.best_positions[agent].copy()
+    winner = candidates[int(np.argmax(swarm.best_scores[candidates]))]
+    return swarm.best_positions[winner].copy()
+
+
+def dense_leaders(
+    graph: Graph, include_self: bool, scores: np.ndarray, alive: np.ndarray
+) -> np.ndarray:
+    """Whole-swarm oracle: leaders from the dense N x N candidate mask,
+    the selection ``step`` used before the neighbor table."""
+    n = scores.shape[0]
+    cand = np.array(graph.adjacency, dtype=bool)
+    if include_self:
+        np.fill_diagonal(cand, True)
+    eligible = cand & alive[None, :]
+    masked = np.where(eligible, scores[None, :], -np.inf)
+    leaders = np.argmax(masked, axis=1)  # ties take the lowest index
+    return np.where(eligible.any(axis=1), leaders, np.arange(n))
 
 
 class _Parabola:
@@ -334,6 +379,81 @@ class TestNeighborhoodBest:
         # x' - x = social_target - x  =>  social_target = x'
         got = np.where(swarm.alive[:, None], probe.positions, expected)
         assert np.allclose(got, expected, atol=1e-12)
+
+
+@st.composite
+def topology_specs(draw):
+    """A valid spec of any kind, at most 40 nodes."""
+    kind = draw(st.sampled_from(TOPOLOGY_KINDS))
+    if kind == "von-neumann":
+        return TopologySpec(kind, rows=draw(st.integers(3, 6)), cols=draw(st.integers(3, 6)))
+    smallest = {"star": 2, "ring": 3, "multi-ring": 3, "scale-free": 2, "small-world": 3}
+    n = draw(st.integers(smallest.get(kind, 1), 40))
+    seed = draw(st.integers(0, 2**16))
+    params = {
+        "core-periphery": lambda: {"core_size": draw(st.integers(1, n))},
+        "ring-core-star": lambda: {"hub_count": draw(st.integers(1, n))},
+        "multi-ring": lambda: {"ring_levels": draw(st.integers(1, n // 2))},
+        "scale-free": lambda: {"attach_count": draw(st.integers(1, n - 1)), "seed": seed},
+        "random": lambda: {"edge_prob": draw(st.floats(0.0, 1.0)), "seed": seed},
+        "small-world": lambda: {
+            "degree": 2 * draw(st.integers(1, (n - 1) // 2)),
+            "rewire_prob": draw(st.floats(0.0, 1.0)),
+            "seed": seed,
+        },
+    }.get(kind, dict)()
+    return TopologySpec(kind, node_count=n, **params)
+
+
+# a handful of distinct values forces score ties; the domain is finite
+# scores, the only ones a finite objective produces
+_SCORE = st.one_of(st.integers(-2, 2).map(float), st.floats(-1e6, 1e6))
+
+
+class TestLeaderTable:
+    @settings(max_examples=300, deadline=None)
+    @given(spec=topology_specs(), include_self=st.booleans(), data=st.data())
+    def test_matches_dense_and_per_agent_oracles(self, spec, include_self, data):
+        graph = build_topology(spec)
+        n = graph.node_count
+        scores = np.array(data.draw(st.lists(_SCORE, min_size=n, max_size=n)))
+        alive = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        leaders = _leaders(graph, include_self, scores, alive)
+        assert np.array_equal(leaders, dense_leaders(graph, include_self, scores, alive))
+        # positions equal to agent indices make each oracle best a leader index
+        positions = np.arange(n, dtype=np.float64).reshape(n, 1)
+        swarm = SwarmState(positions, np.zeros((n, 1)), positions.copy(), scores, alive)
+        for agent in range(n):
+            assert neighborhood_best(agent, graph, swarm, include_self)[0] == leaders[agent]
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    @pytest.mark.parametrize("alive", [True, False])
+    def test_single_agent_leads_itself(self, include_self, alive):
+        leaders = _leaders(make_complete(1), include_self, np.array([3.0]), np.array([alive]))
+        assert leaders.tolist() == [0]
+
+    def test_table_layout(self):
+        star = make_star(4)
+        assert star.neighbor_table(False).tolist() == [[1, 2, 3], [0, 4, 4], [0, 4, 4], [0, 4, 4]]
+        assert star.neighbor_table(True).tolist() == [
+            [0, 1, 2, 3], [0, 1, 4, 4], [0, 2, 4, 4], [0, 3, 4, 4]
+        ]
+        # an edgeless graph still gets one (sentinel) column
+        assert Graph(np.zeros((2, 2), dtype=bool)).neighbor_table(False).tolist() == [[2], [2]]
+        assert star.neighbor_table(True) is star.neighbor_table(True)
+        assert not star.neighbor_table(True).flags.writeable
+
+    def test_complete_path_keyed_on_graph_not_kind(self):
+        # a core-periphery graph whose core is everything is complete
+        spec = TopologySpec("core-periphery", node_count=6, core_size=6)
+        graph = build_topology(spec)
+        assert graph.is_complete and not make_star(6).is_complete
+        scores = np.array([1.0, 5.0, 5.0, 2.0, 0.0, 4.0])
+        alive = np.array([True, False, True, True, True, True])
+        assert _leaders(graph, True, scores, alive).tolist() == [2] * 6
+        assert "_neighbor_tables" not in graph.__dict__
+        all_dead = np.zeros(6, dtype=bool)
+        assert _leaders(graph, True, scores, all_dead).tolist() == list(range(6))
 
 
 class TestDeathAndRun:

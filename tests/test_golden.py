@@ -1,0 +1,111 @@
+"""Golden-output gate: sha256 of engine results and of a results CSV.
+
+The digests were taken from the dense-mask leader selection that the
+neighbour-table path replaced, so they pin that every refactor of the
+engine keeps the exact bytes.  A digest may change only with a change
+that fixes a bug and says so.
+
+The engine grid runs every topology kind at n=36 (star, scale-free and
+core-periphery give wide, ragged neighbour tables; the complete graph
+takes the full-row path), plus the one-agent complete graph, with the
+agent itself in or out of its neighbourhood and with no loss or 30%
+loss.  The plan is the acceptance plan cut to two repetitions of 150
+iterations.  Each takes a few seconds.  The digests were taken with
+numpy 2.4 on x86-64.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+from swarmtopo.engine import SwarmConfig, run
+from swarmtopo.harness import (
+    SuccessCriterion,
+    death_fraction_to_prob,
+    results_to_csv,
+    run_plan,
+    success_predicate,
+)
+from swarmtopo.objectives import default_spec
+from swarmtopo.plans import parse_plan
+from swarmtopo.topology import TOPOLOGY_KINDS, TopologySpec, build_topology
+
+GRID_SPECS = (
+    TopologySpec("complete", node_count=36),
+    TopologySpec("complete", node_count=1),
+    TopologySpec("star", node_count=36),
+    TopologySpec("ring", node_count=36),
+    TopologySpec("core-periphery", node_count=36, core_size=6),
+    TopologySpec("ring-core-star", node_count=36, hub_count=6),
+    TopologySpec("multi-ring", node_count=36, ring_levels=3),
+    TopologySpec("von-neumann", rows=6, cols=6),
+    TopologySpec("scale-free", node_count=36, attach_count=2, seed=3),
+    TopologySpec("random", node_count=36, edge_prob=0.15, seed=3),
+    TopologySpec("small-world", node_count=36, degree=4, rewire_prob=0.2, seed=3),
+)
+GRID_ITERS = 150
+
+GRID_SHA256 = "fa5b84def55383299393b2dd6b672fdb44849df1348c83b9a3bf22b87f71b3c9"
+
+REDUCED_ACCEPTANCE_PLAN = """\
+version = 1
+base_seed = 1
+repetitions = 2
+max_iters = 150
+objectives = shekel
+death_fractions = 0, 0.30
+topology = complete n=100
+topology = star n=100
+topology = ring n=100
+topology = multi-ring n=100 ring_levels=9
+topology = small-world n=100 degree=10 rewire_prob=0.1 seed=7
+"""
+
+PLAN_CSV_SHA256 = "9c31a48d1b0e0a78844466e0b41ab9632652a98fb34985e9728c7a597f5cef0a"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def engine_grid_text() -> str:
+    """One line per run: the cell, then the ``run`` result tuple."""
+    objective = default_spec("shekel")
+    predicate = success_predicate(SuccessCriterion(), objective)
+    lines = []
+    for index, spec in enumerate(GRID_SPECS):
+        graph = build_topology(spec)
+        for include_self in (True, False):
+            for death_fraction in (0.0, 0.3):
+                config = SwarmConfig(
+                    n_agents=graph.node_count,
+                    max_iters=GRID_ITERS,
+                    death_prob=death_fraction_to_prob(death_fraction, GRID_ITERS),
+                    seed=len(lines) + 100 * index,
+                    include_self=include_self,
+                )
+                result = run(config, graph, objective, predicate)
+                outcome = (
+                    result.converged,
+                    result.convergence_iteration,
+                    result.winners,
+                    result.survivors,
+                    result.iterations_executed,
+                )
+                lines.append(
+                    f"{spec.topology_id()} {include_self} {death_fraction} {outcome}"
+                )
+    return "\n".join(lines) + "\n"
+
+
+def test_grid_covers_every_kind():
+    assert {spec.kind for spec in GRID_SPECS} == set(TOPOLOGY_KINDS)
+
+
+def test_engine_grid_digest():
+    assert _sha256(engine_grid_text()) == GRID_SHA256
+
+
+def test_reduced_acceptance_csv_digest():
+    csv = results_to_csv(run_plan(parse_plan(REDUCED_ACCEPTANCE_PLAN)))
+    assert _sha256(csv) == PLAN_CSV_SHA256
