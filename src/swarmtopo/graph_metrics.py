@@ -1,9 +1,13 @@
 """Structural metrics for communication graphs.
 
-Distances come from breadth-first search expressed as boolean matrix
-products, spectra from dense symmetric eigendecomposition.  All
-metrics tolerate disconnected graphs: path-based quantities report
-``None`` instead of infinities.
+Distances come from breadth-first search expressed as matrix
+products: each BFS level multiplies the boolean frontier, cast to
+float32, by the float32 adjacency, so the product runs in BLAS.  The
+all-pairs cost is depth x n^3 flops.  The results are exact: a product
+entry counts frontier neighbours, at most n, far below float32's 2^24
+integer limit, and only its sign is read.  Spectra come from dense
+symmetric eigendecomposition.  All metrics tolerate disconnected
+graphs: path-based quantities report ``None`` instead of infinities.
 """
 
 from __future__ import annotations
@@ -30,9 +34,14 @@ def shortest_path_matrix(graph: Graph) -> np.ndarray:
     """All-pairs hop distances; unreachable pairs get -1.
 
     Level-synchronous BFS from every source at once: the frontier is
-    a boolean matrix and one step is a boolean matrix product.
+    an n x n boolean matrix, and one level is the float32 product
+    ``frontier @ adjacency`` (BLAS), thresholded at > 0 and masked by
+    the nodes already reached.  Each level costs n^3 multiply-adds, so
+    the call costs depth x n^3 flops, depth being the largest finite
+    distance plus one.  The distances are exact: product entries are
+    neighbour counts no larger than n.
     """
-    adj = graph.adjacency
+    adj = graph.adjacency.astype(np.float32)
     n = graph.node_count
     dist = np.full((n, n), -1, dtype=np.int32)
     np.fill_diagonal(dist, 0)
@@ -41,7 +50,7 @@ def shortest_path_matrix(graph: Graph) -> np.ndarray:
     depth = 0
     while frontier.any():
         depth += 1
-        frontier = (frontier @ adj) & ~reached
+        frontier = ((frontier.astype(np.float32) @ adj) > 0) & ~reached
         dist[frontier] = depth
         reached |= frontier
     return dist
@@ -64,12 +73,12 @@ def average_geodesic(graph: Graph) -> float | None:
 
 def is_connected(graph: Graph) -> bool:
     """True when every node is reachable from node 0."""
-    adj = graph.adjacency
+    adj = graph.adjacency.astype(np.float32)
     reached = np.zeros(graph.node_count, dtype=bool)
     reached[0] = True
     frontier = reached.copy()
     while frontier.any():
-        frontier = (frontier @ adj) & ~reached
+        frontier = ((frontier.astype(np.float32) @ adj) > 0) & ~reached
         reached |= frontier
     return bool(reached.all())
 
@@ -101,9 +110,15 @@ def clustering_coefficient(graph: Graph) -> float:
     return float(local.mean())
 
 
-def _random_same_size(node_count: int, edge_count: int, rng: np.random.Generator) -> Graph:
-    # uniform simple graph with exactly edge_count edges
-    iu, ju = np.triu_indices(node_count, k=1)
+def _random_same_size(
+    node_count: int,
+    edge_count: int,
+    pairs: tuple[np.ndarray, np.ndarray],
+    rng: np.random.Generator,
+) -> Graph:
+    # uniform simple graph with exactly edge_count edges; pairs is
+    # np.triu_indices(node_count, k=1), built once per caller
+    iu, ju = pairs
     pick = rng.choice(iu.size, size=edge_count, replace=False)
     adj = np.zeros((node_count, node_count), dtype=bool)
     adj[iu[pick], ju[pick]] = True
@@ -138,11 +153,12 @@ def small_world_ness(graph: Graph, rng=None, sample_count: int = 10) -> float | 
         return None
     own_clustering = clustering_coefficient(graph)
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    pairs = np.triu_indices(n, k=1)
     lengths = []
     attempts = 0
     while len(lengths) < sample_count and attempts < 20 * sample_count:
         attempts += 1
-        sample_length = average_geodesic(_random_same_size(n, m, rng))
+        sample_length = average_geodesic(_random_same_size(n, m, pairs, rng))
         if sample_length is not None:
             lengths.append(sample_length)
     if not lengths:

@@ -27,7 +27,7 @@ import numpy as np
 from .engine import SwarmConfig, SwarmState, run
 from .graph_metrics import average_geodesic, natural_connectivity
 from .objectives import ObjectiveSpec
-from .topology import TopologySpec, build_topology
+from .topology import Graph, TopologySpec, build_topology
 
 __all__ = [
     "MODE_POSITION_RADIUS",
@@ -303,7 +303,7 @@ def run_cell(
         if trace_hook is not None:
             trace_hook(repetition, result.trace)
     if graph_stats is None:
-        graph_stats = (average_geodesic(graph), natural_connectivity(graph))
+        graph_stats = _graph_stats(graph)
     gsr = len(convergence_iters) / plan.repetitions
     return AggregateMetrics(
         topology_id=topology_id,
@@ -320,15 +320,34 @@ def run_cell(
     )
 
 
-def _cell_job(args):
-    index, plan, t_idx, o_idx, fraction, stats = args
-    row = run_cell(
-        plan,
-        plan.topologies[t_idx],
-        plan.objectives[o_idx],
-        fraction,
-        graph_stats=stats,
+def _graph_stats(graph: Graph) -> tuple[float | None, float]:
+    """(path length, natural connectivity) of one graph; the path
+    length is None for a one-node graph, which has no pairs."""
+    return (
+        average_geodesic(graph) if graph.node_count >= 2 else None,
+        natural_connectivity(graph),
     )
+
+
+def _cell_job(args, trace_hook=None):
+    # a failure names its cell: a worker's traceback does not reach the CLI
+    index, plan, t_idx, o_idx, fraction, stats = args
+    topology = plan.topologies[t_idx]
+    objective = plan.objectives[o_idx]
+    try:
+        row = run_cell(
+            plan,
+            topology,
+            objective,
+            fraction,
+            graph_stats=stats,
+            trace_hook=trace_hook,
+        )
+    except Exception as exc:
+        raise RuntimeError(
+            f"cell topology={topology.topology_id()} objective={objective.name} "
+            f"death_fraction={fraction!r} failed: {type(exc).__name__}: {exc}"
+        ) from exc
     return index, row
 
 
@@ -372,13 +391,10 @@ def run_plan(
         raise ValueError("workers must be >= 1")
     if trace_hook_factory is not None and workers > 1:
         raise ValueError("tracing requires workers=1")
-    stats_by_topology = {}
-    for spec in plan.topologies:
-        graph = build_topology(spec)
-        stats_by_topology[spec.topology_id()] = (
-            average_geodesic(graph) if graph.node_count >= 2 else None,
-            natural_connectivity(graph),
-        )
+    stats_by_topology = {
+        spec.topology_id(): _graph_stats(build_topology(spec))
+        for spec in plan.topologies
+    }
     cells = []
     for index, ((t_idx, topo), (o_idx, obj), fraction) in enumerate(
         product(
@@ -389,18 +405,17 @@ def run_plan(
             (index, plan, t_idx, o_idx, fraction, stats_by_topology[topo.topology_id()])
         )
     if workers == 1 or len(cells) == 1:
-        if trace_hook_factory is None:
-            indexed = [_cell_job(cell) for cell in cells]
-        else:
-            indexed = []
-            for index, _, t_idx, o_idx, fraction, stats in cells:
-                topo = plan.topologies[t_idx]
-                obj = plan.objectives[o_idx]
-                hook = trace_hook_factory(topo.topology_id(), obj.name, fraction)
-                row = run_cell(
-                    plan, topo, obj, fraction, graph_stats=stats, trace_hook=hook
+        indexed = []
+        for cell in cells:
+            hook = None
+            if trace_hook_factory is not None:
+                _, _, t_idx, o_idx, fraction, _ = cell
+                hook = trace_hook_factory(
+                    plan.topologies[t_idx].topology_id(),
+                    plan.objectives[o_idx].name,
+                    fraction,
                 )
-                indexed.append((index, row))
+            indexed.append(_cell_job(cell, trace_hook=hook))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             indexed = list(pool.map(_cell_job, cells))

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Graph",
@@ -266,12 +267,14 @@ def make_multi_ring(node_count: int, ring_levels: int) -> Graph:
         raise ValueError(
             f"ring_levels must be in [1, {node_count // 2}], got {ring_levels}"
         )
-    edges = set()
-    for d in range(1, ring_levels + 1):
-        for k in range(node_count):
-            j = (k + d) % node_count
-            edges.add((min(k, j), max(k, j)))
-    return Graph.from_edges(node_count, sorted(edges))
+    # row 0 marks the nodes 1..ring_levels steps away around the cycle;
+    # row i is row 0 rolled by i, read off a doubled row as a window
+    # view, so the only n x n array is the graph's own boolean copy
+    step = np.arange(node_count)
+    row = np.minimum(step, node_count - step) <= ring_levels
+    row[0] = False
+    doubled = np.concatenate([row, row])
+    return Graph(sliding_window_view(doubled, node_count)[node_count:0:-1])
 
 
 def make_von_neumann(rows: int, cols: int) -> Graph:

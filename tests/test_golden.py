@@ -1,24 +1,32 @@
-"""Golden-output gate: sha256 of engine results and of a results CSV.
+"""Golden-output gate: sha256 of engine results, of a results CSV and
+of a metrics CSV.
 
-The digests were taken from the dense-mask leader selection that the
-neighbour-table path replaced, so they pin that every refactor of the
-engine keeps the exact bytes.  A digest may change only with a change
-that fixes a bug and says so.
+The engine digests were taken from the dense-mask leader selection that
+the neighbour-table path replaced, so they pin that every refactor of
+the engine keeps the exact bytes.  The metrics digest was taken from
+the boolean-matmul BFS and the edge-set multi-ring that the float32
+BFS and the one-row circulant multi-ring replaced.  A digest may change only with a
+change that fixes a bug and says so.
 
 The engine grid runs every topology kind at n=36 (star, scale-free and
 core-periphery give wide, ragged neighbour tables; the complete graph
 takes the full-row path), plus the one-agent complete graph, with the
 agent itself in or out of its neighbourhood and with no loss or 30%
 loss.  The plan is the acceptance plan cut to two repetitions of 150
-iterations.  Each takes a few seconds.  The digests were taken with
-numpy 2.4 on x86-64.
+iterations.  The metrics CSV is the ``swarmtopo metrics`` output,
+omega sampler seed 0, over the 40-node spectrum with 10 graphs per
+segment, a small-world graph, and two disconnected graphs.  Each takes
+a few seconds or less.  The digests were taken with numpy 2.4 on
+x86-64.
 """
 
 from __future__ import annotations
 
 import hashlib
 
+from swarmtopo.cli import METRICS_COLUMNS
 from swarmtopo.engine import SwarmConfig, run
+from swarmtopo.graph_metrics import compute_metrics
 from swarmtopo.harness import (
     SuccessCriterion,
     death_fraction_to_prob,
@@ -28,7 +36,14 @@ from swarmtopo.harness import (
 )
 from swarmtopo.objectives import default_spec
 from swarmtopo.plans import parse_plan
-from swarmtopo.topology import TOPOLOGY_KINDS, TopologySpec, build_topology
+from swarmtopo.topology import (
+    TOPOLOGY_KINDS,
+    Graph,
+    TopologySpec,
+    build_spectrum,
+    build_topology,
+    spectrum_points,
+)
 
 GRID_SPECS = (
     TopologySpec("complete", node_count=36),
@@ -62,6 +77,13 @@ topology = small-world n=100 degree=10 rewire_prob=0.1 seed=7
 """
 
 PLAN_CSV_SHA256 = "9c31a48d1b0e0a78844466e0b41ab9632652a98fb34985e9728c7a597f5cef0a"
+
+METRICS_EXTRA_SPECS = (
+    TopologySpec("small-world", node_count=40, degree=4, rewire_prob=0.2, seed=3),
+    TopologySpec("random", node_count=40, edge_prob=0.12, seed=3),  # disconnected
+)
+
+METRICS_CSV_SHA256 = "1b0edfbac56dd88a9ec943c1bc4e468febb4f49d119e101cc9116864f43d7b66"
 
 
 def _sha256(text: str) -> str:
@@ -98,6 +120,34 @@ def engine_grid_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _optional_repr(value) -> str:
+    return "" if value is None else repr(float(value))
+
+
+def metrics_csv_text() -> str:
+    """The ``swarmtopo metrics`` CSV, one row per graph."""
+    points = spectrum_points(40, 10)
+    named = [(p.spec.topology_id(), g) for p, g in zip(points, build_spectrum(40, 10))]
+    named += [(spec.topology_id(), build_topology(spec)) for spec in METRICS_EXTRA_SPECS]
+    named.append(("two-paths", Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])))
+    lines = [",".join(METRICS_COLUMNS)]
+    for topology_id, graph in named:
+        m = compute_metrics(graph, rng=0, omega_samples=10)
+        lines.append(
+            ",".join((
+                topology_id,
+                str(m.node_count),
+                str(m.edge_count),
+                _optional_repr(m.average_path_length),
+                repr(m.natural_connectivity),
+                repr(m.clustering_coefficient),
+                _optional_repr(m.small_world_ness),
+                "true" if m.connected else "false",
+            ))
+        )
+    return "\n".join(lines) + "\n"
+
+
 def test_grid_covers_every_kind():
     assert {spec.kind for spec in GRID_SPECS} == set(TOPOLOGY_KINDS)
 
@@ -109,3 +159,7 @@ def test_engine_grid_digest():
 def test_reduced_acceptance_csv_digest():
     csv = results_to_csv(run_plan(parse_plan(REDUCED_ACCEPTANCE_PLAN)))
     assert _sha256(csv) == PLAN_CSV_SHA256
+
+
+def test_metrics_csv_digest():
+    assert _sha256(metrics_csv_text()) == METRICS_CSV_SHA256

@@ -1,12 +1,14 @@
 """Shortest paths, spectra, and the derived graph statistics.
 
-The geodesic oracle is a plain Floyd-Warshall reimplementation; the
-spectral constants for the 5-node complete/star/ring graphs are known
-closed forms.
+The geodesic oracles are a plain Floyd-Warshall reimplementation and
+networkx's breadth-first search; the spectral constants for the 5-node
+complete/star/ring graphs are known closed forms.
 """
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from swarmtopo.graph_metrics import (
     GraphMetrics,
@@ -54,6 +56,34 @@ def _two_components() -> Graph:
     return Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
 
 
+@st.composite
+def graphs(draw, max_nodes: int = 24) -> Graph:
+    """Simple graphs with up to 3n edge draws: shrinking heads for
+    sparse, disconnected graphs and isolated nodes."""
+    n = draw(st.integers(1, max_nodes))
+    if n == 1:
+        return Graph.from_edges(1, [])
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pairs.filter(lambda p: p[0] != p[1]), max_size=3 * n))
+    return Graph.from_edges(n, edges)
+
+
+def _to_networkx(graph: Graph) -> nx.Graph:
+    g = nx.Graph()
+    g.add_nodes_from(range(graph.node_count))
+    g.add_edges_from(graph.edges())
+    return g
+
+
+def _networkx_distances(graph: Graph) -> np.ndarray:
+    n = graph.node_count
+    dist = np.full((n, n), -1, dtype=np.int64)
+    for source, lengths in nx.all_pairs_shortest_path_length(_to_networkx(graph)):
+        for target, length in lengths.items():
+            dist[source, target] = length
+    return dist
+
+
 class TestShortestPaths:
     def test_matches_floyd_warshall_on_spectrum(self):
         for g in build_spectrum(12, 4):
@@ -83,6 +113,22 @@ class TestShortestPaths:
     def test_is_connected(self):
         assert is_connected(make_ring(9))
         assert not is_connected(_two_components())
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=graphs())
+    @example(graph=Graph.from_edges(1, []))
+    @example(graph=Graph.from_edges(2, []))
+    @example(graph=Graph.from_edges(2, [(0, 1)]))
+    @example(graph=_two_components())
+    def test_matches_networkx(self, graph):
+        assert np.array_equal(shortest_path_matrix(graph), _networkx_distances(graph))
+        assert is_connected(graph) == nx.is_connected(_to_networkx(graph))
+
+    def test_matches_networkx_at_depth_and_size(self):
+        # the spectrum's deepest BFS (ring: 50 levels) and densest graphs
+        for g in build_spectrum(100, 6) + [make_small_world(300, 6, 0.05, rng=2)]:
+            assert np.array_equal(shortest_path_matrix(g), _networkx_distances(g))
+            assert is_connected(g) == nx.is_connected(_to_networkx(g))
 
 
 class TestSpectra:

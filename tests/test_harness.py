@@ -2,10 +2,12 @@
 results serialization formats."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from swarmtopo import harness
 from swarmtopo.engine import SwarmConfig, SwarmState, initialize
 from swarmtopo.harness import (
     AggregateMetrics,
@@ -292,6 +294,34 @@ class TestRunCellAndPlan:
         complete_row = next(r for r in rows if r.topology_kind == "complete")
         assert complete_row.avg_path_length == 1.0
         assert complete_row.natural_connectivity is not None
+
+    def test_one_node_cell_matches_plan_row(self):
+        # a one-node graph has no pairs: both paths report no path length
+        plan = _tiny_plan(
+            topologies=(TopologySpec(kind="complete", node_count=1),),
+            death_fractions=(0.0,),
+        )
+        cell = run_cell(plan, plan.topologies[0], plan.objectives[0], 0.0)
+        (plan_row,) = run_plan(plan)
+        assert cell.avg_path_length is None
+        assert cell == replace(plan_row, trade_off=None)  # trade-off is plan-level
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_cell_failure_names_the_cell(self, monkeypatch, traced):
+        def failing_run_cell(plan, topology, objective, death_fraction, **kwargs):
+            if topology.kind == "ring" and death_fraction == 0.3:
+                raise ZeroDivisionError("boom")
+            return run_cell(plan, topology, objective, death_fraction, **kwargs)
+
+        monkeypatch.setattr(harness, "run_cell", failing_run_cell)
+        factory = (lambda *cell: lambda repetition, trace: None) if traced else None
+        with pytest.raises(RuntimeError) as info:
+            run_plan(_tiny_plan(), trace_hook_factory=factory)
+        assert str(info.value) == (
+            "cell topology=ring-n12 objective=shekel death_fraction=0.3 "
+            "failed: ZeroDivisionError: boom"
+        )
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
 class TestSerialization:

@@ -1,5 +1,8 @@
 """Graph constructors, the topology spectrum, and edge-list round-trips."""
 
+import re
+
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -157,10 +160,21 @@ class TestDeterministicFamilies:
         assert g.edge_count == 36
 
     def test_multi_ring_level_bounds(self):
-        with pytest.raises(ValueError):
-            make_multi_ring(10, 0)
-        with pytest.raises(ValueError):
-            make_multi_ring(10, 6)
+        with pytest.raises(ValueError, match="^a multi-ring needs at least 3 nodes$"):
+            make_multi_ring(2, 1)
+        for levels in (0, 6):
+            message = f"ring_levels must be in [1, 5], got {levels}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                make_multi_ring(10, levels)
+
+    def test_multi_ring_matches_networkx_circulant(self):
+        for n in range(3, 61):
+            for levels in range(1, n // 2 + 1):
+                circulant = nx.circulant_graph(n, range(1, levels + 1))
+                expected = nx.to_numpy_array(circulant, nodelist=range(n)) > 0
+                assert np.array_equal(
+                    make_multi_ring(n, levels).adjacency, expected
+                ), (n, levels)
 
     def test_von_neumann_counts(self):
         g = make_von_neumann(10, 10)
