@@ -8,6 +8,8 @@ experiments with random agent deactivation, aggregating global success
 rate, convergence time, surviving winners, and a trade-off score.
 """
 
+from types import ModuleType as _ModuleType
+
 from .topology import (
     Graph,
     TopologySpec,
@@ -57,7 +59,6 @@ from .engine import (
     initialize,
     step,
     randomized_death,
-    survival_expectation,
     run,
 )
 from .harness import (
@@ -68,8 +69,6 @@ from .harness import (
     default_tolerance,
     qualification_mask,
     success_predicate,
-    count_winners,
-    is_global_success,
     death_fraction_to_prob,
     trade_off,
     derive_seed,
@@ -90,85 +89,9 @@ from .svgplot import PlotSpec, render_results_svg
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # graphs
-    "Graph",
-    "TopologySpec",
-    "SpectrumPoint",
-    "TOPOLOGY_KINDS",
-    "build_topology",
-    "build_spectrum",
-    "spectrum_points",
-    "make_complete",
-    "make_star",
-    "make_ring",
-    "make_core_periphery",
-    "make_ring_core_star",
-    "make_multi_ring",
-    "make_von_neumann",
-    "make_scale_free",
-    "make_random",
-    "make_small_world",
-    "read_edge_list",
-    "write_edge_list",
-    "parse_edge_list",
-    "edge_list_text",
-    # metrics
-    "GraphMetrics",
-    "compute_metrics",
-    "shortest_path_matrix",
-    "average_geodesic",
-    "is_connected",
-    "graph_spectrum",
-    "natural_connectivity",
-    "clustering_coefficient",
-    "small_world_ness",
-    # objectives
-    "OBJECTIVE_NAMES",
-    "ObjectiveSpec",
-    "default_spec",
-    "shekel_params",
-    # engine
-    "CHANNEL_DEATH",
-    "CHANNEL_INIT_POSITION",
-    "CHANNEL_INIT_VELOCITY",
-    "CHANNEL_VELOCITY_PERSONAL",
-    "CHANNEL_VELOCITY_SOCIAL",
-    "SwarmConfig",
-    "SwarmState",
-    "RunResult",
-    "TraceRecord",
-    "make_rand_source",
-    "initialize",
-    "step",
-    "randomized_death",
-    "survival_expectation",
-    "run",
-    # harness
-    "SuccessCriterion",
-    "ExperimentPlan",
-    "AggregateMetrics",
-    "SUCCESS_MODES",
-    "default_tolerance",
-    "qualification_mask",
-    "success_predicate",
-    "count_winners",
-    "is_global_success",
-    "death_fraction_to_prob",
-    "trade_off",
-    "derive_seed",
-    "run_cell",
-    "run_plan",
-    "results_to_csv",
-    "results_to_json",
-    "parse_results_csv",
-    # plans and plotting
-    "BUILTIN_PLAN_NAMES",
-    "builtin_plan_text",
-    "parse_plan",
-    "plan_to_text",
-    "parse_topology_line",
-    "PlotSpec",
-    "render_results_svg",
+# the public surface is every name imported above, listed once there
+__all__ = ["__version__"] + [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

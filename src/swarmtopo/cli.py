@@ -28,7 +28,13 @@ from .plans import (
     parse_topology_line,
 )
 from .svgplot import PlotSpec, X_AXES, Y_AXES, render_results_svg
-from .topology import read_edge_list, write_edge_list, build_topology
+from .topology import (
+    PARAMETERS,
+    TOPOLOGY_KINDS,
+    build_topology,
+    read_edge_list,
+    write_edge_list,
+)
 from .harness import parse_results_csv
 
 __all__ = ["main"]
@@ -86,21 +92,10 @@ def _apply_env_base_seed(plan):
 
 def _cmd_gen_topology(args) -> int:
     pieces = [args.kind]
-    flags = (
-        ("n", args.n),
-        ("core_size", args.core_size),
-        ("hub_count", args.hub_count),
-        ("ring_levels", args.ring_levels),
-        ("rows", args.rows),
-        ("cols", args.cols),
-        ("attach_count", args.attach_count),
-        ("edge_prob", args.edge_prob),
-        ("degree", args.degree),
-        ("rewire_prob", args.rewire),
-        ("seed", args.seed),
-        ("per_segment", args.per_segment),
+    keys = [p.key for p in PARAMETERS.values()] + ["per_segment"]
+    pieces.extend(
+        f"{key}={getattr(args, key)}" for key in keys if getattr(args, key) is not None
     )
-    pieces.extend(f"{name}={value}" for name, value in flags if value is not None)
     specs = parse_topology_line(" ".join(pieces))
     if args.kind == "spectrum":
         if args.out_dir is None:
@@ -244,20 +239,12 @@ def _build_parser() -> _Parser:
     gen.add_argument(
         "--kind",
         required=True,
-        help="topology kind (complete, star, ring, core-periphery, ring-core-star, "
-        "multi-ring, von-neumann, scale-free, random, small-world, spectrum)",
+        help="topology kind (" + ", ".join(TOPOLOGY_KINDS + ("spectrum",)) + ")",
     )
-    gen.add_argument("--n", type=int, help="node count")
-    gen.add_argument("--core-size", dest="core_size", type=int)
-    gen.add_argument("--hub-count", dest="hub_count", type=int)
-    gen.add_argument("--ring-levels", dest="ring_levels", type=int)
-    gen.add_argument("--rows", type=int)
-    gen.add_argument("--cols", type=int)
-    gen.add_argument("--attach-count", dest="attach_count", type=int)
-    gen.add_argument("--edge-prob", dest="edge_prob", type=float)
-    gen.add_argument("--degree", type=int)
-    gen.add_argument("--rewire", type=float, help="rewiring probability")
-    gen.add_argument("--seed", type=int)
+    for name, param in PARAMETERS.items():
+        # rewire_prob keeps its historical short flag
+        flag = "--rewire" if name == "rewire_prob" else "--" + param.key.replace("_", "-")
+        gen.add_argument(flag, dest=param.key, type=param.type)
     gen.add_argument("--per-segment", dest="per_segment", type=int)
     gen.add_argument("--out", help="output edge-list path (single topology)")
     gen.add_argument("--out-dir", dest="out_dir", help="output directory (spectrum)")

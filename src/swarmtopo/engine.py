@@ -22,7 +22,7 @@ is O(N * d) for dimension d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 from .topology import Graph
@@ -41,7 +41,6 @@ __all__ = [
     "initialize",
     "step",
     "randomized_death",
-    "survival_expectation",
     "run",
 ]
 
@@ -165,7 +164,6 @@ class RunResult:
     survivors: int
     iterations_executed: int
     trace: tuple[TraceRecord, ...] | None = None
-    final_state: SwarmState | None = field(default=None, repr=False)
 
 
 def initialize(config: SwarmConfig, objective, rand_fn=None) -> SwarmState:
@@ -281,19 +279,6 @@ def randomized_death(
     return swarm, np.flatnonzero(newly).tolist()
 
 
-def survival_expectation(n_agents: int, p: float, t: int) -> tuple[float, float, float]:
-    """Expected alive count, alive fraction, and dead fraction after
-    ``t`` iterations at per-iteration death probability ``p``."""
-    if n_agents < 1:
-        raise ValueError("n_agents must be >= 1")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    alive_fraction = (1.0 - p) ** t
-    return n_agents * alive_fraction, alive_fraction, 1.0 - alive_fraction
-
-
 def run(
     config: SwarmConfig,
     graph: Graph,
@@ -301,7 +286,6 @@ def run(
     success_fn=None,
     rand_fn=None,
     record_trace: bool = False,
-    keep_final_state: bool = False,
 ) -> RunResult:
     """Full run: iterate step + death until max_iters or swarm death.
 
@@ -355,5 +339,4 @@ def run(
         survivors=swarm.alive_count(),
         iterations_executed=iterations_executed,
         trace=tuple(trace) if record_trace else None,
-        final_state=swarm if keep_final_state else None,
     )

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 import numpy as np
 
-from .engine import SwarmConfig, SwarmState, run
+from .engine import SwarmConfig, run
 from .graph_metrics import average_geodesic, natural_connectivity
 from .objectives import ObjectiveSpec
 from .topology import Graph, TopologySpec, build_topology
@@ -37,8 +37,6 @@ __all__ = [
     "default_tolerance",
     "qualification_mask",
     "success_predicate",
-    "count_winners",
-    "is_global_success",
     "death_fraction_to_prob",
     "trade_off",
     "ExperimentPlan",
@@ -115,29 +113,6 @@ def success_predicate(criterion: SuccessCriterion, objective: ObjectiveSpec):
         return qualification_mask(criterion, objective, best_positions, best_scores)
 
     return predicate
-
-
-def count_winners(
-    swarm: SwarmState, objective: ObjectiveSpec, criterion: SuccessCriterion
-) -> int:
-    """Agents whose bests qualify, alive or dead."""
-    return int(
-        np.count_nonzero(
-            qualification_mask(criterion, objective, swarm.best_positions, swarm.best_scores)
-        )
-    )
-
-
-def is_global_success(
-    swarm: SwarmState, objective: ObjectiveSpec, criterion: SuccessCriterion
-) -> bool:
-    """True iff every alive agent qualifies; false with no alive agents."""
-    if not swarm.alive.any():
-        return False
-    mask = qualification_mask(
-        criterion, objective, swarm.best_positions, swarm.best_scores
-    )
-    return bool(mask[swarm.alive].all())
 
 
 def death_fraction_to_prob(death_fraction: float, t: int) -> float:

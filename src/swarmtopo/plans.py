@@ -11,16 +11,29 @@ Example::
     topology = spectrum n=100 per_segment=80
 
 Scalar keys appear once; ``topology`` repeats, one graph per line (a
-``spectrum`` line expands to its full graph family).  Blank lines and
-``#`` comments are ignored.  Unknown keys and missing required keys
-are rejected by name.
+``spectrum`` line expands to its full graph family).  A topology
+line's kinds, keys and value types come from the kind table in
+:mod:`swarmtopo.topology`; ``label=`` sets the spec's label, which is
+its topology id.  Blank lines and ``#`` comments are ignored.  Unknown
+keys and missing required keys are rejected by name.
+
+:func:`plan_to_text` writes every graph on its own line, labels
+included, and floats in their shortest exact text, so parsing its
+output gives back an equal plan.
 """
 
 from __future__ import annotations
 
 from .harness import ExperimentPlan, SuccessCriterion
 from .objectives import default_spec
-from .topology import KIND_FIELDS, TOPOLOGY_KINDS, TopologySpec, spectrum_points
+from .topology import (
+    KINDS,
+    PARAMETERS,
+    TOPOLOGY_KINDS,
+    TopologySpec,
+    format_number,
+    spectrum_points,
+)
 
 __all__ = [
     "PLAN_VERSION",
@@ -33,11 +46,10 @@ __all__ = [
 
 PLAN_VERSION = 1
 
-_INT_FIELDS = {
-    "n", "seed", "core_size", "hub_count", "ring_levels",
-    "rows", "cols", "attach_count", "degree", "per_segment",
-}
-_FLOAT_FIELDS = {"edge_prob", "rewire_prob"}
+# plan-line key -> (spec field, type)
+_TOPOLOGY_KEYS = {p.key: (name, p.type) for name, p in PARAMETERS.items()}
+_TOPOLOGY_KEYS["label"] = ("label", str)
+_SPECTRUM_KEYS = {"n": ("node_count", int), "per_segment": ("per_segment", int)}
 
 _SCALAR_KEYS = {
     "version", "base_seed", "repetitions", "alpha", "death_horizon",
@@ -47,7 +59,7 @@ _SCALAR_KEYS = {
 _REQUIRED_KEYS = ("version", "base_seed", "objectives", "death_fractions")
 
 
-def _parse_params(parts: list[str], context: str) -> dict:
+def _parse_params(parts: list[str], context: str, keys: dict) -> dict:
     params = {}
     for part in parts:
         if "=" not in part:
@@ -55,20 +67,16 @@ def _parse_params(parts: list[str], context: str) -> dict:
         key, _, raw = part.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key in params:
-            raise ValueError(f"{context}: duplicate parameter {key!r}")
-        if key in _INT_FIELDS:
-            try:
-                params[key] = int(raw)
-            except ValueError:
-                raise ValueError(f"{context}: {key} must be an integer, got {raw!r}") from None
-        elif key in _FLOAT_FIELDS:
-            try:
-                params[key] = float(raw)
-            except ValueError:
-                raise ValueError(f"{context}: {key} must be a number, got {raw!r}") from None
-        else:
+        if key not in keys:
             raise ValueError(f"{context}: unknown parameter {key!r}")
+        field, convert = keys[key]
+        if field in params:
+            raise ValueError(f"{context}: duplicate parameter {key!r}")
+        try:
+            params[field] = convert(raw)
+        except ValueError:
+            expected = "an integer" if convert is int else "a number"
+            raise ValueError(f"{context}: {key} must be {expected}, got {raw!r}") from None
     return params
 
 
@@ -82,20 +90,17 @@ def parse_topology_line(text: str) -> list[TopologySpec]:
     if not parts:
         raise ValueError("empty topology line")
     kind = parts[0]
-    params = _parse_params(parts[1:], f"topology {kind!r}")
+    context = f"topology {kind!r}"
     if kind == "spectrum":
-        extras = set(params) - {"n", "per_segment"}
-        if extras:
-            raise ValueError(f"topology 'spectrum': unknown parameter {sorted(extras)}")
-        if "n" not in params or "per_segment" not in params:
+        params = _parse_params(parts[1:], context, _SPECTRUM_KEYS)
+        if len(params) != len(_SPECTRUM_KEYS):
             raise ValueError("topology 'spectrum' requires n and per_segment")
-        return [p.spec for p in spectrum_points(params["n"], params["per_segment"])]
-    if kind not in TOPOLOGY_KINDS:
+        return [p.spec for p in spectrum_points(**params)]
+    if kind not in KINDS:
         raise ValueError(
             f"unknown topology kind {kind!r}; expected one of {TOPOLOGY_KINDS + ('spectrum',)}"
         )
-    node_count = params.pop("n", None)
-    spec = TopologySpec(kind=kind, node_count=node_count, **params)
+    spec = TopologySpec(kind=kind, **_parse_params(parts[1:], context, _TOPOLOGY_KEYS))
     spec.validate()
     return [spec]
 
@@ -197,28 +202,26 @@ def parse_plan(text: str) -> ExperimentPlan:
 
 def _topology_line(spec: TopologySpec) -> str:
     parts = [spec.kind]
-    if spec.node_count is not None:
-        parts.append(f"n={spec.node_count}")
-    for name in KIND_FIELDS[spec.kind]:
-        value = getattr(spec, name)
-        if isinstance(value, float):
-            parts.append(f"{name}={value:g}")
-        else:
-            parts.append(f"{name}={value}")
+    parts.extend(
+        f"{PARAMETERS[name].key}={format_number(getattr(spec, name))}"
+        for name in KINDS[spec.kind].parameters
+    )
+    if spec.label is not None:
+        parts.append(f"label={spec.label}")
     return " ".join(parts)
 
 
 def plan_to_text(plan: ExperimentPlan) -> str:
     """Serialize a plan back to the file format.
 
-    Spectrum expansions are written out graph by graph, so parsing
-    the output reproduces the plan exactly (labels aside).
+    Spectrum expansions are written out graph by graph, labels
+    included, so parsing the output reproduces the plan exactly.
     """
     lines = [
         f"version = {PLAN_VERSION}",
         f"base_seed = {plan.base_seed}",
         f"repetitions = {plan.repetitions}",
-        f"alpha = {plan.alpha:g}",
+        f"alpha = {format_number(plan.alpha)}",
         f"death_horizon = {plan.death_horizon}",
         f"max_iters = {plan.max_iters}",
         f"success_mode = {plan.success.mode}",

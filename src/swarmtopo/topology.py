@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -32,9 +34,11 @@ __all__ = [
     "make_scale_free",
     "make_random",
     "make_small_world",
-    "TopologySpec",
+    "PARAMETERS",
+    "KINDS",
     "TOPOLOGY_KINDS",
-    "KIND_FIELDS",
+    "format_number",
+    "TopologySpec",
     "build_topology",
     "SPECTRUM_SEGMENTS",
     "SpectrumPoint",
@@ -429,35 +433,69 @@ def make_small_world(node_count: int, degree: int, rewire_prob: float, rng=None)
 
 
 # ---------------------------------------------------------------------------
-# declarative specs
+# declarative specs: the kind table
 
-TOPOLOGY_KINDS = (
-    "complete",
-    "star",
-    "ring",
-    "core-periphery",
-    "ring-core-star",
-    "multi-ring",
-    "von-neumann",
-    "scale-free",
-    "random",
-    "small-world",
-)
 
-# fields each kind requires beyond node_count (von-neumann replaces
-# node_count with the grid shape)
-KIND_FIELDS = {
-    "complete": (),
-    "star": (),
-    "ring": (),
-    "core-periphery": ("core_size",),
-    "ring-core-star": ("hub_count",),
-    "multi-ring": ("ring_levels",),
-    "von-neumann": ("rows", "cols"),
-    "scale-free": ("attach_count", "seed"),
-    "random": ("edge_prob", "seed"),
-    "small-world": ("degree", "rewire_prob", "seed"),
+class Parameter(NamedTuple):
+    """One :class:`TopologySpec` field that some kind takes."""
+
+    type: type  # int or float
+    id_prefix: str  # written before the value in topology ids, separator included
+    key: str  # spelling in plan lines and gen-topology flags
+
+
+class Kind(NamedTuple):
+    """A topology kind: its constructor and the spec fields it takes,
+    in constructor argument order."""
+
+    builder: Callable[..., Graph]
+    parameters: tuple[str, ...]
+
+
+PARAMETERS = {
+    "node_count": Parameter(int, "-n", "n"),
+    "rows": Parameter(int, "-", "rows"),
+    "cols": Parameter(int, "x", "cols"),
+    "core_size": Parameter(int, "-c", "core_size"),
+    "hub_count": Parameter(int, "-h", "hub_count"),
+    "ring_levels": Parameter(int, "-r", "ring_levels"),
+    "attach_count": Parameter(int, "-m", "attach_count"),
+    "edge_prob": Parameter(float, "-p", "edge_prob"),
+    "degree": Parameter(int, "-k", "degree"),
+    "rewire_prob": Parameter(float, "-p", "rewire_prob"),
+    "seed": Parameter(int, "-s", "seed"),
 }
+
+# adding a kind is one row here plus its make_* function; the
+# randomized builders take the seed as their rng argument
+KINDS = {
+    "complete": Kind(make_complete, ("node_count",)),
+    "star": Kind(make_star, ("node_count",)),
+    "ring": Kind(make_ring, ("node_count",)),
+    "core-periphery": Kind(make_core_periphery, ("node_count", "core_size")),
+    "ring-core-star": Kind(make_ring_core_star, ("node_count", "hub_count")),
+    "multi-ring": Kind(make_multi_ring, ("node_count", "ring_levels")),
+    "von-neumann": Kind(make_von_neumann, ("rows", "cols")),
+    "scale-free": Kind(make_scale_free, ("node_count", "attach_count", "seed")),
+    "random": Kind(make_random, ("node_count", "edge_prob", "seed")),
+    "small-world": Kind(
+        make_small_world, ("node_count", "degree", "rewire_prob", "seed")
+    ),
+}
+
+TOPOLOGY_KINDS = tuple(KINDS)
+
+
+def format_number(value: int | float) -> str:
+    """Text of a parameter value for ids and plan lines.
+
+    Floats use ``:g`` when that reads back as the same float and
+    ``repr`` otherwise, so distinct values never share a text.
+    """
+    if isinstance(value, float):
+        text = f"{value:g}"
+        return text if float(text) == value else repr(float(value))
+    return str(value)
 
 
 @dataclass(frozen=True)
@@ -466,7 +504,8 @@ class TopologySpec:
 
     Only the fields that apply to ``kind`` may be set; the rest must
     stay ``None``.  Randomized kinds require an explicit ``seed`` so
-    experiment plans stay reproducible.
+    experiment plans stay reproducible.  A ``label``, when set, is the
+    topology id; it must be non-empty and free of whitespace.
     """
 
     kind: str
@@ -484,80 +523,38 @@ class TopologySpec:
     label: str | None = None
 
     def validate(self) -> None:
-        if self.kind not in TOPOLOGY_KINDS:
+        if self.kind not in KINDS:
             raise ValueError(
                 f"unknown topology kind {self.kind!r}; expected one of {TOPOLOGY_KINDS}"
             )
-        needed = set(KIND_FIELDS[self.kind])
-        if self.kind == "von-neumann":
-            if self.node_count is not None:
-                raise ValueError("von-neumann takes rows/cols, not node_count")
-        elif self.node_count is None:
-            raise ValueError(f"{self.kind} requires node_count")
-        param_fields = (
-            "core_size", "hub_count", "ring_levels", "rows", "cols",
-            "attach_count", "edge_prob", "degree", "rewire_prob", "seed",
-        )
-        for name in param_fields:
+        needed = KINDS[self.kind].parameters
+        for name in PARAMETERS:
             value = getattr(self, name)
             if name in needed and value is None:
                 raise ValueError(f"{self.kind} requires {name}")
             if name not in needed and value is not None:
                 raise ValueError(f"{self.kind} does not take {name}")
+        if self.label is not None and self.label.split() != [self.label]:
+            raise ValueError(
+                f"label must be non-empty and free of whitespace, got {self.label!r}"
+            )
 
     def topology_id(self) -> str:
         """Stable identifier used in file names and result tables."""
         if self.label is not None:
             return self.label
         self.validate()
-        parts = [self.kind]
-        if self.kind == "von-neumann":
-            parts.append(f"{self.rows}x{self.cols}")
-        else:
-            parts.append(f"n{self.node_count}")
-        short = {
-            "core_size": "c", "hub_count": "h", "ring_levels": "r",
-            "attach_count": "m", "edge_prob": "p", "degree": "k",
-            "rewire_prob": "p", "seed": "s",
-        }
-        for name in KIND_FIELDS[self.kind]:
-            if name in ("rows", "cols"):
-                continue
-            value = getattr(self, name)
-            if isinstance(value, float):
-                parts.append(f"{short[name]}{value:g}")
-            else:
-                parts.append(f"{short[name]}{value}")
-        return "-".join(parts)
+        return self.kind + "".join(
+            PARAMETERS[name].id_prefix + format_number(getattr(self, name))
+            for name in KINDS[self.kind].parameters
+        )
 
 
 def build_topology(spec: TopologySpec) -> Graph:
     """Construct the graph a :class:`TopologySpec` describes."""
     spec.validate()
-    kind = spec.kind
-    if kind == "complete":
-        return make_complete(spec.node_count)
-    if kind == "star":
-        return make_star(spec.node_count)
-    if kind == "ring":
-        return make_ring(spec.node_count)
-    if kind == "core-periphery":
-        return make_core_periphery(spec.node_count, spec.core_size)
-    if kind == "ring-core-star":
-        return make_ring_core_star(spec.node_count, spec.hub_count)
-    if kind == "multi-ring":
-        return make_multi_ring(spec.node_count, spec.ring_levels)
-    if kind == "von-neumann":
-        return make_von_neumann(spec.rows, spec.cols)
-    if kind == "scale-free":
-        return make_scale_free(spec.node_count, spec.attach_count, spec.seed)
-    if kind == "random":
-        return make_random(spec.node_count, spec.edge_prob, spec.seed)
-    if kind == "small-world":
-        return make_small_world(
-            spec.node_count, spec.degree, spec.rewire_prob, spec.seed
-        )
-    raise AssertionError(f"unhandled kind {kind!r}")
+    kind = KINDS[spec.kind]
+    return kind.builder(*(getattr(spec, name) for name in kind.parameters))
 
 
 # ---------------------------------------------------------------------------

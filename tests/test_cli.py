@@ -6,7 +6,13 @@ import pytest
 
 from swarmtopo.cli import main
 from swarmtopo.harness import parse_results_csv
-from swarmtopo.topology import make_ring, read_edge_list
+from swarmtopo.topology import (
+    TopologySpec,
+    build_topology,
+    edge_list_text,
+    make_ring,
+    read_edge_list,
+)
 
 TINY_PLAN = """\
 version = 1
@@ -48,6 +54,18 @@ class TestGenTopology:
         )
         assert code == 0
         assert read_edge_list(out).edge_count == 2 * 28
+
+    def test_rewire_flag(self, tmp_path):
+        out = tmp_path / "sw.txt"
+        code = _invoke(
+            ["gen-topology", "--kind", "small-world", "--n", "20", "--degree", "4",
+             "--rewire", "0.2", "--seed", "3", "--out", str(out)]
+        )
+        assert code == 0
+        spec = TopologySpec(
+            kind="small-world", node_count=20, degree=4, rewire_prob=0.2, seed=3
+        )
+        assert out.read_text(encoding="ascii") == edge_list_text(build_topology(spec))
 
     def test_spectrum_directory(self, tmp_path):
         out_dir = tmp_path / "family"

@@ -24,11 +24,9 @@ from swarmtopo.engine import (
     randomized_death,
     run,
     step,
-    survival_expectation,
 )
 from swarmtopo.objectives import default_spec
 from swarmtopo.topology import (
-    TOPOLOGY_KINDS,
     Graph,
     TopologySpec,
     build_topology,
@@ -36,6 +34,8 @@ from swarmtopo.topology import (
     make_ring,
     make_star,
 )
+
+from strategies import topology_specs
 
 
 def neighborhood_best(
@@ -381,30 +381,6 @@ class TestNeighborhoodBest:
         assert np.allclose(got, expected, atol=1e-12)
 
 
-@st.composite
-def topology_specs(draw):
-    """A valid spec of any kind, at most 40 nodes."""
-    kind = draw(st.sampled_from(TOPOLOGY_KINDS))
-    if kind == "von-neumann":
-        return TopologySpec(kind, rows=draw(st.integers(3, 6)), cols=draw(st.integers(3, 6)))
-    smallest = {"star": 2, "ring": 3, "multi-ring": 3, "scale-free": 2, "small-world": 3}
-    n = draw(st.integers(smallest.get(kind, 1), 40))
-    seed = draw(st.integers(0, 2**16))
-    params = {
-        "core-periphery": lambda: {"core_size": draw(st.integers(1, n))},
-        "ring-core-star": lambda: {"hub_count": draw(st.integers(1, n))},
-        "multi-ring": lambda: {"ring_levels": draw(st.integers(1, n // 2))},
-        "scale-free": lambda: {"attach_count": draw(st.integers(1, n - 1)), "seed": seed},
-        "random": lambda: {"edge_prob": draw(st.floats(0.0, 1.0)), "seed": seed},
-        "small-world": lambda: {
-            "degree": 2 * draw(st.integers(1, (n - 1) // 2)),
-            "rewire_prob": draw(st.floats(0.0, 1.0)),
-            "seed": seed,
-        },
-    }.get(kind, dict)()
-    return TopologySpec(kind, node_count=n, **params)
-
-
 # a handful of distinct values forces score ties; the domain is finite
 # scores, the only ones a finite objective produces
 _SCORE = st.one_of(st.integers(-2, 2).map(float), st.floats(-1e6, 1e6))
@@ -486,13 +462,6 @@ class TestDeathAndRun:
         with pytest.raises(ValueError):
             randomized_death(swarm, 1.0, rand, 1)
 
-    def test_survival_expectation_pinned(self):
-        expected, alive_frac, dead_frac = survival_expectation(100, 0.00033, 500)
-        assert abs(expected - 84.787) < 5e-4
-        assert abs(alive_frac + dead_frac - 1.0) < 1e-15
-        expected30, _, _ = survival_expectation(100, 0.0007, 500)
-        assert abs(expected30 - 70.460) < 5e-4
-
     def test_initialize_within_bounds(self):
         objective = default_spec("schwefel")
         config = SwarmConfig(n_agents=300, seed=8)
@@ -537,6 +506,44 @@ class TestDeathAndRun:
         result = run(config, make_complete(40), objective, success_fn=everyone)
         assert result.winners == 40
         assert result.survivors < 40
+
+    @staticmethod
+    def _death_draws(draws):
+        # death channel pinned per agent, every other draw 0.5
+        def rand(channel, iteration, agent_count, lanes=1):
+            if channel == CHANNEL_DEATH:
+                return np.array(draws, dtype=float).reshape(agent_count, 1)
+            return np.full((agent_count, lanes), 0.5)
+
+        return rand
+
+    def test_dead_non_qualifier_does_not_block_convergence(self):
+        # agent 1 never qualifies; the run converges once it is dead
+        def first_only(best_positions, best_scores):
+            return np.array([True, False])
+
+        objective = default_spec("shekel")
+        graph = make_complete(2)
+        calm = run(SwarmConfig(n_agents=2, max_iters=5), graph, objective,
+                   first_only, rand_fn=self._death_draws([0.9, 0.9]))
+        assert not calm.converged and calm.convergence_iteration is None
+        config = SwarmConfig(n_agents=2, max_iters=5, death_prob=0.5)
+        hostile = run(config, graph, objective, first_only,
+                      rand_fn=self._death_draws([0.9, 0.0]))
+        assert hostile.converged and hostile.convergence_iteration == 1
+        assert (hostile.winners, hostile.survivors) == (1, 1)
+
+    def test_extinct_swarm_never_converges(self):
+        def everyone(best_positions, best_scores):
+            return np.ones(len(best_scores), dtype=bool)
+
+        config = SwarmConfig(n_agents=3, max_iters=5, death_prob=0.5)
+        result = run(config, make_complete(3), default_spec("shekel"), everyone,
+                     rand_fn=self._death_draws([0.0, 0.0, 0.0]))
+        assert not result.converged and result.convergence_iteration is None
+        assert result.iterations_executed == 1
+        # the dead still count as winners
+        assert (result.winners, result.survivors) == (3, 0)
 
     def test_run_stops_when_swarm_dies(self):
         config = SwarmConfig(n_agents=10, max_iters=500, seed=4, death_prob=0.5)

@@ -8,17 +8,14 @@ import numpy as np
 import pytest
 
 from swarmtopo import harness
-from swarmtopo.engine import SwarmConfig, SwarmState, initialize
 from swarmtopo.harness import (
     AggregateMetrics,
     ExperimentPlan,
     RESULTS_COLUMNS,
     SuccessCriterion,
-    count_winners,
     death_fraction_to_prob,
     default_tolerance,
     derive_seed,
-    is_global_success,
     parse_results_csv,
     qualification_mask,
     results_to_csv,
@@ -31,16 +28,10 @@ from swarmtopo.objectives import default_spec
 from swarmtopo.topology import TopologySpec
 
 
-def _swarm_at(points, scores=None):
-    pts = np.asarray(points, dtype=np.float64)
-    n = len(pts)
-    return SwarmState(
-        positions=pts.copy(),
-        velocities=np.zeros_like(pts),
-        best_positions=pts.copy(),
-        best_scores=np.zeros(n) if scores is None else np.asarray(scores, float),
-        alive=np.ones(n, dtype=bool),
-    )
+def _mask_at(points, objective, criterion=SuccessCriterion()):
+    # position-radius reads only the positions; scores are placeholders
+    positions = np.asarray(points, dtype=np.float64)
+    return qualification_mask(criterion, objective, positions, np.zeros(len(positions)))
 
 
 def _tiny_plan(**overrides):
@@ -72,12 +63,7 @@ class TestSuccessCriterion:
         base = objective.optimum_location
         offsets = [0.1 * eps, eps, 1.1 * eps]
         points = [base + np.array([d, 0, 0, 0]) for d in offsets]
-        swarm = _swarm_at(points)
-        mask = qualification_mask(
-            criterion, objective, swarm.best_positions, swarm.best_scores
-        )
-        assert mask.tolist() == [True, True, False]
-        assert count_winners(swarm, objective, criterion) == 2
+        assert _mask_at(points, objective, criterion).tolist() == [True, True, False]
 
     def test_value_gap_mode(self):
         objective = default_spec("rastrigin")
@@ -96,30 +82,11 @@ class TestSuccessCriterion:
 
     def test_all_agents_at_optimum_all_win(self):
         objective = default_spec("shekel")
-        swarm = _swarm_at([objective.optimum_location] * 5)
-        assert count_winners(swarm, objective, SuccessCriterion()) == 5
+        assert _mask_at([objective.optimum_location] * 5, objective).all()
 
     def test_far_swarm_no_winners(self):
         objective = default_spec("shekel")
-        swarm = _swarm_at([[0.0, 0.0, 0.0, 0.0]] * 3)
-        assert count_winners(swarm, objective, SuccessCriterion()) == 0
-
-
-class TestGlobalSuccess:
-    def test_only_alive_agents_counted(self):
-        objective = default_spec("shekel")
-        criterion = SuccessCriterion()
-        good = objective.optimum_location
-        swarm = _swarm_at([good, good, [0.0, 0.0, 0.0, 0.0]])
-        assert not is_global_success(swarm, objective, criterion)
-        swarm.alive[2] = False
-        assert is_global_success(swarm, objective, criterion)
-
-    def test_extinct_swarm_never_succeeds(self):
-        objective = default_spec("shekel")
-        swarm = _swarm_at([objective.optimum_location])
-        swarm.alive[:] = False
-        assert not is_global_success(swarm, objective, SuccessCriterion())
+        assert not _mask_at([[0.0, 0.0, 0.0, 0.0]] * 3, objective).any()
 
 
 class TestDeathConversion:

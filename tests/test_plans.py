@@ -29,6 +29,10 @@ class TestTopologyLine:
         assert spec.rewire_prob == 0.1
         assert spec.seed == 7
 
+    def test_label(self):
+        (spec,) = parse_topology_line("ring n=10 label=my-ring")
+        assert spec.label == "my-ring" and spec.topology_id() == "my-ring"
+
     def test_spectrum_expands(self):
         specs = parse_topology_line("spectrum n=12 per_segment=4")
         assert len(specs) == 12
@@ -64,8 +68,19 @@ class TestParsePlan:
         assert parse_plan(text) == parse_plan(MINIMAL)
 
     def test_round_trip(self):
-        plan = parse_plan(builtin_plan_text("reference-grid"))
-        assert parse_plan(plan_to_text(plan)) == plan
+        # spectrum-full repeats multi-ring levels: only its labels keep
+        # the ids apart
+        for name in BUILTIN_PLAN_NAMES:
+            plan = parse_plan(builtin_plan_text(name))
+            assert parse_plan(plan_to_text(plan)) == plan, name
+
+    def test_round_trip_keeps_exact_floats(self):
+        line = "topology = random n=10 edge_prob=0.1234567 seed=1"
+        text = MINIMAL.replace("topology = ring n=100", line) + "alpha = 0.123456789\n"
+        plan = parse_plan(text)
+        written = plan_to_text(plan)
+        assert "edge_prob=0.1234567 " in written and "alpha = 0.123456789\n" in written
+        assert parse_plan(written) == plan
 
     def test_success_settings(self):
         text = MINIMAL + "success_mode = value-gap\nsuccess_tolerance = 0.01\n"

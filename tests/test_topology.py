@@ -1,16 +1,18 @@
 """Graph constructors, the topology spectrum, and edge-list round-trips."""
 
 import re
+import string
+from dataclasses import replace
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from swarmtopo.plans import _topology_line, parse_topology_line
 from swarmtopo.topology import (
     Graph,
     TopologySpec,
-    TOPOLOGY_KINDS,
-    KIND_FIELDS,
     build_spectrum,
     build_topology,
     edge_list_text,
@@ -29,6 +31,24 @@ from swarmtopo.topology import (
     spectrum_points,
     write_edge_list,
 )
+
+from strategies import topology_specs
+
+# each kind built by hand, the oracle for the kind table
+DIRECT_BUILDERS = {
+    "complete": lambda s: make_complete(s.node_count),
+    "star": lambda s: make_star(s.node_count),
+    "ring": lambda s: make_ring(s.node_count),
+    "core-periphery": lambda s: make_core_periphery(s.node_count, s.core_size),
+    "ring-core-star": lambda s: make_ring_core_star(s.node_count, s.hub_count),
+    "multi-ring": lambda s: make_multi_ring(s.node_count, s.ring_levels),
+    "von-neumann": lambda s: make_von_neumann(s.rows, s.cols),
+    "scale-free": lambda s: make_scale_free(s.node_count, s.attach_count, rng=s.seed),
+    "random": lambda s: make_random(s.node_count, s.edge_prob, rng=s.seed),
+    "small-world": lambda s: make_small_world(
+        s.node_count, s.degree, s.rewire_prob, rng=s.seed
+    ),
+}
 
 
 def _check_invariants(graph: Graph) -> None:
@@ -333,8 +353,36 @@ class TestTopologySpec:
         spec = TopologySpec(kind="ring", node_count=10, label="my-ring")
         assert spec.topology_id() == "my-ring"
 
-    def test_kind_tables_cover_all_kinds(self):
-        assert set(KIND_FIELDS) == set(TOPOLOGY_KINDS)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        spec=topology_specs(),
+        label=st.none() | st.text(string.ascii_letters + string.digits + "-_.=#", min_size=1),
+    )
+    def test_spec_round_trips_through_plan_line(self, spec, label):
+        spec = replace(spec, label=label)
+        (parsed,) = parse_topology_line(_topology_line(spec))
+        assert parsed == spec
+        assert parsed.topology_id() == spec.topology_id()
+        assert build_topology(spec) == DIRECT_BUILDERS[spec.kind](spec)
+
+    def test_float_ids_are_exact(self):
+        def ids(*probs):
+            return [
+                TopologySpec(kind="random", node_count=10, edge_prob=p, seed=1).topology_id()
+                for p in probs
+            ]
+
+        assert ids(0.1, 0.5, 1.0, 0.0) == [
+            "random-n10-p0.1-s1", "random-n10-p0.5-s1", "random-n10-p1-s1", "random-n10-p0-s1"
+        ]
+        assert ids(0.1234567, 0.1234568) == [
+            "random-n10-p0.1234567-s1", "random-n10-p0.1234568-s1"
+        ]
+
+    def test_rejects_labels_a_plan_line_cannot_hold(self):
+        for label in ("", "two words", "tab\there"):
+            with pytest.raises(ValueError, match="label"):
+                TopologySpec(kind="ring", node_count=10, label=label).validate()
 
 
 class TestEdgeLists:
