@@ -32,6 +32,7 @@ from .topology import (
     PARAMETERS,
     TOPOLOGY_KINDS,
     build_topology,
+    format_number,
     read_edge_list,
     write_edge_list,
 )
@@ -160,7 +161,7 @@ def _make_trace_factory(trace_dir: str):
     def factory(topology_id: str, objective_name: str, death_fraction: float):
         def hook(repetition: int, trace):
             name = (
-                f"{topology_id}--{objective_name}--f{death_fraction:g}"
+                f"{topology_id}--{objective_name}--f{format_number(death_fraction)}"
                 f"--rep{repetition:03d}.csv"
             )
             with open(directory / name, "w", encoding="ascii", newline="") as fh:

@@ -17,7 +17,10 @@ graph's padded neighbor table (:meth:`Graph.neighbor_table`), so it is
 O(N * (k_max + 1)) for N agents and largest degree k_max.  On the
 complete graph with the agent in its own neighborhood every leader is
 the same, found by one O(N) argmax.  The velocity and position update
-is O(N * d) for dimension d.
+is O(N * d) for dimension d.  Each uniform draw call costs one key
+derivation on Python ints (the per-channel key is cached) plus two
+in-place vector splitmix64 rounds over the N * lanes words it returns;
+at N=100 that is fixed per-call numpy overhead, not arithmetic.
 """
 
 from __future__ import annotations
@@ -52,15 +55,37 @@ CHANNEL_VELOCITY_SOCIAL = 4
 CHANNEL_DEATH = 5
 
 _U64_MASK = (1 << 64) - 1
+# splitmix64 constants: the increment and the two finalizer multipliers
+_GAMMA = 0x9E3779B97F4A7C15
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
+# the same as uint64 scalars, so the array rounds convert nothing per call
+_U_GAMMA, _U_MUL1, _U_MUL2 = np.uint64(_GAMMA), np.uint64(_MUL1), np.uint64(_MUL2)
+_U30, _U27, _U31, _U11 = np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11)
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    # splitmix64 finalizer, vectorized; uint64 wraparound is intended
-    with np.errstate(over="ignore"):
-        z = z + np.uint64(0x9E3779B97F4A7C15)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+def _mix64(z: int) -> int:
+    """splitmix64 finalizer of one word, on Python ints; any int is
+    taken modulo 2**64."""
+    z = (z + _GAMMA) & _U64_MASK
+    z = ((z ^ (z >> 30)) * _MUL1) & _U64_MASK
+    z = ((z ^ (z >> 27)) * _MUL2) & _U64_MASK
+    return z ^ (z >> 31)
+
+
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer over a uint64 array, overwriting it.
+
+    Array uint64 arithmetic wraps silently, which is the intended
+    modulo-2**64 arithmetic.
+    """
+    z += _U_GAMMA
+    z ^= z >> _U30
+    z *= _U_MUL1
+    z ^= z >> _U27
+    z *= _U_MUL2
+    z ^= z >> _U31
+    return z
 
 
 def make_rand_source(seed: int):
@@ -71,20 +96,39 @@ def make_rand_source(seed: int):
     value is a pure hash of ``(seed, channel, iteration, agent,
     lane)``: no hidden stream state, so the same coordinates always
     yield the same number regardless of call order.
+
+    The value at ``(agent, lane)`` is the top 53 bits of
+    ``mix(mix(key + agent) + lane)`` scaled to ``[0, 1)``, where
+    ``key = mix(mix(mix(seed) + channel) + iteration)``, ``mix`` is
+    the splitmix64 finalizer and every sum wraps modulo 2**64.
+    ``channel`` and ``iteration`` must lie in ``[0, 2**64)``
+    (``OverflowError`` otherwise).
     """
-    base = _mix64(np.array([int(seed) & _U64_MASK], dtype=np.uint64))
+    base = _mix64(int(seed))
+    channel_keys: dict[int, int] = {}
+    counters: dict[int, np.ndarray] = {}
+
+    def counter(count: int) -> np.ndarray:
+        # 0 .. count-1 as uint64, built once per size and never written
+        values = counters.get(count)
+        if values is None:
+            values = counters[count] = np.arange(count, dtype=np.uint64)
+        return values
 
     def rand(channel: int, iteration: int, agent_count: int, lanes: int = 1) -> np.ndarray:
         if agent_count < 1 or lanes < 1:
             raise ValueError("agent_count and lanes must be >= 1")
-        with np.errstate(over="ignore"):
-            key = _mix64(base + np.uint64(channel))
-            key = _mix64(key + np.uint64(iteration))
-            agents = np.arange(agent_count, dtype=np.uint64)
-            hashed = _mix64(key + agents)
-            lane_idx = np.arange(lanes, dtype=np.uint64)
-            hashed = _mix64(hashed[:, None] + lane_idx[None, :])
-        return (hashed >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        channel_key = channel_keys.get(channel)
+        if channel_key is None:
+            channel_key = _mix64(base + int(np.uint64(channel)))
+            channel_keys[channel] = channel_key
+        key = _mix64(channel_key + int(np.uint64(iteration)))
+        hashed = _mix64_inplace(counter(agent_count) + np.uint64(key))
+        hashed = _mix64_inplace(hashed[:, None] + counter(lanes))
+        hashed >>= _U11
+        draws = hashed.astype(np.float64)
+        draws *= 2.0**-53
+        return draws
 
     return rand
 
@@ -255,11 +299,11 @@ def step(
     moved = swarm.positions + velocity
 
     new_scores = objective.score_many(moved)
-    swarm.velocities[alive] = velocity[alive]
-    swarm.positions[alive] = moved[alive]
+    np.copyto(swarm.velocities, velocity, where=alive[:, None])
+    np.copyto(swarm.positions, moved, where=alive[:, None])
     improved = alive & (new_scores > snap_best_scores)
-    swarm.best_positions[improved] = moved[improved]
-    swarm.best_scores[improved] = new_scores[improved]
+    np.copyto(swarm.best_positions, moved, where=improved[:, None])
+    np.copyto(swarm.best_scores, new_scores, where=improved)
     return swarm
 
 

@@ -68,9 +68,14 @@ def shekel_params() -> ShekelParams:
 
 def _shekel(points: np.ndarray) -> np.ndarray:
     params = shekel_params()
-    diffs = points[:, None, :] - params.centers[None, :, :]
-    sq = (diffs * diffs).sum(axis=2)
-    return (1.0 / (params.heights[None, :] + sq)).sum(axis=1)
+    centers = params.centers
+    # squared distance to every center, summed one coordinate column at a
+    # time from the left: the order a length-4 reduction adds in, without
+    # the (N, m, 4) temporary
+    sq = (points[:, 0:1] - centers[:, 0]) ** 2
+    for j in range(1, centers.shape[1]):
+        sq += (points[:, j : j + 1] - centers[:, j]) ** 2
+    return (1.0 / (params.heights + sq)).sum(axis=1)
 
 
 def _ackley(points: np.ndarray) -> np.ndarray:

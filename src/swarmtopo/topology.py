@@ -534,10 +534,16 @@ class TopologySpec:
                 raise ValueError(f"{self.kind} requires {name}")
             if name not in needed and value is not None:
                 raise ValueError(f"{self.kind} does not take {name}")
-        if self.label is not None and self.label.split() != [self.label]:
-            raise ValueError(
-                f"label must be non-empty and free of whitespace, got {self.label!r}"
-            )
+        if self.label is not None:
+            if self.label.split() != [self.label]:
+                raise ValueError(
+                    f"label must be non-empty and free of whitespace, got {self.label!r}"
+                )
+            # the id names trace files, so it cannot hold a path separator
+            if "/" in self.label or "\\" in self.label:
+                raise ValueError(
+                    f"label must be free of path separators '/' and '\\', got {self.label!r}"
+                )
 
     def topology_id(self) -> str:
         """Stable identifier used in file names and result tables."""

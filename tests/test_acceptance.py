@@ -8,7 +8,7 @@ and hand-evaluated trade-off arithmetic.  The desk-scale sweep checks
 (criteria 6 and 7) are statistical: they run a pinned 20-repetition
 plan and assert trend inequalities, not digits.
 
-The sweep fixture takes ~95 s on a 2-core Xeon VM; everything else is
+The sweep fixture takes ~46 s on a 2-core Xeon VM; everything else is
 seconds.
 """
 

@@ -154,6 +154,31 @@ class TestRunAndSweep:
         header = (traces / names[0]).read_text("ascii").splitlines()[0]
         assert header == "iteration,alive_count,best_score"
 
+    def test_trace_names_keep_close_fractions_apart(self, tmp_path):
+        plan = tmp_path / "close.plan"
+        plan.write_text(
+            TINY_PLAN.replace("death_fractions = 0, 0.3", "death_fractions = 0.1234567, 0.1234568")
+            .replace("repetitions = 2", "repetitions = 1")
+            .replace("topology = complete n=10\n", ""),
+            encoding="ascii",
+        )
+        traces = tmp_path / "traces"
+        assert _invoke(["run", str(plan), "--out-prefix", str(tmp_path / "t"),
+                        "--trace-dir", str(traces)]) == 0
+        assert sorted(p.name for p in traces.iterdir()) == [
+            "ring-n10--shekel--f0.1234567--rep000.csv",
+            "ring-n10--shekel--f0.1234568--rep000.csv",
+        ]
+
+    def test_label_with_path_separator_exits_1_before_running(self, tmp_path):
+        plan = tmp_path / "slash.plan"
+        plan.write_text(TINY_PLAN.replace("ring n=10", "ring n=10 label=a/b"), encoding="ascii")
+        traces = tmp_path / "traces"
+        code = _invoke(["run", str(plan), "--out-prefix", str(tmp_path / "t"),
+                        "--trace-dir", str(traces)])
+        assert code == 1
+        assert not (tmp_path / "t.csv").exists()
+
     def test_trace_requires_serial(self, plan_file, tmp_path):
         code = _invoke(["run", str(plan_file), "--out-prefix", str(tmp_path / "x"),
                         "--trace-dir", str(tmp_path / "tr"), "--workers", "2"])

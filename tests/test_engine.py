@@ -4,7 +4,14 @@ The three-step trace was computed by hand: two agents on a line, score
 -x^2, chi=0.5, phi1=1.0, phi2=2.0, with pinned uniform draws.  Agent 1
 improves first, agent 0's velocity cancels to exactly zero at step 2,
 and the leader switches to agent 1 at step 3.
+
+The uniform source is checked against ``reference_draw``, a splitmix64
+written on Python ints one draw at a time, and a fixed block of its
+draws is pinned by sha256 (taken from the numpy-array implementation
+that derived its keys with one-element arrays under ``np.errstate``).
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -19,6 +26,7 @@ from swarmtopo.engine import (
     SwarmState,
     _leaders,
     _mix64,
+    _mix64_inplace,
     initialize,
     make_rand_source,
     randomized_death,
@@ -108,6 +116,32 @@ def _fresh_trace_swarm():
     )
 
 
+MASK64 = (1 << 64) - 1
+
+
+def reference_mix(z: int) -> int:
+    """splitmix64 finalizer, written out on Python ints."""
+    z = (z + 0x9E3779B97F4A7C15) % (1 << 64)
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % (1 << 64)
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % (1 << 64)
+    return z ^ (z >> 31)
+
+
+def reference_draw(seed: int, channel: int, iteration: int, agent: int, lane: int) -> float:
+    """Oracle: one uniform draw of ``make_rand_source(seed)``."""
+    key = reference_mix(seed % (1 << 64))
+    for counter in (channel, iteration, agent, lane):
+        key = reference_mix((key + counter) % (1 << 64))
+    return (key >> 11) / float(1 << 53)
+
+
+# sha256 of the float64 bytes of rand(channel, iteration, 37, 3) over
+# the seeds, channels 1-5 and iterations below, in that nesting order
+DRAW_BLOCK_SEEDS = (0, -5, 1 << 63, MASK64, 20201)
+DRAW_BLOCK_ITERATIONS = (0, 1, 999, 1 << 40)
+DRAW_BLOCK_SHA256 = "0b2d63fa57c4befc05acec90095cc8aa1758c0f7118faff660cf78a7c1ac57d2"
+
+
 class TestRandSource:
     def test_mix64_pinned(self):
         cases = {
@@ -117,8 +151,53 @@ class TestRandSource:
             (1 << 63) + 5: 6099647518701997872,
         }
         for value, expected in cases.items():
-            out = _mix64(np.array([value], dtype=np.uint64))
+            assert _mix64(value) == expected
+            assert reference_mix(value) == expected
+            out = _mix64_inplace(np.array([value], dtype=np.uint64))
             assert int(out[0]) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.one_of(
+            st.integers(min_value=-(1 << 70), max_value=-1),
+            st.just(0),
+            st.integers(min_value=1 << 63, max_value=(1 << 70)),
+        ),
+        channel=st.integers(min_value=1, max_value=5),
+        iteration=st.one_of(
+            st.integers(min_value=0, max_value=3),
+            st.integers(min_value=0, max_value=1 << 40),
+        ),
+        agent_count=st.integers(min_value=1, max_value=300),
+        lanes=st.integers(min_value=1, max_value=6),
+    )
+    def test_matches_reference(self, seed, channel, iteration, agent_count, lanes):
+        draws = make_rand_source(seed)(channel, iteration, agent_count, lanes)
+        expected = [
+            [reference_draw(seed, channel, iteration, agent, lane) for lane in range(lanes)]
+            for agent in range(agent_count)
+        ]
+        assert draws.dtype == np.float64
+        assert np.array_equal(draws, np.array(expected))
+
+    def test_draw_block_pinned(self):
+        parts = []
+        for seed in DRAW_BLOCK_SEEDS:
+            rand = make_rand_source(seed)
+            for channel in range(1, 6):
+                for iteration in DRAW_BLOCK_ITERATIONS:
+                    parts.append(rand(channel, iteration, 37, 3))
+        block = np.concatenate(parts).tobytes()
+        assert hashlib.sha256(block).hexdigest() == DRAW_BLOCK_SHA256
+
+    def test_cached_keys_match_a_fresh_source(self):
+        # the per-channel keys and counter arrays are cached: every call
+        # in an interleaved sequence must give a fresh source's draws
+        rand = make_rand_source(9)
+        calls = [(5, 4, 50, 2), (5, 5, 80, 3), (4, 4, 50, 2), (4, 5, 2, 50),
+                 (5, 4, 50, 2), (1, 0, 80, 1), (4, 4, 3, 3)]
+        for coords in calls:
+            assert np.array_equal(rand(*coords), make_rand_source(9)(*coords)), coords
 
     def test_shape_and_range(self):
         rand = make_rand_source(7)
@@ -156,8 +235,18 @@ class TestRandSource:
 
     def test_rejects_empty(self):
         rand = make_rand_source(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="agent_count and lanes must be >= 1"):
             rand(CHANNEL_DEATH, 0, 0)
+        with pytest.raises(ValueError, match="agent_count and lanes must be >= 1"):
+            rand(CHANNEL_DEATH, 0, 5, 0)
+
+    @pytest.mark.parametrize("bad", [-1, -(1 << 40), 1 << 64])
+    def test_rejects_coordinates_outside_64_bits(self, bad):
+        rand = make_rand_source(0)
+        with pytest.raises(OverflowError):
+            rand(bad, 0, 5)
+        with pytest.raises(OverflowError):
+            rand(CHANNEL_DEATH, bad, 5)
 
 
 class TestHandTrace:

@@ -1,4 +1,4 @@
-"""Golden-output gate: sha256 of engine results, of a results CSV and
+"""Golden-output gate: sha256 of engine results, of results CSVs and
 of a metrics CSV.
 
 The engine digests were taken from the dense-mask leader selection that
@@ -13,7 +13,10 @@ core-periphery give wide, ragged neighbour tables; the complete graph
 takes the full-row path), plus the one-agent complete graph, with the
 agent itself in or out of its neighbourhood and with no loss or 30%
 loss.  The plan is the acceptance plan cut to two repetitions of 150
-iterations.  The metrics CSV is the ``swarmtopo metrics`` output,
+iterations; the two built-in sweeps are cut to one repetition of 50
+iterations, the spectrum to 10 graphs per segment (their digests were
+taken from the engine that derived its random keys with one-element
+numpy arrays).  The metrics CSV is the ``swarmtopo metrics`` output,
 omega sampler seed 0, over the 40-node spectrum with 10 graphs per
 segment, a small-world graph, and two disconnected graphs.  Each takes
 a few seconds or less.  The digests were taken with numpy 2.4 on
@@ -23,6 +26,8 @@ x86-64.
 from __future__ import annotations
 
 import hashlib
+
+import pytest
 
 from swarmtopo.cli import METRICS_COLUMNS
 from swarmtopo.engine import SwarmConfig, run
@@ -35,7 +40,7 @@ from swarmtopo.harness import (
     success_predicate,
 )
 from swarmtopo.objectives import default_spec
-from swarmtopo.plans import parse_plan
+from swarmtopo.plans import builtin_plan_text, parse_plan
 from swarmtopo.topology import (
     TOPOLOGY_KINDS,
     Graph,
@@ -77,6 +82,21 @@ topology = small-world n=100 degree=10 rewire_prob=0.1 seed=7
 """
 
 PLAN_CSV_SHA256 = "9c31a48d1b0e0a78844466e0b41ab9632652a98fb34985e9728c7a597f5cef0a"
+
+# built-in plan -> (text replacements that reduce it, results CSV sha256)
+REDUCED_BUILTIN_PLANS = {
+    "reference-grid": (
+        {"repetitions = 50": "repetitions = 1\nmax_iters = 50"},
+        "cc9700145244f59752aff39b7e967a965793959b451dccf6bf08f8d3ee38f82e",
+    ),
+    "spectrum-full": (
+        {
+            "repetitions = 50": "repetitions = 1\nmax_iters = 50",
+            "per_segment=80": "per_segment=10",
+        },
+        "12ba98347a9ded3458ed44030a18670a94afa30bcbbc0c44ff2eab74660a6d4a",
+    ),
+}
 
 METRICS_EXTRA_SPECS = (
     TopologySpec("small-world", node_count=40, degree=4, rewire_prob=0.2, seed=3),
@@ -159,6 +179,20 @@ def test_engine_grid_digest():
 def test_reduced_acceptance_csv_digest():
     csv = results_to_csv(run_plan(parse_plan(REDUCED_ACCEPTANCE_PLAN)))
     assert _sha256(csv) == PLAN_CSV_SHA256
+
+
+def reduced_builtin_plan_text(name: str) -> str:
+    text = builtin_plan_text(name)
+    for old, new in REDUCED_BUILTIN_PLANS[name][0].items():
+        assert text.count(old) == 1, (name, old)
+        text = text.replace(old, new)
+    return text
+
+
+@pytest.mark.parametrize("name", sorted(REDUCED_BUILTIN_PLANS))
+def test_reduced_builtin_plan_csv_digest(name):
+    csv = results_to_csv(run_plan(parse_plan(reduced_builtin_plan_text(name))))
+    assert _sha256(csv) == REDUCED_BUILTIN_PLANS[name][1]
 
 
 def test_metrics_csv_digest():

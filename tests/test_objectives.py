@@ -50,6 +50,19 @@ class TestShekel:
             ref = _shekel_reference(point)
             assert abs(spec.evaluate(point) - ref) <= 1e-12 * abs(ref)
 
+    def test_batch_equals_broadcast_reduction_bit_for_bit(self):
+        # the (N, m, 4) broadcast form reduces each squared distance over
+        # its length-4 axis; the kernel's column sums must give the same bits
+        spec = default_spec("shekel")
+        params = shekel_params()
+        rng = np.random.default_rng(5)
+        for scale in (1e-3, 1.0, 10.0, 1e4):
+            points = rng.normal(4.0, scale, size=(257, 4))
+            diffs = points[:, None, :] - params.centers[None, :, :]
+            squares = (diffs * diffs).sum(axis=2)
+            expected = (1.0 / (params.heights[None, :] + squares)).sum(axis=1)
+            assert np.array_equal(spec.evaluate_many(points), expected)
+
     def test_first_center_beats_million_random_samples(self):
         spec = default_spec("shekel")
         best = spec.optimum_value

@@ -33,6 +33,13 @@ class TestTopologyLine:
         (spec,) = parse_topology_line("ring n=10 label=my-ring")
         assert spec.label == "my-ring" and spec.topology_id() == "my-ring"
 
+    def test_label_with_path_separator_rejected(self):
+        for line in ("ring n=10 label=a/b", "ring n=10 label=a\\b"):
+            with pytest.raises(ValueError, match="path separators"):
+                parse_topology_line(line)
+        with pytest.raises(ValueError, match="path separators"):
+            parse_plan(MINIMAL.replace("ring n=100", "ring n=100 label=runs/ring"))
+
     def test_spectrum_expands(self):
         specs = parse_topology_line("spectrum n=12 per_segment=4")
         assert len(specs) == 12

@@ -384,6 +384,12 @@ class TestTopologySpec:
             with pytest.raises(ValueError, match="label"):
                 TopologySpec(kind="ring", node_count=10, label=label).validate()
 
+    def test_rejects_labels_that_cannot_name_a_file(self):
+        for label in ("a/b", "/abs", "a\\b", "trailing/"):
+            with pytest.raises(ValueError, match="label must be free of path separators"):
+                TopologySpec(kind="ring", node_count=10, label=label).validate()
+        TopologySpec(kind="ring", node_count=10, label="a.b-c_d=e#f").validate()
+
 
 class TestEdgeLists:
     def test_text_round_trip(self):
