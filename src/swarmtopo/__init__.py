@@ -72,7 +72,6 @@ from .harness import (
     death_fraction_to_prob,
     trade_off,
     derive_seed,
-    run_cell,
     run_plan,
     results_to_csv,
     results_to_json,

@@ -131,7 +131,10 @@ def _cmd_metrics(args) -> int:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(METRICS_COLUMNS)
     for path in args.paths:
-        graph = read_edge_list(path)
+        try:
+            graph = read_edge_list(path)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         metrics = compute_metrics(graph, rng=args.seed, omega_samples=args.omega_samples)
         writer.writerow(
             [

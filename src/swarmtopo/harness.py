@@ -4,7 +4,8 @@ A plan is a Cartesian product of (topology, objective, death
 fraction) cells.  Each cell runs a fixed number of repetitions whose
 seeds derive deterministically from the base seed and the cell
 identity, so any cell can be reproduced in isolation and execution
-order never matters.
+order never matters.  Each topology is built and measured once per
+plan, and all of its cells run on that one graph.
 
 Per-cell aggregates follow the four performance measures: global
 success ratio (fraction of runs where every alive agent qualifies),
@@ -19,6 +20,7 @@ import csv
 import hashlib
 import io
 import json
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
@@ -42,7 +44,6 @@ __all__ = [
     "ExperimentPlan",
     "AggregateMetrics",
     "derive_seed",
-    "run_cell",
     "run_plan",
     "RESULTS_COLUMNS",
     "results_to_csv",
@@ -195,13 +196,15 @@ class ExperimentPlan:
                 )
         for spec in self.topologies:
             spec.validate()
-        ids = [spec.topology_id() for spec in self.topologies]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise ValueError(f"duplicate topology ids in plan: {dupes}")
-        names = [obj.name for obj in self.objectives]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate objectives in plan")
+        # by value: 0 and -0 are one death fraction
+        for axis, values in (
+            ("topology ids", [spec.topology_id() for spec in self.topologies]),
+            ("objectives", [obj.name for obj in self.objectives]),
+            ("death fractions", self.death_fractions),
+        ):
+            dupes = sorted({v for v in values if values.count(v) > 1})
+            if dupes:
+                raise ValueError(f"duplicate {axis} in plan: {dupes}")
 
 
 @dataclass(frozen=True)
@@ -238,116 +241,82 @@ def derive_seed(
     return int.from_bytes(digest, "little")
 
 
-def run_cell(
+def _run_cell(
     plan: ExperimentPlan,
     topology: TopologySpec,
+    graph: Graph,
+    stats: tuple[float | None, float],
     objective: ObjectiveSpec,
     death_fraction: float,
-    graph_stats: tuple[float | None, float] | None = None,
     trace_hook=None,
 ) -> AggregateMetrics:
-    """Execute one cell's repetitions and aggregate them.
+    """Run one cell's repetitions on its topology's prebuilt graph.
 
-    ``trade_off`` is left absent here; only :func:`run_plan` knows
-    the normalizing maxima across sibling cells.  ``graph_stats`` can
-    carry precomputed (path length, natural connectivity) to avoid
-    recomputing per death fraction.  ``trace_hook(repetition,
-    trace)`` receives per-iteration records when set.
+    ``stats`` is the graph's (path length, natural connectivity).
+    ``trade_off`` stays absent: only :func:`run_plan` sees the sibling
+    cells that normalize it.  ``trace_hook(repetition, trace)``
+    receives per-iteration records when set.
     """
-    graph = build_topology(topology)
-    death_prob = death_fraction_to_prob(death_fraction, plan.death_horizon)
-    predicate = success_predicate(plan.success, objective)
     topology_id = topology.topology_id()
     convergence_iters: list[int] = []
     winner_counts: list[int] = []
-    for repetition in range(plan.repetitions):
-        config = SwarmConfig(
-            n_agents=graph.node_count,
-            max_iters=plan.max_iters,
-            death_prob=death_prob,
-            seed=derive_seed(
-                plan.base_seed, topology_id, objective.name, death_fraction, repetition
-            ),
-        )
-        result = run(
-            config, graph, objective, predicate, record_trace=trace_hook is not None
-        )
-        if result.converged:
-            convergence_iters.append(result.convergence_iteration)
-        winner_counts.append(result.winners)
-        if trace_hook is not None:
-            trace_hook(repetition, result.trace)
-    if graph_stats is None:
-        graph_stats = _graph_stats(graph)
-    gsr = len(convergence_iters) / plan.repetitions
+    try:
+        death_prob = death_fraction_to_prob(death_fraction, plan.death_horizon)
+        predicate = success_predicate(plan.success, objective)
+        for repetition in range(plan.repetitions):
+            config = SwarmConfig(
+                n_agents=graph.node_count,
+                max_iters=plan.max_iters,
+                death_prob=death_prob,
+                seed=derive_seed(
+                    plan.base_seed, topology_id, objective.name, death_fraction, repetition
+                ),
+            )
+            result = run(
+                config, graph, objective, predicate, record_trace=trace_hook is not None
+            )
+            if result.converged:
+                convergence_iters.append(result.convergence_iteration)
+            winner_counts.append(result.winners)
+            if trace_hook is not None:
+                trace_hook(repetition, result.trace)
+    except Exception as exc:
+        # a failure names its cell: a worker's traceback does not reach the CLI
+        raise RuntimeError(
+            f"cell topology={topology_id} objective={objective.name} "
+            f"death_fraction={death_fraction!r} failed: {type(exc).__name__}: {exc}"
+        ) from exc
     return AggregateMetrics(
         topology_id=topology_id,
         topology_kind=topology.kind,
         objective=objective.name,
         death_fraction=death_fraction,
         repetitions=plan.repetitions,
-        gsr=gsr,
+        gsr=len(convergence_iters) / plan.repetitions,
         gs_time=float(np.mean(convergence_iters)) if convergence_iters else None,
         winners_mean=float(np.mean(winner_counts)),
         trade_off=None,
-        avg_path_length=graph_stats[0],
-        natural_connectivity=graph_stats[1],
+        avg_path_length=stats[0],
+        natural_connectivity=stats[1],
     )
 
 
-def _graph_stats(graph: Graph) -> tuple[float | None, float]:
-    """(path length, natural connectivity) of one graph; the path
-    length is None for a one-node graph, which has no pairs."""
-    return (
-        average_geodesic(graph) if graph.node_count >= 2 else None,
-        natural_connectivity(graph),
-    )
-
-
-def _cell_job(args, trace_hook=None):
-    # a failure names its cell: a worker's traceback does not reach the CLI
-    index, plan, t_idx, o_idx, fraction, stats = args
-    topology = plan.topologies[t_idx]
-    objective = plan.objectives[o_idx]
-    try:
-        row = run_cell(
-            plan,
-            topology,
-            objective,
-            fraction,
-            graph_stats=stats,
-            trace_hook=trace_hook,
-        )
-    except Exception as exc:
-        raise RuntimeError(
-            f"cell topology={topology.topology_id()} objective={objective.name} "
-            f"death_fraction={fraction!r} failed: {type(exc).__name__}: {exc}"
-        ) from exc
-    return index, row
-
-
-def _fill_trade_offs(
-    plan: ExperimentPlan, rows: list[AggregateMetrics]
-) -> list[AggregateMetrics]:
-    # normalizers live within one (objective, death fraction) slice
-    filled = []
+def _fill_trade_offs(plan: ExperimentPlan, rows: list[AggregateMetrics]) -> None:
+    # normalizers live within one (objective, death fraction) slice; a
+    # row without a converged run, or a slice without a winner, has none
+    winners_max: dict[tuple[str, float], float] = defaultdict(float)
+    time_max: dict[tuple[str, float], float] = defaultdict(float)
     for row in rows:
-        siblings = [
-            r
-            for r in rows
-            if r.objective == row.objective and r.death_fraction == row.death_fraction
-        ]
-        winners_max = max(r.winners_mean for r in siblings)
-        times = [r.gs_time for r in siblings if r.gs_time is not None]
-        gs_time_max = max(times) if times else None
-        if row.gs_time is None or winners_max <= 0 or not gs_time_max:
-            filled.append(row)
-            continue
-        value = trade_off(
-            row.winners_mean, row.gs_time, winners_max, gs_time_max, plan.alpha
-        )
-        filled.append(replace(row, trade_off=value))
-    return filled
+        key = (row.objective, row.death_fraction)
+        winners_max[key] = max(winners_max[key], row.winners_mean)
+        time_max[key] = max(time_max[key], row.gs_time or 0.0)
+    for i, row in enumerate(rows):
+        key = (row.objective, row.death_fraction)
+        if row.gs_time is not None and winners_max[key] > 0:
+            value = trade_off(
+                row.winners_mean, row.gs_time, winners_max[key], time_max[key], plan.alpha
+            )
+            rows[i] = replace(row, trade_off=value)
 
 
 def run_plan(
@@ -355,10 +324,12 @@ def run_plan(
 ) -> list[AggregateMetrics]:
     """Run every cell and return rows in canonical order.
 
-    Rows are sorted by (topology_id, objective, death_fraction), so
-    the output is byte-stable no matter how the plan lists its cells
-    or how workers schedule them.  With ``workers > 1`` cells execute
-    in a process pool.  ``trace_hook_factory(topology_id,
+    Each topology is built and measured once; all of its (objective,
+    death fraction) cells run on that one graph.  Rows are sorted by
+    (topology_id, objective, death_fraction), so the output is
+    byte-stable no matter how the plan lists its cells or how workers
+    schedule them.  With ``workers > 1`` cells execute in a process
+    pool, each task carrying its graph.  ``trace_hook_factory(topology_id,
     objective_name, death_fraction)`` may return a per-repetition
     trace consumer; tracing forces the serial path.
     """
@@ -366,36 +337,27 @@ def run_plan(
         raise ValueError("workers must be >= 1")
     if trace_hook_factory is not None and workers > 1:
         raise ValueError("tracing requires workers=1")
-    stats_by_topology = {
-        spec.topology_id(): _graph_stats(build_topology(spec))
-        for spec in plan.topologies
-    }
     cells = []
-    for index, ((t_idx, topo), (o_idx, obj), fraction) in enumerate(
-        product(
-            enumerate(plan.topologies), enumerate(plan.objectives), plan.death_fractions
+    for topology in plan.topologies:
+        graph = build_topology(topology)
+        # a one-node graph has no pairs, hence no path length
+        stats = (
+            average_geodesic(graph) if graph.node_count >= 2 else None,
+            natural_connectivity(graph),
         )
-    ):
-        cells.append(
-            (index, plan, t_idx, o_idx, fraction, stats_by_topology[topo.topology_id()])
+        cells.extend(
+            (plan, topology, graph, stats, objective, fraction)
+            for objective, fraction in product(plan.objectives, plan.death_fractions)
         )
+    factory = trace_hook_factory or (lambda *cell: None)
+    hooks = (factory(t.topology_id(), o.name, f) for _, t, _, _, o, f in cells)
+    # both mappers return results in cell order; the final sort is total
     if workers == 1 or len(cells) == 1:
-        indexed = []
-        for cell in cells:
-            hook = None
-            if trace_hook_factory is not None:
-                _, _, t_idx, o_idx, fraction, _ = cell
-                hook = trace_hook_factory(
-                    plan.topologies[t_idx].topology_id(),
-                    plan.objectives[o_idx].name,
-                    fraction,
-                )
-            indexed.append(_cell_job(cell, trace_hook=hook))
+        rows = list(map(_run_cell, *zip(*cells), hooks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            indexed = list(pool.map(_cell_job, cells))
-    rows = [row for _, row in sorted(indexed, key=lambda pair: pair[0])]
-    rows = _fill_trade_offs(plan, rows)
+            rows = list(pool.map(_run_cell, *zip(*cells)))
+    _fill_trade_offs(plan, rows)
     rows.sort(key=lambda row: (row.topology_id, row.objective, row.death_fraction))
     return rows
 
@@ -403,21 +365,29 @@ def run_plan(
 # ---------------------------------------------------------------------------
 # results serialization
 
-RESULTS_COLUMNS = (
-    "topology_id",
-    "topology_kind",
-    "objective",
-    "death_fraction",
-    "repetitions",
-    "gsr",
-    "gs_time",
-    "winners_mean",
-    "trade_off",
-    "L",
-    "natural_connectivity",
-)
-
 _ABSENT = "--"
+
+
+def _parse_optional_float(text: str) -> float | None:
+    return None if text == _ABSENT or text == "" else float(text)
+
+
+# results column -> (AggregateMetrics field, parser), in file order
+_RESULTS_TABLE = {
+    "topology_id": ("topology_id", str),
+    "topology_kind": ("topology_kind", str),
+    "objective": ("objective", str),
+    "death_fraction": ("death_fraction", float),
+    "repetitions": ("repetitions", int),
+    "gsr": ("gsr", float),
+    "gs_time": ("gs_time", _parse_optional_float),
+    "winners_mean": ("winners_mean", float),
+    "trade_off": ("trade_off", _parse_optional_float),
+    "L": ("avg_path_length", _parse_optional_float),
+    "natural_connectivity": ("natural_connectivity", _parse_optional_float),
+}
+
+RESULTS_COLUMNS = tuple(_RESULTS_TABLE)
 
 
 def _format_value(value) -> str:
@@ -439,25 +409,9 @@ def results_to_csv(rows: list[AggregateMetrics]) -> str:
     writer.writerow(RESULTS_COLUMNS)
     for row in rows:
         writer.writerow(
-            [
-                row.topology_id,
-                row.topology_kind,
-                row.objective,
-                _format_value(row.death_fraction),
-                str(row.repetitions),
-                _format_value(row.gsr),
-                _format_value(row.gs_time),
-                _format_value(row.winners_mean),
-                _format_value(row.trade_off),
-                _format_value(row.avg_path_length),
-                _format_value(row.natural_connectivity),
-            ]
+            _format_value(getattr(row, field)) for field, _ in _RESULTS_TABLE.values()
         )
     return buffer.getvalue()
-
-
-def _parse_optional_float(text: str) -> float | None:
-    return None if text == _ABSENT or text == "" else float(text)
 
 
 def parse_results_csv(text: str) -> list[AggregateMetrics]:
@@ -475,23 +429,16 @@ def parse_results_csv(text: str) -> list[AggregateMetrics]:
     for record in reader:
         if not record:
             continue
+        where = f"line {reader.line_num}"
         if len(record) != len(RESULTS_COLUMNS):
-            raise ValueError(f"malformed results row: {record!r}")
-        rows.append(
-            AggregateMetrics(
-                topology_id=record[0],
-                topology_kind=record[1],
-                objective=record[2],
-                death_fraction=float(record[3]),
-                repetitions=int(record[4]),
-                gsr=float(record[5]),
-                gs_time=_parse_optional_float(record[6]),
-                winners_mean=float(record[7]),
-                trade_off=_parse_optional_float(record[8]),
-                avg_path_length=_parse_optional_float(record[9]),
-                natural_connectivity=_parse_optional_float(record[10]),
-            )
-        )
+            raise ValueError(f"{where}: malformed results row: {record!r}")
+        values = {}
+        for cell, (column, (field, parse)) in zip(record, _RESULTS_TABLE.items()):
+            try:
+                values[field] = parse(cell)
+            except ValueError as exc:
+                raise ValueError(f"{where}, column {column}: {exc}") from None
+        rows.append(AggregateMetrics(**values))
     return rows
 
 
@@ -499,19 +446,7 @@ def results_to_json(rows: list[AggregateMetrics]) -> str:
     """JSON mirror of the CSV: same fields, nulls for absent values."""
     payload = {
         "results": [
-            {
-                "topology_id": row.topology_id,
-                "topology_kind": row.topology_kind,
-                "objective": row.objective,
-                "death_fraction": row.death_fraction,
-                "repetitions": row.repetitions,
-                "gsr": row.gsr,
-                "gs_time": row.gs_time,
-                "winners_mean": row.winners_mean,
-                "trade_off": row.trade_off,
-                "L": row.avg_path_length,
-                "natural_connectivity": row.natural_connectivity,
-            }
+            {column: getattr(row, field) for column, (field, _) in _RESULTS_TABLE.items()}
             for row in rows
         ]
     }

@@ -172,9 +172,13 @@ def render_results_svg(rows, plot: PlotSpec) -> str:
         f'<rect width="{total_width}" height="{total_height}" fill="white"/>',
     ]
     if plot.title:
+        # imported here: saxutils pulls in urllib.request, which would
+        # add ~40 ms and ~2.5 MB to every `import swarmtopo`
+        from xml.sax.saxutils import escape
+
         parts.append(
             f'<text x="{total_width / 2}" y="15" text-anchor="middle" '
-            f'font-size="13">{plot.title}</text>'
+            f'font-size="13">{escape(plot.title)}</text>'
         )
 
     # legend: death-fraction markers, then segment colors

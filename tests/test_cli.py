@@ -114,6 +114,17 @@ class TestMetrics:
         assert len(lines) == 3
         assert lines[1].startswith("a,6,15,1.0,")
 
+    def test_parse_failure_names_the_file(self, tmp_path, capsys):
+        good = tmp_path / "good.txt"
+        _invoke(["gen-topology", "--kind", "ring", "--n", "5", "--out", str(good)])
+        bad = tmp_path / "bad.txt"
+        bad.write_text(edge_list_text(make_ring(5)).replace("0 1", "1 x"), encoding="ascii")
+        capsys.readouterr()
+        assert _invoke(["metrics", str(good), str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: line ")
+        assert "non-integer endpoint in '1 x'" in err
+
     def test_missing_file_exits_2(self, tmp_path):
         assert _invoke(["metrics", str(tmp_path / "ghost.txt")]) == 2
 

@@ -2,12 +2,12 @@
 results serialization formats."""
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from swarmtopo import harness
+from swarmtopo.engine import RunResult
 from swarmtopo.harness import (
     AggregateMetrics,
     ExperimentPlan,
@@ -20,12 +20,12 @@ from swarmtopo.harness import (
     qualification_mask,
     results_to_csv,
     results_to_json,
-    run_cell,
     run_plan,
     trade_off,
 )
+from swarmtopo.graph_metrics import natural_connectivity
 from swarmtopo.objectives import default_spec
-from swarmtopo.topology import TopologySpec
+from swarmtopo.topology import TopologySpec, make_complete
 
 
 def _mask_at(points, objective, criterion=SuccessCriterion()):
@@ -168,6 +168,12 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             _tiny_plan(objectives=(default_spec("shekel"), default_spec("shekel")))
 
+    def test_rejects_duplicate_death_fractions_by_value(self):
+        # 0 and -0 are one hostility level, though repr() tells them apart
+        with pytest.raises(ValueError) as info:
+            _tiny_plan(death_fractions=(0.0, 0.3, -0.0))
+        assert str(info.value) == "duplicate death fractions in plan: [0.0]"
+
     def test_rejects_empty_axes(self):
         with pytest.raises(ValueError):
             _tiny_plan(topologies=())
@@ -189,20 +195,26 @@ class TestPlanValidation:
 
 class TestRunCellAndPlan:
     def test_cell_shape_and_determinism(self):
-        plan = _tiny_plan()
-        topo = plan.topologies[0]
-        cell = run_cell(plan, topo, plan.objectives[0], 0.0)
-        again = run_cell(plan, topo, plan.objectives[0], 0.0)
-        assert cell == again
+        plan = _tiny_plan(
+            topologies=(TopologySpec(kind="complete", node_count=12),),
+            death_fractions=(0.0,),
+        )
+        (cell,) = run_plan(plan)
+        assert run_plan(plan) == [cell]
         assert 0.0 <= cell.gsr <= 1.0
         assert cell.repetitions == 2
-        assert cell.topology_id == topo.topology_id()
-        assert cell.trade_off is None  # filled at plan level only
+        assert cell.topology_id == plan.topologies[0].topology_id()
+        assert (cell.trade_off is None) == (cell.gs_time is None)
 
     def test_gsr_one_implies_full_winners_at_zero_death(self):
         # spec invariant: with p=0, global success means every agent won
-        plan = _tiny_plan(repetitions=3, max_iters=400)
-        cell = run_cell(plan, plan.topologies[0], plan.objectives[0], 0.0)
+        plan = _tiny_plan(
+            topologies=(TopologySpec(kind="complete", node_count=12),),
+            death_fractions=(0.0,),
+            repetitions=3,
+            max_iters=400,
+        )
+        (cell,) = run_plan(plan)
         if cell.gsr == 1.0:
             assert cell.winners_mean == 12.0
 
@@ -243,6 +255,24 @@ class TestRunCellAndPlan:
         if row.gs_time is not None and row.winners_mean > 0:
             assert abs(row.trade_off - 0.4) < 1e-12
 
+    def test_slice_without_winners_has_no_trade_off(self, monkeypatch):
+        # a run can converge and still end with no qualifying best: the
+        # slice then has no winners to normalize by
+        def converged_without_winners(config, *args, **kwargs):
+            return RunResult(
+                converged=True,
+                convergence_iteration=5,
+                winners=0,
+                survivors=config.n_agents,
+                iterations_executed=config.max_iters,
+            )
+
+        monkeypatch.setattr(harness, "run", converged_without_winners)
+        rows = run_plan(_tiny_plan())
+        assert [(r.gs_time, r.winners_mean, r.trade_off) for r in rows] == [
+            (5.0, 0.0, None)
+        ] * 4
+
     def test_workers_match_serial(self):
         plan = _tiny_plan()
         assert run_plan(plan, workers=2) == run_plan(plan, workers=1)
@@ -263,24 +293,46 @@ class TestRunCellAndPlan:
         assert complete_row.natural_connectivity is not None
 
     def test_one_node_cell_matches_plan_row(self):
-        # a one-node graph has no pairs: both paths report no path length
-        plan = _tiny_plan(
-            topologies=(TopologySpec(kind="complete", node_count=1),),
-            death_fractions=(0.0,),
-        )
-        cell = run_cell(plan, plan.topologies[0], plan.objectives[0], 0.0)
-        (plan_row,) = run_plan(plan)
-        assert cell.avg_path_length is None
-        assert cell == replace(plan_row, trade_off=None)  # trade-off is plan-level
+        # a one-node graph has no pairs: no path length, on either path
+        plan = _tiny_plan(topologies=(TopologySpec(kind="complete", node_count=1),))
+        rows = run_plan(plan)
+        assert [r.avg_path_length for r in rows] == [None, None]
+        assert [r.natural_connectivity for r in rows] == [
+            natural_connectivity(make_complete(1))
+        ] * 2
+        assert run_plan(plan, workers=2) == rows
+
+    def test_each_topology_built_once(self, monkeypatch):
+        built = []
+        graphs = set()
+        build_topology, run = harness.build_topology, harness.run
+
+        def counting_build(spec):
+            built.append(spec.topology_id())
+            return build_topology(spec)
+
+        def recording_run(config, graph, *args, **kwargs):
+            graphs.add(id(graph))
+            return run(config, graph, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "build_topology", counting_build)
+        monkeypatch.setattr(harness, "run", recording_run)
+        plan = _tiny_plan()
+        run_plan(plan)
+        assert built == [spec.topology_id() for spec in plan.topologies]
+        assert len(graphs) == len(plan.topologies)  # the cells share each graph
 
     @pytest.mark.parametrize("traced", [False, True])
     def test_cell_failure_names_the_cell(self, monkeypatch, traced):
-        def failing_run_cell(plan, topology, objective, death_fraction, **kwargs):
-            if topology.kind == "ring" and death_fraction == 0.3:
-                raise ZeroDivisionError("boom")
-            return run_cell(plan, topology, objective, death_fraction, **kwargs)
+        run = harness.run
 
-        monkeypatch.setattr(harness, "run_cell", failing_run_cell)
+        def failing_run(config, graph, *args, **kwargs):
+            # the ring is the one sparse graph of the tiny plan
+            if not graph.is_complete and config.death_prob > 0:
+                raise ZeroDivisionError("boom")
+            return run(config, graph, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run", failing_run)
         factory = (lambda *cell: lambda repetition, trace: None) if traced else None
         with pytest.raises(RuntimeError) as info:
             run_plan(_tiny_plan(), trace_hook_factory=factory)
@@ -341,6 +393,17 @@ class TestSerialization:
     def test_csv_rejects_wrong_header(self):
         with pytest.raises(ValueError):
             parse_results_csv("a,b,c\n1,2,3\n")
+
+    def test_csv_parse_failure_names_line_and_column(self):
+        lines = results_to_csv(self._rows()).splitlines()
+        lines[2] = lines[2].replace(",0.0,", ",zz,", 1)  # the star row's gsr
+        with pytest.raises(ValueError) as info:
+            parse_results_csv("\n".join(lines) + "\n")
+        assert str(info.value) == (
+            "line 3, column gsr: could not convert string to float: 'zz'"
+        )
+        with pytest.raises(ValueError, match=r"^line 2: malformed results row"):
+            parse_results_csv(lines[0] + "\nring-n100,ring\n")
 
     def test_json_mirror(self):
         payload = json.loads(results_to_json(self._rows()))

@@ -112,6 +112,10 @@ class TestParsePlan:
         with pytest.raises(ValueError, match="objective"):
             parse_plan(MINIMAL.replace("shekel", "banana"))
 
+    def test_duplicate_death_fractions_rejected(self):
+        with pytest.raises(ValueError, match=r"duplicate death fractions in plan: \[0\.0\]"):
+            parse_plan(MINIMAL.replace("0, 0.15, 0.30", "0, 0, -0"))
+
     def test_multiple_topology_lines_accumulate(self):
         text = MINIMAL + "topology = star n=100\ntopology = complete n=100\n"
         plan = parse_plan(text)

@@ -1,5 +1,7 @@
 """SVG rendering sanity: structure, axis handling, absent values."""
 
+from xml.dom import minidom
+
 import pytest
 
 from swarmtopo.harness import AggregateMetrics
@@ -46,6 +48,15 @@ class TestRender:
         assert svg.rstrip().endswith("</svg>")
         assert "demo" in svg
         assert svg.count('fill="none" stroke="#333333"') == 2  # one frame per panel
+
+    def test_title_is_escaped(self):
+        title = "GSR < 1 & more"
+        svg = render_results_svg(
+            [_row("a", 0.5, 100.0)],
+            PlotSpec(x_axis="topology-index", y_axes=("gsr",), title=title),
+        )
+        texts = minidom.parseString(svg).getElementsByTagName("text")
+        assert texts[0].firstChild.data == title
 
     def test_absent_values_are_skipped_not_drawn_at_zero(self):
         rows = [_row("a", 0.0, None), _row("b", 1.0, 77.0)]
