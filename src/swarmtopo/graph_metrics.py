@@ -125,14 +125,19 @@ def _random_same_size(
     return Graph(adj | adj.T)
 
 
-def small_world_ness(graph: Graph, rng=None, sample_count: int = 10) -> float | None:
+def small_world_ness(
+    graph: Graph, path_length: float | None, clustering: float, rng=None, sample_count: int = 10
+) -> float | None:
     """Path-vs-clustering balance score.
 
-    ``L_random / L - C / C_lattice`` where ``L_random`` averages over
-    connected random graphs with the same node and edge counts, and
-    ``C_lattice`` is the clustering of the ring lattice whose level
-    count is the rounded half mean degree.  Near 0 for small-world
-    graphs, negative for lattices, positive for random graphs.
+    ``L_random / L - C / C_lattice`` where ``L`` (``path_length``) and
+    ``C`` (``clustering``) are the graph's own :func:`average_geodesic`
+    and :func:`clustering_coefficient`, measured by the caller.
+    ``L_random`` averages over connected random graphs with the same
+    node and edge counts, and ``C_lattice`` is the clustering of the
+    ring lattice whose level count is the rounded half mean degree.
+    Near 0 for small-world graphs, negative for lattices, positive for
+    random graphs.
 
     Returns ``None`` when undefined: disconnected input, a
     triangle-free lattice baseline, or no connected random sample
@@ -142,16 +147,12 @@ def small_world_ness(graph: Graph, rng=None, sample_count: int = 10) -> float | 
         raise ValueError("sample_count must be >= 1")
     n = graph.node_count
     m = graph.edge_count
-    if n < 3 or m == 0:
-        return None
-    path_length = average_geodesic(graph)
-    if path_length is None:
+    if n < 3 or m == 0 or path_length is None:
         return None
     levels = max(1, min(int(round(m / n)), n // 2))
     lattice_clustering = clustering_coefficient(make_multi_ring(n, levels))
     if lattice_clustering <= 0.0:
         return None
-    own_clustering = clustering_coefficient(graph)
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     pairs = np.triu_indices(n, k=1)
     lengths = []
@@ -163,9 +164,7 @@ def small_world_ness(graph: Graph, rng=None, sample_count: int = 10) -> float | 
             lengths.append(sample_length)
     if not lengths:
         return None
-    return float(
-        np.mean(lengths) / path_length - own_clustering / lattice_clustering
-    )
+    return float(np.mean(lengths) / path_length - clustering / lattice_clustering)
 
 
 @dataclass(frozen=True)
@@ -182,14 +181,17 @@ class GraphMetrics:
 
 
 def compute_metrics(graph: Graph, rng=None, omega_samples: int = 10) -> GraphMetrics:
-    """Evaluate every metric for one graph."""
-    connected = is_connected(graph)
+    """Evaluate every metric for one graph, measuring its L and C once."""
+    path_length = average_geodesic(graph) if graph.node_count >= 2 else None
+    clustering = clustering_coefficient(graph)
     return GraphMetrics(
         node_count=graph.node_count,
         edge_count=graph.edge_count,
-        connected=connected,
-        average_path_length=average_geodesic(graph) if graph.node_count >= 2 else None,
+        connected=is_connected(graph),
+        average_path_length=path_length,
         natural_connectivity=natural_connectivity(graph),
-        clustering_coefficient=clustering_coefficient(graph),
-        small_world_ness=small_world_ness(graph, rng=rng, sample_count=omega_samples),
+        clustering_coefficient=clustering,
+        small_world_ness=small_world_ness(
+            graph, path_length, clustering, rng=rng, sample_count=omega_samples
+        ),
     )

@@ -190,6 +190,14 @@ class TestRunAndSweep:
         assert code == 1
         assert not (tmp_path / "t.csv").exists()
 
+    def test_non_ascii_label_exits_1_naming_it(self, tmp_path, capsys):
+        plan = tmp_path / "accent.plan"
+        plan.write_text(TINY_PLAN.replace("ring n=10", "ring n=10 label=ringé"), encoding="utf-8")
+        code = _invoke(["run", str(plan), "--out-prefix", str(tmp_path / "t")])
+        assert code == 1
+        assert "ringé" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_trace_requires_serial(self, plan_file, tmp_path):
         code = _invoke(["run", str(plan_file), "--out-prefix", str(tmp_path / "x"),
                         "--trace-dir", str(tmp_path / "tr"), "--workers", "2"])

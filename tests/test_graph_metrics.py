@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from swarmtopo import graph_metrics
 from swarmtopo.graph_metrics import (
     GraphMetrics,
     average_geodesic,
@@ -187,23 +188,29 @@ class TestClustering:
         assert abs(clustering_coefficient(g) - expected) < 1e-12
 
 
+def _omega(graph: Graph, **kwargs) -> float | None:
+    # the graph's own L and C, measured by the caller as compute_metrics does
+    path_length = average_geodesic(graph) if graph.node_count >= 2 else None
+    return small_world_ness(graph, path_length, clustering_coefficient(graph), **kwargs)
+
+
 class TestSmallWorldNess:
     def test_disconnected_is_none(self):
-        assert small_world_ness(_two_components(), rng=0) is None
+        assert _omega(_two_components(), rng=0) is None
 
     def test_triangle_free_lattice_is_none(self):
         # ring baseline has zero clustering, so omega is undefined
-        assert small_world_ness(make_ring(20), rng=0) is None
+        assert _omega(make_ring(20), rng=0) is None
 
     def test_small_world_graph_near_zero(self):
         g = make_small_world(100, 10, 0.1, rng=3)
-        omega = small_world_ness(g, rng=0)
+        omega = _omega(g, rng=0)
         assert omega is not None
         assert abs(omega) < 0.5
 
     def test_deterministic_given_seed(self):
         g = make_small_world(60, 6, 0.2, rng=5)
-        assert small_world_ness(g, rng=11) == small_world_ness(g, rng=11)
+        assert _omega(g, rng=11) == _omega(g, rng=11)
 
 
 class TestComputeMetrics:
@@ -224,3 +231,18 @@ class TestComputeMetrics:
         assert m.average_path_length is None
         assert m.small_world_ness is None
         assert np.isfinite(m.natural_connectivity)
+
+    def test_measures_the_graph_once(self, monkeypatch):
+        measured = []
+
+        def recording(graph):
+            measured.append(graph)
+            return shortest_path_matrix(graph)
+
+        monkeypatch.setattr(graph_metrics, "shortest_path_matrix", recording)
+        g = make_small_world(40, 6, 0.1, rng=2)
+        m = compute_metrics(g, rng=0, omega_samples=2)
+        assert m.small_world_ness is not None
+        # g's own BFS runs once; every other call is on a random omega sample
+        assert sum(graph is g for graph in measured) == 1
+        assert m.small_world_ness == _omega(g, rng=0, sample_count=2)

@@ -1,9 +1,20 @@
 """The package's public surface."""
 
+import importlib
+import pkgutil
+
+import pytest
+
 import swarmtopo
 
+MODULES = ["swarmtopo"] + [
+    f"swarmtopo.{info.name}" for info in pkgutil.iter_modules(swarmtopo.__path__)
+]
 
-def test_every_public_name_resolves():
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_public_name_resolves(module):
     namespace = {}
-    exec("from swarmtopo import *", namespace)  # raises on a name that does not resolve
-    assert sorted(set(namespace) - {"__builtins__"}) == sorted(swarmtopo.__all__)
+    exec(f"from {module} import *", namespace)  # raises on a name that does not resolve
+    public = importlib.import_module(module).__all__
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(public)

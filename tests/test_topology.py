@@ -1,5 +1,6 @@
 """Graph constructors, the topology spectrum, and edge-list round-trips."""
 
+import itertools
 import re
 import string
 from dataclasses import replace
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from swarmtopo.plans import _topology_line, parse_topology_line
 from swarmtopo.topology import (
+    KINDS,
     Graph,
     TopologySpec,
     build_spectrum,
@@ -48,6 +50,58 @@ DIRECT_BUILDERS = {
     "small-world": lambda s: make_small_world(
         s.node_count, s.degree, s.rewire_prob, rng=s.seed
     ),
+}
+
+
+# the deterministic kinds built edge by edge in plain Python: an oracle
+# independent of the package's array construction
+def _reference_core_periphery(node_count, core_size):
+    edges = [(i, j) for i in range(core_size) for j in range(i + 1, core_size)]
+    for k in range(core_size, node_count):
+        edges.append(((k - core_size) % core_size, k))
+    return Graph.from_edges(node_count, edges)
+
+
+def _reference_ring_core_star(node_count, hub_count):
+    edges = []
+    if hub_count >= 3:
+        edges.extend((k, (k + 1) % hub_count) for k in range(hub_count))
+    elif hub_count == 2:
+        edges.append((0, 1))
+    for k in range(hub_count, node_count):
+        edges.append(((k - hub_count) % hub_count, k))
+    return Graph.from_edges(node_count, edges)
+
+
+def _reference_multi_ring(node_count, ring_levels):
+    return Graph.from_edges(
+        node_count,
+        ((k, (k + d) % node_count) for k in range(node_count) for d in range(1, ring_levels + 1)),
+    )
+
+
+def _reference_von_neumann(rows, cols):
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            here = r * cols + c
+            edges.append((here, r * cols + (c + 1) % cols))
+            edges.append((here, ((r + 1) % rows) * cols + c))
+    return Graph.from_edges(rows * cols, edges)
+
+
+REFERENCE_BUILDERS = {
+    "complete": lambda s: Graph.from_edges(
+        s.node_count, itertools.combinations(range(s.node_count), 2)
+    ),
+    "star": lambda s: Graph.from_edges(s.node_count, ((0, k) for k in range(1, s.node_count))),
+    "ring": lambda s: Graph.from_edges(
+        s.node_count, ((k, (k + 1) % s.node_count) for k in range(s.node_count))
+    ),
+    "core-periphery": lambda s: _reference_core_periphery(s.node_count, s.core_size),
+    "ring-core-star": lambda s: _reference_ring_core_star(s.node_count, s.hub_count),
+    "multi-ring": lambda s: _reference_multi_ring(s.node_count, s.ring_levels),
+    "von-neumann": lambda s: _reference_von_neumann(s.rows, s.cols),
 }
 
 
@@ -98,19 +152,13 @@ class TestGraph:
         assert make_ring(5) == make_ring(5)
         assert make_ring(5) != make_star(5)
 
-    def test_neighbors_and_degrees(self):
-        g = make_star(5)
-        assert sorted(g.neighbors(0)) == [1, 2, 3, 4]
-        assert g.neighbors(3) == [0]
-        assert g.degrees().tolist() == [4, 1, 1, 1, 1]
-
 
 class TestDeterministicFamilies:
     def test_complete(self):
         g = make_complete(6)
         _check_invariants(g)
         assert g.edge_count == 15
-        assert (g.degrees() == 5).all()
+        assert (g.adjacency.sum(axis=1) == 5).all()
 
     def test_complete_single_node(self):
         g = make_complete(1)
@@ -120,8 +168,8 @@ class TestDeterministicFamilies:
         g = make_star(7)
         _check_invariants(g)
         assert g.edge_count == 6
-        assert g.degrees()[0] == 6
-        assert (g.degrees()[1:] == 1).all()
+        assert g.adjacency.sum(axis=1)[0] == 6
+        assert (g.adjacency.sum(axis=1)[1:] == 1).all()
 
     def test_star_needs_two_nodes(self):
         with pytest.raises(ValueError):
@@ -131,7 +179,7 @@ class TestDeterministicFamilies:
         g = make_ring(8)
         _check_invariants(g)
         assert g.edge_count == 8
-        assert (g.degrees() == 2).all()
+        assert (g.adjacency.sum(axis=1) == 2).all()
 
     def test_ring_needs_three_nodes(self):
         with pytest.raises(ValueError):
@@ -146,7 +194,7 @@ class TestDeterministicFamilies:
         _check_invariants(g)
         # complete core of 3 plus two leaves attached round-robin
         assert g.edge_count == 5
-        assert sorted(g.degrees().tolist(), reverse=True) == [3, 3, 2, 1, 1]
+        assert sorted(g.adjacency.sum(axis=1).tolist(), reverse=True) == [3, 3, 2, 1, 1]
         core = g.adjacency[:3, :3]
         assert core.sum() == 6
 
@@ -176,7 +224,7 @@ class TestDeterministicFamilies:
     def test_multi_ring_regular(self):
         g = make_multi_ring(12, 3)
         _check_invariants(g)
-        assert (g.degrees() == 6).all()
+        assert (g.adjacency.sum(axis=1) == 6).all()
         assert g.edge_count == 36
 
     def test_multi_ring_level_bounds(self):
@@ -201,7 +249,7 @@ class TestDeterministicFamilies:
         _check_invariants(g)
         assert g.node_count == 100
         assert g.edge_count == 200
-        assert (g.degrees() == 4).all()
+        assert (g.adjacency.sum(axis=1) == 4).all()
         assert make_von_neumann(3, 3).edge_count == 18
 
     def test_von_neumann_rejects_small_grid(self):
@@ -209,6 +257,40 @@ class TestDeterministicFamilies:
             make_von_neumann(2, 5)
         with pytest.raises(ValueError):
             make_von_neumann(5, 2)
+
+
+class TestEveryKind:
+    @settings(max_examples=300, deadline=None)
+    @given(spec=topology_specs().filter(lambda s: s.seed is None))
+    def test_deterministic_kinds_match_the_edge_loop_oracle(self, spec):
+        assert set(REFERENCE_BUILDERS) == {
+            name for name, kind in KINDS.items() if "seed" not in kind.parameters
+        }
+        graph = build_topology(spec)
+        assert graph == REFERENCE_BUILDERS[spec.kind](spec)
+        if spec.kind == "von-neumann":
+            torus = nx.grid_2d_graph(spec.rows, spec.cols, periodic=True)
+            torus = nx.relabel_nodes(torus, lambda rc: rc[0] * spec.cols + rc[1])
+            expected = nx.to_numpy_array(torus, nodelist=range(graph.node_count)) > 0
+            assert np.array_equal(graph.adjacency, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=topology_specs())
+    def test_graph_invariants_and_edge_list_round_trip(self, spec):
+        graph = build_topology(spec)
+        _check_invariants(graph)
+        n = graph.node_count
+        for include_self in (False, True):
+            table = graph.neighbor_table(include_self)
+            candidates = graph.adjacency | (include_self & np.eye(n, dtype=bool))
+            widths = candidates.sum(axis=1)
+            assert table.shape == (n, max(int(widths.max()), 1))
+            for row, members, width in zip(table, candidates, widths):
+                # ascending members, then the sentinel n
+                assert row[:width].tolist() == np.flatnonzero(members).tolist()
+                assert (row[width:] == n).all()
+        text = edge_list_text(graph)
+        assert edge_list_text(parse_edge_list(text)) == text
 
 
 class TestRandomizedFamilies:
@@ -380,7 +462,7 @@ class TestTopologySpec:
         ]
 
     def test_rejects_labels_a_plan_line_cannot_hold(self):
-        for label in ("", "two words", "tab\there"):
+        for label in ("", "two words", "tab\there", "ringé"):
             with pytest.raises(ValueError, match="label"):
                 TopologySpec(kind="ring", node_count=10, label=label).validate()
 
