@@ -52,8 +52,10 @@ from .engine import (
     CHANNEL_VELOCITY_PERSONAL,
     CHANNEL_VELOCITY_SOCIAL,
     SwarmConfig,
+    SwarmBatch,
     SwarmState,
     RunResult,
+    BatchResult,
     TraceRecord,
     make_rand_source,
     initialize,

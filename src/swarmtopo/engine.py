@@ -8,24 +8,40 @@ keep their state forever: they stop moving, stop dying, and drop out
 of every neighborhood candidate set, but their recorded bests still
 count when final winners are tallied.
 
+The engine runs one swarm, or a batch of B swarms as one set of
+arrays (:class:`SwarmBatch`).  A batch's rows share the agent count N,
+the objective and the hyperparameters; each row has its own seed,
+death probability and graph, and its own convergence, winners,
+survivors, iteration count and trace.  Every row is, bit for bit, the
+run its own config gives alone.  State arrays are ``(N, d)`` for one
+swarm and ``(B, N, d)`` for a batch.
+
 All randomness flows through a counter-based uniform source keyed by
-(channel, iteration, agent, lane), so draws are independent of
+(seed, channel, iteration, agent, lane), so draws are independent of
 evaluation order and can be replaced wholesale in tests.
 
-Cost per iteration: leader selection gathers scores through the
-graph's padded neighbor table (:meth:`Graph.neighbor_table`), so it is
-O(N * (k_max + 1)) for N agents and largest degree k_max.  On the
-complete graph with the agent in its own neighborhood every leader is
-the same, found by one O(N) argmax.  The velocity and position update
-is O(N * d) for dimension d.  Each uniform draw call costs one key
-derivation on Python ints (the per-channel key is cached) plus two
-in-place vector splitmix64 rounds over the N * lanes words it returns;
-at N=100 that is fixed per-call numpy overhead, not arithmetic.
+Cost per iteration, for B rows of N agents in dimension d:
+
+* the velocity and position update is O(B * N * d);
+* leader selection gathers the scores through one flat CSR over the
+  rows' candidate sets (:class:`Neighborhoods`), then takes one
+  segmented max and the lowest index among each segment's maxima.
+  That is O(sum over rows of N + E), where a row with E edges holds
+  2E + N candidate entries, so a hub costs its own degree and no
+  other row pads to it.  A complete row with the agent in its own
+  neighborhood has one leader, found by an O(N) argmax with no gather;
+* each uniform draw call costs one key derivation (on Python ints for
+  one swarm, on a length-B uint64 vector for a batch; per-channel keys
+  are cached) plus two in-place vector splitmix64 rounds over the
+  B * N * lanes words it returns.
+
+At N=100 one swarm's iteration is mostly fixed per-call numpy
+overhead, which a batch shares among its rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import numpy as np
 
 from .topology import Graph
@@ -38,9 +54,12 @@ __all__ = [
     "CHANNEL_DEATH",
     "make_rand_source",
     "SwarmConfig",
+    "SwarmBatch",
     "SwarmState",
     "TraceRecord",
     "RunResult",
+    "BatchResult",
+    "Neighborhoods",
     "initialize",
     "step",
     "randomized_death",
@@ -88,14 +107,26 @@ def _mix64_inplace(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def make_rand_source(seed: int):
+def _mix_word(key, word: int):
+    """``mix(key + word)`` of a uint64 key, or of every key in a uint64
+    array.  ``word`` must lie in ``[0, 2**64)`` (``OverflowError``
+    otherwise)."""
+    if isinstance(key, np.ndarray):
+        return _mix64_inplace(key + np.uint64(word))
+    return np.uint64(_mix64(int(key) + int(np.uint64(word))))
+
+
+def make_rand_source(seed):
     """Counter-based uniform source.
 
+    ``seed`` is one seed, or a sequence of B seeds for a batch.
     Returns ``rand(channel, iteration, agent_count, lanes=1)`` giving
-    a ``(agent_count, lanes)`` array of floats in ``[0, 1)``.  Every
-    value is a pure hash of ``(seed, channel, iteration, agent,
-    lane)``: no hidden stream state, so the same coordinates always
-    yield the same number regardless of call order.
+    a ``(agent_count, lanes)`` array of floats in ``[0, 1)``; for a
+    batch, a ``(B, agent_count, lanes)`` array whose row ``b`` is what
+    the source of ``seed[b]`` alone gives.  Every value is a pure hash
+    of ``(seed, channel, iteration, agent, lane)``: no hidden stream
+    state, so the same coordinates always yield the same number
+    regardless of call order.
 
     The value at ``(agent, lane)`` is the top 53 bits of
     ``mix(mix(key + agent) + lane)`` scaled to ``[0, 1)``, where
@@ -104,8 +135,12 @@ def make_rand_source(seed: int):
     ``channel`` and ``iteration`` must lie in ``[0, 2**64)``
     (``OverflowError`` otherwise).
     """
-    base = _mix64(int(seed))
-    channel_keys: dict[int, int] = {}
+    if np.ndim(seed):
+        # one key per row, as a column so that it spans the agents
+        base = np.array([[_mix64(int(s))] for s in seed], dtype=np.uint64)
+    else:
+        base = np.uint64(_mix64(int(seed)))
+    channel_keys: dict[int, np.uint64 | np.ndarray] = {}
     counters: dict[int, np.ndarray] = {}
 
     def counter(count: int) -> np.ndarray:
@@ -120,11 +155,10 @@ def make_rand_source(seed: int):
             raise ValueError("agent_count and lanes must be >= 1")
         channel_key = channel_keys.get(channel)
         if channel_key is None:
-            channel_key = _mix64(base + int(np.uint64(channel)))
-            channel_keys[channel] = channel_key
-        key = _mix64(channel_key + int(np.uint64(iteration)))
-        hashed = _mix64_inplace(counter(agent_count) + np.uint64(key))
-        hashed = _mix64_inplace(hashed[:, None] + counter(lanes))
+            channel_key = channel_keys[channel] = _mix_word(base, channel)
+        key = _mix_word(channel_key, iteration)
+        hashed = _mix64_inplace(counter(agent_count) + key)
+        hashed = _mix64_inplace(hashed[..., None] + counter(lanes))
         hashed >>= _U11
         draws = hashed.astype(np.float64)
         draws *= 2.0**-53
@@ -167,26 +201,49 @@ class SwarmConfig:
                 raise ValueError(f"{name} must be finite")
 
 
-@dataclass
-class SwarmState:
-    """Whole-swarm state as parallel arrays, one row per agent."""
+@dataclass(frozen=True)
+class SwarmBatch:
+    """B runs at once, one :class:`SwarmConfig` per row.
 
-    positions: np.ndarray       # (N, d)
-    velocities: np.ndarray      # (N, d)
-    best_positions: np.ndarray  # (N, d)
-    best_scores: np.ndarray     # (N,)
-    alive: np.ndarray           # (N,) bool
+    The rows share every setting but ``seed`` and ``death_prob``, which
+    each row has its own of.
+    """
+
+    configs: tuple[SwarmConfig, ...]
+
+    def __post_init__(self) -> None:
+        configs = tuple(self.configs)
+        object.__setattr__(self, "configs", configs)
+        if not configs:
+            raise ValueError("a batch needs at least one row")
+        shared = replace(configs[0], seed=0, death_prob=0.0)
+        for config in configs:
+            if replace(config, seed=0, death_prob=0.0) != shared:
+                raise ValueError("batch rows may differ only in seed and death_prob")
 
     @property
     def n_agents(self) -> int:
-        return self.positions.shape[0]
+        return self.configs[0].n_agents
+
+
+@dataclass
+class SwarmState:
+    """Whole-swarm state as parallel arrays, one row per agent; a batch
+    has a leading axis of one swarm per row."""
+
+    positions: np.ndarray       # (N, d), or (B, N, d) for a batch
+    velocities: np.ndarray      # (N, d), or (B, N, d)
+    best_positions: np.ndarray  # (N, d), or (B, N, d)
+    best_scores: np.ndarray     # (N,), or (B, N)
+    alive: np.ndarray           # (N,), or (B, N) bool
+
+    @property
+    def n_agents(self) -> int:
+        return self.positions.shape[-2]
 
     @property
     def dimension(self) -> int:
-        return self.positions.shape[1]
-
-    def alive_count(self) -> int:
-        return int(np.count_nonzero(self.alive))
+        return self.positions.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -210,11 +267,103 @@ class RunResult:
     trace: tuple[TraceRecord, ...] | None = None
 
 
-def initialize(config: SwarmConfig, objective, rand_fn=None) -> SwarmState:
+@dataclass(frozen=True)
+class BatchResult:
+    """Outcome of a batch: one :class:`RunResult` per row."""
+
+    rows: tuple[RunResult, ...]
+
+    @property
+    def iterations_executed(self) -> int:
+        """Iterations executed, summed over the rows."""
+        return sum(row.iterations_executed for row in self.rows)
+
+
+class Neighborhoods:
+    """The leader-candidate sets of B graphs over N agents, flattened once.
+
+    Agent ``i`` of row ``b`` is flat agent ``b * N + i``.  The rows'
+    candidate sets (:meth:`Graph.candidates`) are laid end to end as
+    one CSR whose indices are offset by row, so a hub costs its own
+    degree and no other row pads to it.  A complete graph with
+    ``include_self`` on joins no CSR: its agents share one leader, one
+    argmax over the row.
+    """
+
+    def __init__(self, graphs, include_self: bool) -> None:
+        graphs = tuple(graphs)
+        n = graphs[0].node_count
+        for graph in graphs:
+            if graph.node_count != n:
+                raise ValueError("every graph of a batch needs the same node count")
+        self.node_count, self.rows, self.include_self = n, len(graphs), include_self
+        full = [include_self and graph.is_complete for graph in graphs]
+        self._full_rows = np.flatnonzero(full)
+        self._self = np.arange(self.rows * n)
+        self._indices, self._covers_all = None, False
+        sparse = [row for row, is_full in enumerate(full) if not is_full]
+        if sparse:
+            parts = [graphs[row].candidates(include_self) for row in sparse]
+            counts = np.concatenate([np.diff(indptr) for indptr, _ in parts])
+            owners = (np.array(sparse)[:, None] * n + np.arange(n)).ravel()
+            # an agent with no candidate (isolated, itself left out) has no
+            # segment and leads itself
+            self._owners = owners[counts > 0]
+            counts = counts[counts > 0]
+            self._starts = np.cumsum(counts) - counts
+            self._segments = np.repeat(np.arange(counts.size), counts)
+            if counts.size:
+                self._indices = np.concatenate(
+                    [indices + row * n for row, (_, indices) in zip(sparse, parts)]
+                )
+                self._covers_all = counts.size == self._self.size
+
+    def _gather(self, masked: np.ndarray) -> np.ndarray:
+        # the lowest-index best candidate of every CSR segment
+        values = masked[self._indices]
+        best = np.maximum.reduceat(values, self._starts)
+        hits = np.flatnonzero(values == best[self._segments])
+        # candidates ascend, so a segment's first hit is its lowest-index best
+        segments = self._segments[hits]
+        first = hits[np.concatenate(([True], segments[1:] != segments[:-1]))]
+        return self._indices[first]
+
+    def leaders(self, scores: np.ndarray, alive: np.ndarray) -> np.ndarray:
+        """Flat index of every agent's leader.
+
+        The leader is the alive candidate with the highest score, ties
+        going to the lowest index; an agent with no alive candidate
+        leads itself.  Scores must not be NaN.
+        """
+        alive = alive.ravel()
+        masked = np.where(alive, scores.ravel(), -np.inf)
+        if self._covers_all:
+            leaders = self._gather(masked)
+        else:
+            leaders = self._self.copy()
+            if self._indices is not None:
+                leaders[self._owners] = self._gather(masked)
+            if self._full_rows.size:
+                n, rows = self.node_count, self._full_rows
+                top = masked.reshape(-1, n)[rows].argmax(axis=1) + rows * n
+                leaders.reshape(-1, n)[rows] = top[:, None]
+        # a dead leader means every candidate is dead (they all score -inf)
+        return np.where(alive[leaders], leaders, self._self)
+
+
+def _rows_of(swarm: SwarmState) -> int:
+    return swarm.positions.shape[0] if swarm.positions.ndim == 3 else 1
+
+
+def initialize(config: SwarmConfig | SwarmBatch, objective, rand_fn=None) -> SwarmState:
     """Fresh swarm: positions uniform in the search box, velocities
     uniform in the clamp interval, bests at the starting positions,
-    everyone alive."""
-    rand = rand_fn or make_rand_source(config.seed)
+    everyone alive.  A batch gives a ``(B, N, d)`` swarm."""
+    if isinstance(config, SwarmBatch):
+        seed, config = [c.seed for c in config.configs], config.configs[0]
+    else:
+        seed = config.seed
+    rand = rand_fn or make_rand_source(seed)
     n, d = config.n_agents, objective.dimension
     u_pos = rand(CHANNEL_INIT_POSITION, 0, n, d)
     u_vel = rand(CHANNEL_INIT_VELOCITY, 0, n, d)
@@ -224,42 +373,14 @@ def initialize(config: SwarmConfig, objective, rand_fn=None) -> SwarmState:
         positions=positions,
         velocities=velocities,
         best_positions=positions.copy(),
-        best_scores=objective.score_many(positions),
-        alive=np.ones(n, dtype=bool),
+        best_scores=objective.score_many(positions.reshape(-1, d)).reshape(u_pos.shape[:-1]),
+        alive=np.ones(u_pos.shape[:-1], dtype=bool),
     )
-
-
-def _leaders(
-    graph: Graph, include_self: bool, scores: np.ndarray, alive: np.ndarray
-) -> np.ndarray:
-    """Neighborhood leader of every agent.
-
-    An agent's candidates are its graph neighbors, plus itself when
-    ``include_self`` is on.  The leader is the alive candidate with the
-    highest score, ties going to the lowest index; an agent with no
-    alive candidate leads itself.
-    """
-    n = scores.shape[0]
-    if include_self and graph.is_complete:
-        # every agent's candidates are the whole swarm: one argmax serves all
-        if not alive.any():
-            return np.arange(n)
-        return np.full(n, np.argmax(np.where(alive, scores, -np.inf)))
-    table = graph.neighbor_table(include_self)
-    # slot n backs the padding sentinel: dead, scoring -inf
-    padded_scores = np.full(n + 1, -np.inf)
-    np.copyto(padded_scores[:n], scores, where=alive)
-    padded_alive = np.zeros(n + 1, dtype=bool)
-    padded_alive[:n] = alive
-    # ascending rows: argmax takes the lowest index among tied bests
-    leaders = table[np.arange(n), padded_scores[table].argmax(axis=1)]
-    # a row with no alive candidate is all -inf and lands on a dead slot
-    return np.where(padded_alive[leaders], leaders, np.arange(n))
 
 
 def step(
     swarm: SwarmState,
-    graph: Graph,
+    graph: Graph | Neighborhoods,
     objective,
     config: SwarmConfig,
     rand_fn,
@@ -267,70 +388,84 @@ def step(
 ) -> SwarmState:
     """One synchronous constriction update, in place.
 
-    Neighborhood bests come from the pre-step snapshot, so update
-    order cannot leak information within an iteration.  The two
-    uniform draws are scalars per agent per term, multiplying whole
-    difference vectors.  Velocities are clamped per component after
-    the update; positions are never clamped.  Dead agents do not
-    move.
+    ``graph`` is one graph for every row of the swarm, or the rows'
+    :class:`Neighborhoods`.  Neighborhood bests come from the pre-step
+    state, so update order cannot leak information within an
+    iteration.  The uniform draws are scalars per agent per term,
+    multiplying whole difference vectors; the personal term and its
+    draw are skipped when ``phi1`` is 0 (it would add exactly zero).
+    Velocities are clamped per component after the update; positions
+    are never clamped.  Dead agents do not move.
     """
-    if graph.node_count != swarm.n_agents:
+    rows = _rows_of(swarm)
+    if isinstance(graph, Neighborhoods):
+        neighborhoods = graph
+        if neighborhoods.include_self != config.include_self:
+            raise ValueError("neighborhoods were built for another include_self")
+    else:
+        neighborhoods = Neighborhoods((graph,) * rows, config.include_self)
+    if neighborhoods.node_count != swarm.n_agents:
         raise ValueError(
-            f"graph has {graph.node_count} nodes for {swarm.n_agents} agents"
+            f"graph has {neighborhoods.node_count} nodes for {swarm.n_agents} agents"
         )
-    n = swarm.n_agents
-    snap_best_pos = swarm.best_positions.copy()
-    snap_best_scores = swarm.best_scores.copy()
-    alive = swarm.alive
+    if neighborhoods.rows != rows:
+        raise ValueError(f"{neighborhoods.rows} graphs for {rows} swarms")
+    n, d = swarm.n_agents, swarm.dimension
+    positions, alive = swarm.positions, swarm.alive
 
-    # neighborhood leader per agent, from the snapshot
-    leaders = _leaders(graph, config.include_self, snap_best_scores, alive)
-    social_targets = snap_best_pos[leaders]
-
-    r_personal = rand_fn(CHANNEL_VELOCITY_PERSONAL, iteration, n)[:, 0]
-    r_social = rand_fn(CHANNEL_VELOCITY_SOCIAL, iteration, n)[:, 0]
-
-    velocity = config.chi * (
-        swarm.velocities
-        + config.phi1 * r_personal[:, None] * (snap_best_pos - swarm.positions)
-        + config.phi2 * r_social[:, None] * (social_targets - swarm.positions)
-    )
+    # social term: toward each agent's neighborhood leader, read before any write
+    leaders = neighborhoods.leaders(swarm.best_scores, alive)
+    velocity = swarm.best_positions.reshape(-1, d)[leaders].reshape(positions.shape)
+    velocity -= positions
+    velocity *= config.phi2 * rand_fn(CHANNEL_VELOCITY_SOCIAL, iteration, n)
+    if config.phi1:
+        personal = swarm.best_positions - positions
+        personal *= config.phi1 * rand_fn(CHANNEL_VELOCITY_PERSONAL, iteration, n)
+        personal += swarm.velocities
+        velocity += personal
+    else:
+        velocity += swarm.velocities
+    velocity *= config.chi
     np.clip(velocity, config.v_min, config.v_max, out=velocity)
-    moved = swarm.positions + velocity
+    moved = positions + velocity
 
-    new_scores = objective.score_many(moved)
-    np.copyto(swarm.velocities, velocity, where=alive[:, None])
-    np.copyto(swarm.positions, moved, where=alive[:, None])
-    improved = alive & (new_scores > snap_best_scores)
-    np.copyto(swarm.best_positions, moved, where=improved[:, None])
+    new_scores = objective.score_many(moved.reshape(-1, d)).reshape(alive.shape)
+    np.copyto(swarm.velocities, velocity, where=alive[..., None])
+    np.copyto(positions, moved, where=alive[..., None])
+    improved = alive & (new_scores > swarm.best_scores)
+    np.copyto(swarm.best_positions, moved, where=improved[..., None])
     np.copyto(swarm.best_scores, new_scores, where=improved)
     return swarm
 
 
 def randomized_death(
-    swarm: SwarmState, p: float, rand_fn, iteration: int
+    swarm: SwarmState, p, rand_fn, iteration: int
 ) -> tuple[SwarmState, list[int]]:
     """Independent per-agent deactivation: alive agents with draw
-    ``r < p`` die.  Returns the swarm and the newly dead indices."""
-    if not 0.0 <= p < 1.0:
+    ``r < p`` die.  ``p`` is one probability, or a sequence of one
+    per batch row.  Returns the swarm and the newly dead indices (flat,
+    ``b * N + i``, in a batch)."""
+    probs = np.asarray(p, dtype=np.float64)
+    if probs.ndim and probs.shape != swarm.alive.shape[:-1]:
+        raise ValueError(f"{probs.size} death probabilities for {_rows_of(swarm)} swarms")
+    if not ((probs >= 0.0) & (probs < 1.0)).all():
         raise ValueError(f"death probability must be in [0, 1), got {p}")
-    if p > 0.0:
-        draws = rand_fn(CHANNEL_DEATH, iteration, swarm.n_agents)[:, 0]
-        newly = swarm.alive & (draws < p)
-    else:
-        newly = np.zeros(swarm.n_agents, dtype=bool)
+    if not probs.any():
+        return swarm, []
+    draws = rand_fn(CHANNEL_DEATH, iteration, swarm.n_agents)[..., 0]
+    newly = swarm.alive & (draws < probs[..., None])
     swarm.alive &= ~newly
     return swarm, np.flatnonzero(newly).tolist()
 
 
 def run(
-    config: SwarmConfig,
-    graph: Graph,
+    config: SwarmConfig | SwarmBatch,
+    graph,
     objective,
     success_fn=None,
     rand_fn=None,
     record_trace: bool = False,
-) -> RunResult:
+) -> RunResult | BatchResult:
     """Full run: iterate step + death until max_iters or swarm death.
 
     ``success_fn`` maps (best_positions, best_scores) to a boolean
@@ -340,47 +475,83 @@ def run(
     qualifying agents in the final state, dead ones included;
     survivors are agents still alive.  Fully deterministic given
     ``config.seed`` (or an injected ``rand_fn``).
+
+    A :class:`SwarmBatch` takes one graph per row and gives a
+    :class:`BatchResult`; each row is, bit for bit, what ``run`` gives
+    that row's config and graph alone.  ``success_fn`` then sees every
+    row's agents at once, as ``(B * N, d)`` and ``(B * N,)`` arrays.
     """
-    if graph.node_count != config.n_agents:
-        raise ValueError(
-            f"graph has {graph.node_count} nodes for {config.n_agents} agents"
-        )
-    rand = rand_fn or make_rand_source(config.seed)
+    if isinstance(config, SwarmBatch):
+        graphs, shared = tuple(graph), config.configs[0]
+        seed = [c.seed for c in config.configs]
+        death = np.array([c.death_prob for c in config.configs])
+        if len(graphs) != len(config.configs):
+            raise ValueError(f"{len(graphs)} graphs for {len(config.configs)} rows")
+    else:
+        graphs, shared, seed, death = (graph,), config, config.seed, config.death_prob
+    for one in graphs:
+        if one.node_count != shared.n_agents:
+            raise ValueError(
+                f"graph has {one.node_count} nodes for {shared.n_agents} agents"
+            )
+    neighborhoods = Neighborhoods(graphs, shared.include_self)
+    rand = rand_fn or make_rand_source(seed)
     swarm = initialize(config, objective, rand)
-    converged = False
-    convergence_iteration: int | None = None
-    trace: list[TraceRecord] = []
-    iterations_executed = 0
-    for iteration in range(1, config.max_iters + 1):
-        if swarm.alive_count() == 0:
+    alive, d = swarm.alive, swarm.dimension
+
+    def qualified() -> np.ndarray:
+        flat = success_fn(swarm.best_positions.reshape(-1, d), swarm.best_scores.ravel())
+        return np.asarray(flat).reshape(alive.shape)
+
+    # per row, as 0-d arrays for one swarm; 0 means not converged
+    executed = np.zeros(alive.shape[:-1], dtype=np.int64)
+    converged_at = np.zeros(alive.shape[:-1], dtype=np.int64)
+    alive_counts, best_scores = [], []
+    for iteration in range(1, shared.max_iters + 1):
+        live = alive.any(axis=-1)
+        if not live.any():
             break
-        step(swarm, graph, objective, config, rand, iteration)
-        randomized_death(swarm, config.death_prob, rand, iteration)
-        iterations_executed = iteration
-        if success_fn is not None and not converged and swarm.alive.any():
-            qualified = success_fn(swarm.best_positions, swarm.best_scores)
-            if bool(qualified[swarm.alive].all()):
-                converged = True
-                convergence_iteration = iteration
+        executed[live] = iteration
+        step(swarm, neighborhoods, objective, shared, rand, iteration)
+        randomized_death(swarm, death, rand, iteration)
+        if success_fn is not None:
+            pending = (converged_at == 0) & alive.any(axis=-1)
+            if pending.any():
+                done = pending & (qualified() | ~alive).all(axis=-1)
+                converged_at[done] = iteration
         if record_trace:
-            trace.append(
-                TraceRecord(
-                    iteration=iteration,
-                    alive_count=swarm.alive_count(),
-                    best_score=float(swarm.best_scores.max()),
+            alive_counts.append(np.count_nonzero(alive, axis=-1))
+            best_scores.append(swarm.best_scores.max(axis=-1))
+    winners = (
+        np.count_nonzero(qualified(), axis=-1)
+        if success_fn is not None
+        else np.zeros(alive.shape[:-1], dtype=np.int64)
+    )
+    survivors = np.count_nonzero(alive, axis=-1)
+    alive_counts, best_scores = np.array(alive_counts), np.array(best_scores)
+
+    def result(row: tuple) -> RunResult:
+        trace = None
+        if record_trace:
+            # a row's trace ends with its last executed iteration
+            span = (slice(0, int(executed[row])),) + row
+            trace = tuple(
+                TraceRecord(iteration, count, score)
+                for iteration, count, score in zip(
+                    range(1, int(executed[row]) + 1),
+                    alive_counts[span].tolist(),
+                    best_scores[span].tolist(),
                 )
             )
-    if success_fn is not None:
-        winners = int(
-            np.count_nonzero(success_fn(swarm.best_positions, swarm.best_scores))
+        at = int(converged_at[row])
+        return RunResult(
+            converged=at > 0,
+            convergence_iteration=at or None,
+            winners=int(winners[row]),
+            survivors=int(survivors[row]),
+            iterations_executed=int(executed[row]),
+            trace=trace,
         )
-    else:
-        winners = 0
-    return RunResult(
-        converged=converged,
-        convergence_iteration=convergence_iteration,
-        winners=winners,
-        survivors=swarm.alive_count(),
-        iterations_executed=iterations_executed,
-        trace=tuple(trace) if record_trace else None,
-    )
+
+    rows = tuple(result(row) for row in np.ndindex(alive.shape[:-1]))
+    return BatchResult(rows) if isinstance(config, SwarmBatch) else rows[0]

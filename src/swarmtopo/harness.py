@@ -5,7 +5,10 @@ fraction) cells.  Each cell runs a fixed number of repetitions whose
 seeds derive deterministically from the base seed and the cell
 identity, so any cell can be reproduced in isolation and execution
 order never matters.  Each topology is built and measured once per
-plan, and all of its cells run on that one graph.
+plan, and all of its cells run on that one graph.  The runs of all
+cells that share a node count and an objective are cut into chunks
+that each run as one engine batch; a run's result does not depend on
+the chunk it lands in.
 
 Per-cell aggregates follow the four performance measures: global
 success ratio (fraction of runs where every alive agent qualifies),
@@ -23,10 +26,11 @@ import json
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import groupby, product
+from typing import NamedTuple
 import numpy as np
 
-from .engine import SwarmConfig, run
+from .engine import RunResult, SwarmBatch, SwarmConfig, run
 from .graph_metrics import average_geodesic, natural_connectivity
 from .objectives import ObjectiveSpec
 from .topology import Graph, TopologySpec, build_topology
@@ -241,63 +245,124 @@ def derive_seed(
     return int.from_bytes(digest, "little")
 
 
-def _run_cell(
-    plan: ExperimentPlan,
-    topology: TopologySpec,
-    graph: Graph,
-    stats: tuple[float | None, float],
-    objective: ObjectiveSpec,
-    death_fraction: float,
-    trace_hook=None,
-) -> AggregateMetrics:
-    """Run one cell's repetitions on its topology's prebuilt graph.
+class _Cell(NamedTuple):
+    """One (topology, objective, death fraction) cell of a plan, with
+    its topology's prebuilt graph and the graph's (path length, natural
+    connectivity)."""
 
-    ``stats`` is the graph's (path length, natural connectivity).
-    ``trade_off`` stays absent: only :func:`run_plan` sees the sibling
-    cells that normalize it.  ``trace_hook(repetition, trace)``
-    receives per-iteration records when set.
+    index: int
+    topology: TopologySpec
+    graph: Graph
+    stats: tuple[float | None, float]
+    objective: ObjectiveSpec
+    death_fraction: float
+
+    def name(self) -> str:
+        return (
+            f"topology={self.topology.topology_id()} objective={self.objective.name} "
+            f"death_fraction={self.death_fraction!r}"
+        )
+
+
+# bytes one batch's per-iteration arrays may take; above it a group of
+# runs is cut into several batches.  About a core's L2 cache: on the
+# acceptance plan (200 runs at n=100) 1 MB batches of 20 runs ran no
+# slower than one batch of 200, and memory stays flat for any plan size
+_CHUNK_BYTES = 1 << 20
+
+
+def _row_bytes(cell: _Cell) -> int:
+    # about ten (N, d) float arrays of state and temporaries, plus the
+    # leader gather's values, indices and segment ids per candidate
+    graph = cell.graph
+    n = graph.node_count
+    entries = 0 if graph.is_complete else 2 * graph.edge_count + n
+    return 8 * (10 * n * cell.objective.dimension + 3 * entries)
+
+
+def _chunks(plan: ExperimentPlan, cells: list[_Cell], workers: int) -> list[list]:
+    """Cut the plan's (cell, repetition) runs into batches.
+
+    Runs that share the node count and the objective form a group;
+    each group is cut evenly into as few chunks as keep each under
+    ``_CHUNK_BYTES``, but at least ``workers`` of them (when it has
+    that many runs) so that a pool splits the work.
     """
-    topology_id = topology.topology_id()
-    convergence_iters: list[int] = []
-    winner_counts: list[int] = []
+    groups: dict[tuple[int, str], list[_Cell]] = defaultdict(list)
+    for cell in cells:
+        groups[(cell.graph.node_count, cell.objective.name)].append(cell)
+    chunks = []
+    for group in groups.values():
+        rows = [(cell, repetition) for cell in group for repetition in range(plan.repetitions)]
+        size = plan.repetitions * sum(map(_row_bytes, group))
+        count = min(len(rows), max(workers, -(-size // _CHUNK_BYTES)))
+        cuts = [len(rows) * k // count for k in range(count + 1)]
+        chunks.extend(rows[lo:hi] for lo, hi in zip(cuts, cuts[1:]))
+    return chunks
+
+
+def _run_rows(plan: ExperimentPlan, rows: list, record_trace: bool) -> tuple[RunResult, ...]:
+    """Run (cell, repetition) rows of one node count and one objective
+    as one batch."""
+    objective = rows[0][0].objective
+    configs = [
+        SwarmConfig(
+            n_agents=cell.graph.node_count,
+            max_iters=plan.max_iters,
+            death_prob=death_fraction_to_prob(cell.death_fraction, plan.death_horizon),
+            seed=derive_seed(
+                plan.base_seed, cell.topology.topology_id(), objective.name,
+                cell.death_fraction, repetition,
+            ),
+        )
+        for cell, repetition in rows
+    ]
+    predicate = success_predicate(plan.success, objective)
+    graphs = [cell.graph for cell, _ in rows]
+    return run(SwarmBatch(configs), graphs, objective, predicate, record_trace=record_trace).rows
+
+
+def _run_chunk(plan: ExperimentPlan, rows: list, record_trace: bool = False):
+    """Run one chunk; a failure names its cell, because a worker's
+    traceback does not reach the CLI."""
     try:
-        death_prob = death_fraction_to_prob(death_fraction, plan.death_horizon)
-        predicate = success_predicate(plan.success, objective)
-        for repetition in range(plan.repetitions):
-            config = SwarmConfig(
-                n_agents=graph.node_count,
-                max_iters=plan.max_iters,
-                death_prob=death_prob,
-                seed=derive_seed(
-                    plan.base_seed, topology_id, objective.name, death_fraction, repetition
-                ),
-            )
-            result = run(
-                config, graph, objective, predicate, record_trace=trace_hook is not None
-            )
-            if result.converged:
-                convergence_iters.append(result.convergence_iteration)
-            winner_counts.append(result.winners)
-            if trace_hook is not None:
-                trace_hook(repetition, result.trace)
+        return _run_rows(plan, rows, record_trace)
     except Exception as exc:
-        # a failure names its cell: a worker's traceback does not reach the CLI
+        # find the failing cell by running the chunk one cell at a time
+        for _, cell_rows in groupby(rows, key=lambda row: row[0].index):
+            cell_rows = list(cell_rows)
+            try:
+                _run_rows(plan, cell_rows, record_trace)
+            except Exception as cell_exc:
+                raise RuntimeError(
+                    f"cell {cell_rows[0][0].name()} failed: "
+                    f"{type(cell_exc).__name__}: {cell_exc}"
+                ) from cell_exc
+        names = "; ".join(sorted({cell.name() for cell, _ in rows}))
         raise RuntimeError(
-            f"cell topology={topology_id} objective={objective.name} "
-            f"death_fraction={death_fraction!r} failed: {type(exc).__name__}: {exc}"
+            f"cells {names} failed together: {type(exc).__name__}: {exc}"
         ) from exc
+
+
+def _aggregate(plan: ExperimentPlan, cell: _Cell, results: list[RunResult]) -> AggregateMetrics:
+    """A cell's results row from its runs, in repetition order.
+
+    ``trade_off`` stays absent: only :func:`run_plan` sees the sibling
+    cells that normalize it.
+    """
+    convergence_iters = [r.convergence_iteration for r in results if r.converged]
     return AggregateMetrics(
-        topology_id=topology_id,
-        topology_kind=topology.kind,
-        objective=objective.name,
-        death_fraction=death_fraction,
+        topology_id=cell.topology.topology_id(),
+        topology_kind=cell.topology.kind,
+        objective=cell.objective.name,
+        death_fraction=cell.death_fraction,
         repetitions=plan.repetitions,
         gsr=len(convergence_iters) / plan.repetitions,
         gs_time=float(np.mean(convergence_iters)) if convergence_iters else None,
-        winners_mean=float(np.mean(winner_counts)),
+        winners_mean=float(np.mean([r.winners for r in results])),
         trade_off=None,
-        avg_path_length=stats[0],
-        natural_connectivity=stats[1],
+        avg_path_length=cell.stats[0],
+        natural_connectivity=cell.stats[1],
     )
 
 
@@ -325,19 +390,23 @@ def run_plan(
     """Run every cell and return rows in canonical order.
 
     Each topology is built and measured once; all of its (objective,
-    death fraction) cells run on that one graph.  Rows are sorted by
-    (topology_id, objective, death_fraction), so the output is
-    byte-stable no matter how the plan lists its cells or how workers
-    schedule them.  With ``workers > 1`` cells execute in a process
-    pool, each task carrying its graph.  ``trace_hook_factory(topology_id,
-    objective_name, death_fraction)`` may return a per-repetition
-    trace consumer; tracing forces the serial path.
+    death fraction) cells run on that one graph.  The runs of every
+    cell that share a node count and an objective run together as
+    batches (see :func:`_chunks`); each run is, bit for bit, what it
+    gives alone, so neither the batching nor ``workers`` changes a
+    byte.  Rows are sorted by (topology_id, objective, death_fraction),
+    so the output is byte-stable no matter how the plan lists its
+    cells or how workers schedule them.  With ``workers > 1`` the
+    batches execute in a process pool, each task carrying its graphs.
+    ``trace_hook_factory(topology_id, objective_name, death_fraction)``
+    may return a per-repetition trace consumer; tracing forces the
+    serial path.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if trace_hook_factory is not None and workers > 1:
         raise ValueError("tracing requires workers=1")
-    cells = []
+    cells: list[_Cell] = []
     for topology in plan.topologies:
         graph = build_topology(topology)
         # a one-node graph has no pairs, hence no path length
@@ -345,18 +414,29 @@ def run_plan(
             average_geodesic(graph) if graph.node_count >= 2 else None,
             natural_connectivity(graph),
         )
-        cells.extend(
-            (plan, topology, graph, stats, objective, fraction)
-            for objective, fraction in product(plan.objectives, plan.death_fractions)
-        )
-    factory = trace_hook_factory or (lambda *cell: None)
-    hooks = (factory(t.topology_id(), o.name, f) for _, t, _, _, o, f in cells)
-    # both mappers return results in cell order; the final sort is total
-    if workers == 1 or len(cells) == 1:
-        rows = list(map(_run_cell, *zip(*cells), hooks))
+        for objective, fraction in product(plan.objectives, plan.death_fractions):
+            cells.append(_Cell(len(cells), topology, graph, stats, objective, fraction))
+    hooks = None
+    if trace_hook_factory is not None:
+        hooks = [
+            trace_hook_factory(c.topology.topology_id(), c.objective.name, c.death_fraction)
+            for c in cells
+        ]
+    chunks = _chunks(plan, cells, workers)
+    # both paths give results in chunk order; the serial one lazily, so
+    # that a chunk's traces reach their hooks before the next chunk runs
+    if workers == 1 or len(chunks) == 1:
+        outputs = (_run_chunk(plan, chunk, hooks is not None) for chunk in chunks)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_cell, *zip(*cells)))
+            outputs = list(pool.map(_run_chunk, [plan] * len(chunks), chunks))
+    results: list[list[RunResult]] = [[] for _ in cells]
+    for chunk, output in zip(chunks, outputs):
+        for (cell, repetition), result in zip(chunk, output):
+            results[cell.index].append(result)
+            if hooks is not None and hooks[cell.index] is not None:
+                hooks[cell.index](repetition, result.trace)
+    rows = [_aggregate(plan, cell, results[cell.index]) for cell in cells]
     _fill_trade_offs(plan, rows)
     rows.sort(key=lambda row: (row.topology_id, row.objective, row.death_fraction))
     return rows

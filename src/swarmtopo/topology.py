@@ -111,30 +111,29 @@ class Graph:
         n = self.node_count
         return self.edge_count == n * (n - 1) // 2
 
-    def neighbor_table(self, include_self: bool) -> np.ndarray:
-        """Every node's candidate set as one padded, ascending table.
+    def candidates(self, include_self: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Every node's candidate set in CSR form, ``(indptr, indices)``.
 
-        Row ``i`` lists the neighbors of ``i``, plus ``i`` itself when
-        ``include_self`` is on, in ascending order, then repeats the
-        sentinel ``node_count`` up to the widest row.  The table has
-        at least one column.  It is built on first use, cached on the
-        graph and read-only.
+        Node ``i``'s candidates are ``indices[indptr[i]:indptr[i + 1]]``:
+        its neighbors, plus ``i`` itself when ``include_self`` is on, in
+        ascending order.  The arrays hold ``n + 1`` and ``2 * edges``
+        (plus ``n``) entries, so a hub costs its degree and no more.
+        They are built on first use, cached on the graph and read-only.
         """
         # the dataclass is frozen: like cached_property, cache in __dict__
-        tables = self.__dict__.setdefault("_neighbor_tables", {})
-        if include_self not in tables:
+        cache = self.__dict__.setdefault("_candidates", {})
+        if include_self not in cache:
             n = self.node_count
-            candidates = self.adjacency
+            members = self.adjacency
             if include_self:
-                candidates = candidates | np.eye(n, dtype=bool)
-            rows, cols = np.nonzero(candidates)  # row-major: ascending per row
-            counts = np.bincount(rows, minlength=n)
-            starts = np.cumsum(counts) - counts
-            table = np.full((n, max(int(counts.max()), 1)), n, dtype=np.intp)
-            table[rows, np.arange(rows.size) - starts[rows]] = cols
-            table.setflags(write=False)
-            tables[include_self] = table
-        return tables[include_self]
+                members = members | np.eye(n, dtype=bool)
+            rows, indices = np.nonzero(members)  # row-major: ascending per row
+            indptr = np.zeros(n + 1, dtype=np.intp)
+            np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+            for array in (indptr, indices):
+                array.setflags(write=False)
+            cache[include_self] = (indptr, indices)
+        return cache[include_self]
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as ``(i, j)`` with ``i < j``, lexicographically sorted."""

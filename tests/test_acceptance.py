@@ -8,8 +8,8 @@ and hand-evaluated trade-off arithmetic.  The desk-scale sweep checks
 (criteria 6 and 7) are statistical: they run a pinned 20-repetition
 plan and assert trend inequalities, not digits.
 
-The sweep fixture takes ~46 s on a 2-core Xeon VM; everything else is
-seconds.
+The sweep fixture takes ~11 s on a 2-core Xeon VM (the plan's 200 runs
+run as 10 batches); everything else is seconds.
 """
 
 from __future__ import annotations

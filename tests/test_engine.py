@@ -12,6 +12,7 @@ that derived its keys with one-element arrays under ``np.errstate``).
 """
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,9 +23,11 @@ from swarmtopo.engine import (
     CHANNEL_INIT_POSITION,
     CHANNEL_VELOCITY_PERSONAL,
     CHANNEL_VELOCITY_SOCIAL,
+    BatchResult,
+    Neighborhoods,
+    SwarmBatch,
     SwarmConfig,
     SwarmState,
-    _leaders,
     _mix64,
     _mix64_inplace,
     initialize,
@@ -33,8 +36,10 @@ from swarmtopo.engine import (
     run,
     step,
 )
-from swarmtopo.objectives import default_spec
+from swarmtopo.harness import SuccessCriterion, success_predicate
+from swarmtopo.objectives import OBJECTIVE_NAMES, default_spec
 from swarmtopo.topology import (
+    TOPOLOGY_KINDS,
     Graph,
     TopologySpec,
     build_topology,
@@ -80,6 +85,10 @@ def dense_leaders(
     masked = np.where(eligible, scores[None, :], -np.inf)
     leaders = np.argmax(masked, axis=1)  # ties take the lowest index
     return np.where(eligible.any(axis=1), leaders, np.arange(n))
+
+
+def _leaders(graph, include_self, scores, alive):
+    return Neighborhoods((graph,), include_self).leaders(scores, alive)
 
 
 class _Parabola:
@@ -499,14 +508,16 @@ class TestLeaderTable:
 
     def test_table_layout(self):
         star = make_star(4)
-        assert star.neighbor_table(False).tolist() == [[1, 2, 3], [0, 4, 4], [0, 4, 4], [0, 4, 4]]
-        assert star.neighbor_table(True).tolist() == [
-            [0, 1, 2, 3], [0, 1, 4, 4], [0, 2, 4, 4], [0, 3, 4, 4]
-        ]
-        # an edgeless graph still gets one (sentinel) column
-        assert Graph(np.zeros((2, 2), dtype=bool)).neighbor_table(False).tolist() == [[2], [2]]
-        assert star.neighbor_table(True) is star.neighbor_table(True)
-        assert not star.neighbor_table(True).flags.writeable
+        indptr, indices = star.candidates(False)
+        assert indptr.tolist() == [0, 3, 4, 5, 6]
+        assert indices.tolist() == [1, 2, 3, 0, 0, 0]
+        indptr, indices = star.candidates(True)
+        assert indptr.tolist() == [0, 4, 6, 8, 10]
+        assert indices.tolist() == [0, 1, 2, 3, 0, 1, 0, 2, 0, 3]
+        # an edgeless graph has empty candidate sets
+        assert Graph(np.zeros((2, 2), dtype=bool)).candidates(False)[0].tolist() == [0, 0, 0]
+        assert star.candidates(True) is star.candidates(True)
+        assert not any(array.flags.writeable for array in star.candidates(True))
 
     def test_complete_path_keyed_on_graph_not_kind(self):
         # a core-periphery graph whose core is everything is complete
@@ -516,7 +527,7 @@ class TestLeaderTable:
         scores = np.array([1.0, 5.0, 5.0, 2.0, 0.0, 4.0])
         alive = np.array([True, False, True, True, True, True])
         assert _leaders(graph, True, scores, alive).tolist() == [2] * 6
-        assert "_neighbor_tables" not in graph.__dict__
+        assert "_candidates" not in graph.__dict__
         all_dead = np.zeros(6, dtype=bool)
         assert _leaders(graph, True, scores, all_dead).tolist() == list(range(6))
 
@@ -675,3 +686,130 @@ class TestConfigValidation:
             SwarmConfig(chi=float("nan"))
         with pytest.raises(ValueError):
             SwarmConfig(phi2=float("inf"))
+
+
+class TestPersonalTerm:
+    @staticmethod
+    def _counting_source(seed):
+        source = make_rand_source(seed)
+        calls = Counter()
+
+        def rand(channel, iteration, agent_count, lanes=1):
+            calls[channel] += 1
+            return source(channel, iteration, agent_count, lanes)
+
+        return rand, calls
+
+    @pytest.mark.parametrize("phi1, personal_draws", [(0.0, 0), (0.5, 12)])
+    def test_personal_draw_only_when_phi1_is_nonzero(self, phi1, personal_draws):
+        rand, calls = self._counting_source(4)
+        config = SwarmConfig(n_agents=10, max_iters=12, phi1=phi1)
+        run(config, make_ring(10), default_spec("shekel"), rand_fn=rand)
+        assert calls[CHANNEL_VELOCITY_PERSONAL] == personal_draws
+        assert calls[CHANNEL_VELOCITY_SOCIAL] == 12
+
+
+def _isolated_first(n: int) -> Graph:
+    """Node 0 alone, the other nodes on a ring."""
+    return Graph.from_edges(n, [(i, i % (n - 1) + 1) for i in range(1, n)])
+
+
+@st.composite
+def _mixed_graphs(draw):
+    """One graph of every kind at one node count, plus one with an
+    isolated node, in a drawn order."""
+    rows, cols = draw(st.integers(3, 4)), draw(st.integers(3, 5))
+    n = rows * cols
+    seed = draw(st.integers(0, 2**16))
+    specs = [
+        TopologySpec("complete", node_count=n),
+        TopologySpec("star", node_count=n),
+        TopologySpec("ring", node_count=n),
+        TopologySpec("core-periphery", node_count=n, core_size=draw(st.integers(1, n))),
+        TopologySpec("ring-core-star", node_count=n, hub_count=draw(st.integers(1, n))),
+        TopologySpec("multi-ring", node_count=n, ring_levels=draw(st.integers(1, n // 2))),
+        TopologySpec("von-neumann", rows=rows, cols=cols),
+        TopologySpec("scale-free", node_count=n, attach_count=draw(st.integers(1, 3)), seed=seed),
+        TopologySpec("random", node_count=n, edge_prob=draw(st.floats(0.0, 0.4)), seed=seed),
+        TopologySpec(
+            "small-world", node_count=n, degree=2 * draw(st.integers(1, 3)),
+            rewire_prob=draw(st.floats(0.0, 1.0)), seed=seed,
+        ),
+    ]
+    assert {spec.kind for spec in specs} == set(TOPOLOGY_KINDS)
+    graphs = [build_topology(spec) for spec in specs] + [_isolated_first(n)]
+    return n, draw(st.permutations(graphs))
+
+
+class TestBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(mixed=_mixed_graphs(), data=st.data())
+    def test_rows_equal_serial_runs(self, mixed, data):
+        n, graphs = mixed
+        objective = default_spec(data.draw(st.sampled_from(OBJECTIVE_NAMES)))
+        include_self = data.draw(st.booleans())
+        # a wide success radius, so that some runs converge and some do not
+        tolerance = data.draw(st.floats(0.05, 0.5)) * objective.range_diagonal()
+        qualifies = success_predicate(SuccessCriterion(tolerance=tolerance), objective)
+        configs = [
+            SwarmConfig(
+                n_agents=n,
+                max_iters=25,
+                death_prob=data.draw(st.sampled_from((0.0, 0.02, 0.3))),
+                seed=data.draw(st.integers(0, 2**64 - 1)),
+                include_self=include_self,
+            )
+            for _ in graphs
+        ]
+        serial = [
+            run(config, graph, objective, qualifies, record_trace=True)
+            for config, graph in zip(configs, graphs)
+        ]
+        cuts = data.draw(st.lists(st.integers(1, len(graphs) - 1), unique=True))
+        bounds = [0, *sorted(cuts), len(graphs)]
+        batched = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            result = run(
+                SwarmBatch(configs[lo:hi]), graphs[lo:hi], objective, qualifies,
+                record_trace=True,
+            )
+            assert isinstance(result, BatchResult)
+            assert result.iterations_executed == sum(r.iterations_executed for r in serial[lo:hi])
+            batched.extend(result.rows)
+        assert batched == serial
+
+    def test_rows_may_differ_only_in_seed_and_death(self):
+        SwarmBatch([SwarmConfig(seed=1), SwarmConfig(seed=2, death_prob=0.1)])
+        with pytest.raises(ValueError, match="may differ only"):
+            SwarmBatch([SwarmConfig(), SwarmConfig(phi2=2.0)])
+        with pytest.raises(ValueError, match="at least one row"):
+            SwarmBatch([])
+
+    def test_batch_source_rows_match_single_sources(self):
+        seeds = [0, 7, 2**64 - 1]
+        batch = make_rand_source(seeds)
+        draws = batch(CHANNEL_DEATH, 3, 5, 2)
+        assert draws.shape == (3, 5, 2)
+        for row, seed in zip(draws, seeds):
+            assert np.array_equal(row, make_rand_source(seed)(CHANNEL_DEATH, 3, 5, 2))
+
+    def test_graph_count_and_size_checked(self):
+        batch = SwarmBatch([SwarmConfig(n_agents=6), SwarmConfig(n_agents=6, seed=1)])
+        objective = default_spec("ackley")
+        with pytest.raises(ValueError, match="1 graphs for 2 rows"):
+            run(batch, [make_ring(6)], objective)
+        with pytest.raises(ValueError, match="7 nodes for 6 agents"):
+            run(batch, [make_ring(6), make_ring(7)], objective)
+
+    def test_death_takes_one_probability_per_row(self):
+        batch = SwarmBatch([SwarmConfig(n_agents=50), SwarmConfig(n_agents=50, seed=1)])
+        rand = make_rand_source([0, 1])
+        swarm = initialize(batch, default_spec("ackley"), rand)
+        _, newly = randomized_death(swarm, [0.0, 0.5], rand, 1)
+        # row 0 cannot lose anyone; the flat indices of row 1 start at 50
+        assert newly and min(newly) >= 50
+        assert swarm.alive[0].all() and not swarm.alive[1].all()
+        with pytest.raises(ValueError):
+            randomized_death(swarm, [0.0, 1.0], rand, 2)
+        with pytest.raises(ValueError):
+            randomized_death(swarm, [0.1, 0.1, 0.1], rand, 2)

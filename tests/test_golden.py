@@ -1,5 +1,6 @@
-"""Golden-output gate: sha256 of engine results, of results CSVs and
-of a metrics CSV.
+"""Golden-output gate: sha256 of engine results, of results CSVs, of
+the per-iteration trace files of ``swarmtopo run --trace-dir`` and of a
+metrics CSV.
 
 The engine digests were taken from the dense-mask leader selection that
 the neighbour-table path replaced, so they pin that every refactor of
@@ -9,14 +10,16 @@ BFS and the one-row circulant multi-ring replaced.  A digest may change only wit
 change that fixes a bug and says so.
 
 The engine grid runs every topology kind at n=36 (star, scale-free and
-core-periphery give wide, ragged neighbour tables; the complete graph
-takes the full-row path), plus the one-agent complete graph, with the
+core-periphery give wide, ragged candidate sets; the complete graph
+takes the one-argmax path), plus the one-agent complete graph, with the
 agent itself in or out of its neighbourhood and with no loss or 30%
 loss.  The plan is the acceptance plan cut to two repetitions of 150
 iterations; the two built-in sweeps are cut to one repetition of 50
 iterations, the spectrum to 10 graphs per segment (their digests were
 taken from the engine that derived its random keys with one-element
-numpy arrays).  The metrics CSV is the ``swarmtopo metrics`` output,
+numpy arrays).  The plan CSV and trace digests were taken from the
+engine that ran each run on its own, before runs were batched across
+cells.  The metrics CSV is the ``swarmtopo metrics`` output,
 omega sampler seed 0, over the 40-node spectrum with 10 graphs per
 segment, a small-world graph, and two disconnected graphs.  Each takes
 a few seconds or less.  The digests were taken with numpy 2.4 on
@@ -29,7 +32,7 @@ import hashlib
 
 import pytest
 
-from swarmtopo.cli import METRICS_COLUMNS
+from swarmtopo.cli import METRICS_COLUMNS, main
 from swarmtopo.engine import SwarmConfig, run
 from swarmtopo.graph_metrics import compute_metrics
 from swarmtopo.harness import (
@@ -97,6 +100,26 @@ REDUCED_BUILTIN_PLANS = {
         "12ba98347a9ded3458ed44030a18670a94afa30bcbbc0c44ff2eab74660a6d4a",
     ),
 }
+
+# a plan whose 0.9 loss kills some swarms early, so that traces end at
+# different iterations; its --trace-dir files (60) are hashed by name and
+# content in sorted name order
+TRACE_PLAN = """\
+version = 1
+base_seed = 5
+repetitions = 2
+max_iters = 60
+death_horizon = 10
+objectives = shekel, rastrigin
+death_fractions = 0, 0.3, 0.9
+topology = complete n=20
+topology = complete n=2
+topology = star n=20
+topology = ring n=20
+topology = small-world n=20 degree=4 rewire_prob=0.2 seed=3
+"""
+
+TRACE_DIR_SHA256 = "3f1b75b9cc07bde6f1777375b90a0c3e0c3c6fb452aa4f2248e24ebaafe66493"
 
 METRICS_EXTRA_SPECS = (
     TopologySpec("small-world", node_count=40, degree=4, rewire_prob=0.2, seed=3),
@@ -197,3 +220,20 @@ def test_reduced_builtin_plan_csv_digest(name):
 
 def test_metrics_csv_digest():
     assert _sha256(metrics_csv_text()) == METRICS_CSV_SHA256
+
+
+def test_trace_dir_digest(tmp_path):
+    plan = tmp_path / "plan.txt"
+    plan.write_text(TRACE_PLAN, encoding="ascii")
+    traces = tmp_path / "traces"
+    code = main([
+        "run", str(plan), "--out-prefix", str(tmp_path / "results"),
+        "--trace-dir", str(traces), "--workers", "1",
+    ])
+    assert code == 0
+    digest = hashlib.sha256()
+    files = sorted(traces.iterdir())
+    for path in files:
+        digest.update(path.name.encode("ascii") + b"\n" + path.read_bytes())
+    assert len(files) == 60
+    assert digest.hexdigest() == TRACE_DIR_SHA256

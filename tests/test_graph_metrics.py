@@ -2,7 +2,8 @@
 
 The geodesic oracles are a plain Floyd-Warshall reimplementation and
 networkx's breadth-first search; the spectral constants for the 5-node
-complete/star/ring graphs are known closed forms.
+complete/star/ring graphs are known closed forms.  Clustering and the
+spectrum are checked against networkx on every topology kind.
 """
 
 import networkx as nx
@@ -25,6 +26,7 @@ from swarmtopo.graph_metrics import (
 from swarmtopo.topology import (
     Graph,
     build_spectrum,
+    build_topology,
     make_complete,
     make_multi_ring,
     make_random,
@@ -33,6 +35,8 @@ from swarmtopo.topology import (
     make_star,
     make_von_neumann,
 )
+
+from strategies import topology_specs
 
 
 def _floyd_warshall(graph: Graph) -> np.ndarray:
@@ -246,3 +250,30 @@ class TestComputeMetrics:
         # g's own BFS runs once; every other call is on a random omega sample
         assert sum(graph is g for graph in measured) == 1
         assert m.small_world_ness == _omega(g, rng=0, sample_count=2)
+
+
+class TestNetworkxOracles:
+    """Clustering and spectrum against networkx, on every topology kind
+    and on the edgeless and one-node graphs."""
+
+    @staticmethod
+    def _check(graph: Graph) -> None:
+        g = _to_networkx(graph)
+        # networkx also scores nodes of degree below 2 as 0
+        assert clustering_coefficient(graph) == pytest.approx(
+            nx.average_clustering(g), rel=1e-12, abs=1e-12
+        )
+        expected = np.sort(nx.adjacency_spectrum(g).real)[::-1]
+        assert np.allclose(graph_spectrum(graph), expected, rtol=0.0, atol=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=topology_specs())
+    def test_every_kind(self, spec):
+        self._check(build_topology(spec))
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_edgeless_and_one_node(self, n):
+        graph = Graph(np.zeros((n, n), dtype=bool))
+        assert clustering_coefficient(graph) == 0.0
+        assert graph_spectrum(graph).tolist() == [0.0] * n
+        self._check(graph)

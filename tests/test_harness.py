@@ -2,12 +2,15 @@
 results serialization formats."""
 
 import json
+import string
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swarmtopo import harness
-from swarmtopo.engine import RunResult
+from swarmtopo.engine import BatchResult, RunResult
 from swarmtopo.harness import (
     AggregateMetrics,
     ExperimentPlan,
@@ -25,7 +28,7 @@ from swarmtopo.harness import (
 )
 from swarmtopo.graph_metrics import natural_connectivity
 from swarmtopo.objectives import default_spec
-from swarmtopo.topology import TopologySpec, make_complete
+from swarmtopo.topology import TOPOLOGY_KINDS, TopologySpec, make_complete
 
 
 def _mask_at(points, objective, criterion=SuccessCriterion()):
@@ -258,14 +261,17 @@ class TestRunCellAndPlan:
     def test_slice_without_winners_has_no_trade_off(self, monkeypatch):
         # a run can converge and still end with no qualifying best: the
         # slice then has no winners to normalize by
-        def converged_without_winners(config, *args, **kwargs):
-            return RunResult(
-                converged=True,
-                convergence_iteration=5,
-                winners=0,
-                survivors=config.n_agents,
-                iterations_executed=config.max_iters,
-            )
+        def converged_without_winners(batch, *args, **kwargs):
+            return BatchResult(tuple(
+                RunResult(
+                    converged=True,
+                    convergence_iteration=5,
+                    winners=0,
+                    survivors=config.n_agents,
+                    iterations_executed=config.max_iters,
+                )
+                for config in batch.configs
+            ))
 
         monkeypatch.setattr(harness, "run", converged_without_winners)
         rows = run_plan(_tiny_plan())
@@ -311,9 +317,9 @@ class TestRunCellAndPlan:
             built.append(spec.topology_id())
             return build_topology(spec)
 
-        def recording_run(config, graph, *args, **kwargs):
-            graphs.add(id(graph))
-            return run(config, graph, *args, **kwargs)
+        def recording_run(batch, batch_graphs, *args, **kwargs):
+            graphs.update(map(id, batch_graphs))
+            return run(batch, batch_graphs, *args, **kwargs)
 
         monkeypatch.setattr(harness, "build_topology", counting_build)
         monkeypatch.setattr(harness, "run", recording_run)
@@ -326,11 +332,12 @@ class TestRunCellAndPlan:
     def test_cell_failure_names_the_cell(self, monkeypatch, traced):
         run = harness.run
 
-        def failing_run(config, graph, *args, **kwargs):
+        def failing_run(batch, graphs, *args, **kwargs):
             # the ring is the one sparse graph of the tiny plan
-            if not graph.is_complete and config.death_prob > 0:
-                raise ZeroDivisionError("boom")
-            return run(config, graph, *args, **kwargs)
+            for config, graph in zip(batch.configs, graphs):
+                if not graph.is_complete and config.death_prob > 0:
+                    raise ZeroDivisionError("boom")
+            return run(batch, graphs, *args, **kwargs)
 
         monkeypatch.setattr(harness, "run", failing_run)
         factory = (lambda *cell: lambda repetition, trace: None) if traced else None
@@ -341,6 +348,60 @@ class TestRunCellAndPlan:
             "failed: ZeroDivisionError: boom"
         )
         assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+
+    @settings(max_examples=6, deadline=None)
+    @given(budget=st.integers(1, 400_000), seed=st.integers(0, 2**16))
+    def test_batching_and_workers_do_not_change_results(self, budget, seed):
+        specs = (
+            TopologySpec("complete", node_count=9),
+            TopologySpec("star", node_count=9),
+            TopologySpec("ring", node_count=9),
+            TopologySpec("core-periphery", node_count=9, core_size=3),
+            TopologySpec("ring-core-star", node_count=9, hub_count=2),
+            TopologySpec("multi-ring", node_count=9, ring_levels=2),
+            TopologySpec("von-neumann", rows=3, cols=3),
+            TopologySpec("scale-free", node_count=9, attach_count=2, seed=seed),
+            TopologySpec("random", node_count=9, edge_prob=0.3, seed=seed),
+            TopologySpec("small-world", node_count=9, degree=4, rewire_prob=0.3, seed=seed),
+            TopologySpec("ring", node_count=6),
+        )
+        assert {spec.kind for spec in specs} == set(TOPOLOGY_KINDS)
+        plan = _tiny_plan(
+            topologies=specs,
+            objectives=(default_spec("shekel"), default_spec("rastrigin")),
+            success=SuccessCriterion(tolerance=2.0),
+            base_seed=seed,
+            max_iters=20,
+        )
+
+        def traced_run(workers=1):
+            traces = {}
+
+            def factory(*cell):
+                return lambda repetition, trace: traces.__setitem__((*cell, repetition), trace)
+
+            return run_plan(plan, trace_hook_factory=factory), traces
+
+        # a one-byte budget runs every run as its own batch
+        with mock.patch.object(harness, "_CHUNK_BYTES", 1):
+            alone = traced_run()
+        with mock.patch.object(harness, "_CHUNK_BYTES", budget):
+            assert traced_run() == alone
+            assert run_plan(plan, workers=2) == alone[0]
+        assert len(alone[1]) == len(specs) * 2 * 2 * plan.repetitions
+
+    def test_chunk_failure_without_a_failing_cell(self, monkeypatch):
+        run = harness.run
+
+        def failing_run(batch, graphs, *args, **kwargs):
+            if len(batch.configs) > 2:
+                raise ValueError("too many")
+            return run(batch, graphs, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run", failing_run)
+        with pytest.raises(RuntimeError, match="failed together: ValueError: too many"):
+            run_plan(_tiny_plan())
 
 
 class TestSerialization:
@@ -420,3 +481,35 @@ class TestSerialization:
         parsed = parse_results_csv(results_to_csv(rows))
         assert parsed[0].avg_path_length == 2500 / 99
         assert parsed[0].gsr == 0.84
+
+
+_TEXT = st.text(alphabet=string.ascii_letters + string.digits + ' -_.,"', max_size=12)
+_FLOAT = st.one_of(
+    st.floats(allow_nan=False), st.sampled_from([0.1234567, 0.1, 1 / 3, -0.0, 5e-324])
+)
+
+
+@st.composite
+def _result_rows(draw):
+    return AggregateMetrics(
+        topology_id=draw(_TEXT),
+        topology_kind=draw(_TEXT),
+        objective=draw(_TEXT),
+        death_fraction=draw(_FLOAT),
+        repetitions=draw(st.one_of(st.just(1), st.integers(1, 10**6))),
+        gsr=draw(_FLOAT),
+        gs_time=draw(st.none() | _FLOAT),
+        winners_mean=draw(_FLOAT),
+        trade_off=draw(st.none() | _FLOAT),
+        avg_path_length=draw(st.none() | _FLOAT),
+        natural_connectivity=draw(_FLOAT),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_result_rows(), max_size=5))
+def test_results_csv_round_trip_is_byte_identical(rows):
+    text = results_to_csv(rows)
+    parsed = parse_results_csv(text)
+    assert parsed == rows
+    assert results_to_csv(parsed) == text

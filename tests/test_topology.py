@@ -281,14 +281,14 @@ class TestEveryKind:
         _check_invariants(graph)
         n = graph.node_count
         for include_self in (False, True):
-            table = graph.neighbor_table(include_self)
+            indptr, indices = graph.candidates(include_self)
             candidates = graph.adjacency | (include_self & np.eye(n, dtype=bool))
-            widths = candidates.sum(axis=1)
-            assert table.shape == (n, max(int(widths.max()), 1))
-            for row, members, width in zip(table, candidates, widths):
-                # ascending members, then the sentinel n
-                assert row[:width].tolist() == np.flatnonzero(members).tolist()
-                assert (row[width:] == n).all()
+            assert indptr.shape == (n + 1,) and indptr[0] == 0
+            for node, members in enumerate(candidates):
+                # each node's members, ascending
+                row = indices[indptr[node]:indptr[node + 1]]
+                assert row.tolist() == np.flatnonzero(members).tolist()
+            assert indptr[-1] == indices.size
         text = edge_list_text(graph)
         assert edge_list_text(parse_edge_list(text)) == text
 
