@@ -23,12 +23,12 @@ for fraction in (0.15, 0.30):
     prob = death_fraction_to_prob(fraction, HORIZON)
     print(f"death fraction {fraction:.0%} by iteration {HORIZON} -> p = {prob:.9f}")
 
-    # lanes are independent streams, so one source carries all trials
-    rand = make_rand_source(2024)
+    # lanes are independent streams, so one source row carries all trials
+    rand = make_rand_source([2024])
     alive = np.ones((AGENTS, TRIALS), dtype=bool)
     checkpoints = {100: None, 250: None, 500: None}
     for iteration in range(1, HORIZON + 1):
-        alive &= rand(CHANNEL_DEATH, iteration, AGENTS, TRIALS) >= prob
+        alive &= rand(CHANNEL_DEATH, iteration, AGENTS, TRIALS)[0] >= prob
         if iteration in checkpoints:
             checkpoints[iteration] = alive.sum(axis=0).mean()
 

@@ -53,14 +53,10 @@ from .engine import (
     CHANNEL_VELOCITY_SOCIAL,
     SwarmConfig,
     SwarmBatch,
-    SwarmState,
     RunResult,
     BatchResult,
     TraceRecord,
     make_rand_source,
-    initialize,
-    step,
-    randomized_death,
     run,
 )
 from .harness import (

@@ -188,8 +188,9 @@ def _execute_plan(plan, args) -> int:
     prefix = Path(args.out_prefix)
     if prefix.parent != Path("."):
         prefix.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = prefix.with_suffix(".csv")
-    json_path = prefix.with_suffix(".json")
+    # appended, not substituted: a dot in the prefix is part of the name
+    csv_path = prefix.with_name(prefix.name + ".csv")
+    json_path = prefix.with_name(prefix.name + ".json")
     csv_path.write_text(results_to_csv(rows), encoding="ascii")
     json_path.write_text(results_to_json(rows), encoding="ascii")
     print(f"wrote {len(rows)} rows -> {csv_path} and {json_path}")

@@ -8,17 +8,21 @@ keep their state forever: they stop moving, stop dying, and drop out
 of every neighborhood candidate set, but their recorded bests still
 count when final winners are tallied.
 
-The engine runs one swarm, or a batch of B swarms as one set of
-arrays (:class:`SwarmBatch`).  A batch's rows share the agent count N,
-the objective and the hyperparameters; each row has its own seed,
-death probability and graph, and its own convergence, winners,
-survivors, iteration count and trace.  Every row is, bit for bit, the
-run its own config gives alone.  State arrays are ``(N, d)`` for one
-swarm and ``(B, N, d)`` for a batch.
+The engine has one array shape: every state array carries a leading
+row axis of B swarms, ``(B, N, d)`` and ``(B, N)``.  The rows of a
+:class:`SwarmBatch` share the agent count N, the objective and the
+hyperparameters; each row has its own seed, death probability and
+graph, and its own convergence, winners, survivors, iteration count
+and trace.  A single run is a batch of one: ``run`` wraps a lone
+:class:`SwarmConfig` and its graph into a one-row batch at entry and
+returns that row's result, so every row of a batch is, bit for bit,
+the run its own config gives alone.
 
 All randomness flows through a counter-based uniform source keyed by
 (seed, channel, iteration, agent, lane), so draws are independent of
-evaluation order and can be replaced wholesale in tests.
+evaluation order.  :func:`make_rand_source` takes the B seeds and
+draws ``(B, count, lanes)`` arrays; an injected ``rand_fn`` has that
+shape too, which lets tests replace the draws wholesale.
 
 Cost per iteration, for B rows of N agents in dimension d:
 
@@ -30,10 +34,9 @@ Cost per iteration, for B rows of N agents in dimension d:
   2E + N candidate entries, so a hub costs its own degree and no
   other row pads to it.  A complete row with the agent in its own
   neighborhood has one leader, found by an O(N) argmax with no gather;
-* each uniform draw call costs one key derivation (on Python ints for
-  one swarm, on a length-B uint64 vector for a batch; per-channel keys
-  are cached) plus two in-place vector splitmix64 rounds over the
-  B * N * lanes words it returns.
+* each uniform draw call costs one key derivation per row, on Python
+  ints (per-channel keys are cached), plus two in-place vector
+  splitmix64 rounds over the B * N * lanes words it returns.
 
 At N=100 one swarm's iteration is mostly fixed per-call numpy
 overhead, which a batch shares among its rows.
@@ -43,8 +46,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 import numpy as np
-
-from .topology import Graph
 
 __all__ = [
     "CHANNEL_INIT_POSITION",
@@ -107,25 +108,15 @@ def _mix64_inplace(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _mix_word(key, word: int):
-    """``mix(key + word)`` of a uint64 key, or of every key in a uint64
-    array.  ``word`` must lie in ``[0, 2**64)`` (``OverflowError``
-    otherwise)."""
-    if isinstance(key, np.ndarray):
-        return _mix64_inplace(key + np.uint64(word))
-    return np.uint64(_mix64(int(key) + int(np.uint64(word))))
+def make_rand_source(seeds):
+    """Counter-based uniform source for B swarms.
 
-
-def make_rand_source(seed):
-    """Counter-based uniform source.
-
-    ``seed`` is one seed, or a sequence of B seeds for a batch.
-    Returns ``rand(channel, iteration, agent_count, lanes=1)`` giving
-    a ``(agent_count, lanes)`` array of floats in ``[0, 1)``; for a
-    batch, a ``(B, agent_count, lanes)`` array whose row ``b`` is what
-    the source of ``seed[b]`` alone gives.  Every value is a pure hash
-    of ``(seed, channel, iteration, agent, lane)``: no hidden stream
-    state, so the same coordinates always yield the same number
+    ``seeds`` is a sequence of B seeds, one per row.  Returns
+    ``rand(channel, iteration, agent_count, lanes=1)`` giving a
+    ``(B, agent_count, lanes)`` array of floats in ``[0, 1)``, whose
+    row ``b`` depends on ``seeds[b]`` alone.  Every value is a pure
+    hash of ``(seed, channel, iteration, agent, lane)``: no hidden
+    stream state, so the same coordinates always yield the same number
     regardless of call order.
 
     The value at ``(agent, lane)`` is the top 53 bits of
@@ -135,12 +126,8 @@ def make_rand_source(seed):
     ``channel`` and ``iteration`` must lie in ``[0, 2**64)``
     (``OverflowError`` otherwise).
     """
-    if np.ndim(seed):
-        # one key per row, as a column so that it spans the agents
-        base = np.array([[_mix64(int(s))] for s in seed], dtype=np.uint64)
-    else:
-        base = np.uint64(_mix64(int(seed)))
-    channel_keys: dict[int, np.uint64 | np.ndarray] = {}
+    bases = [_mix64(int(seed)) for seed in seeds]
+    channel_keys: dict[int, list[int]] = {}
     counters: dict[int, np.ndarray] = {}
 
     def counter(count: int) -> np.ndarray:
@@ -153,11 +140,16 @@ def make_rand_source(seed):
     def rand(channel: int, iteration: int, agent_count: int, lanes: int = 1) -> np.ndarray:
         if agent_count < 1 or lanes < 1:
             raise ValueError("agent_count and lanes must be >= 1")
+        if not 0 <= iteration <= _U64_MASK:
+            raise OverflowError(f"iteration {iteration} is outside [0, 2**64)")
         channel_key = channel_keys.get(channel)
         if channel_key is None:
-            channel_key = channel_keys[channel] = _mix_word(base, channel)
-        key = _mix_word(channel_key, iteration)
-        hashed = _mix64_inplace(counter(agent_count) + key)
+            if not 0 <= channel <= _U64_MASK:
+                raise OverflowError(f"channel {channel} is outside [0, 2**64)")
+            channel_key = channel_keys[channel] = [_mix64(base + channel) for base in bases]
+        # one key per row, as a column so that it spans the agents
+        keys = np.array([[_mix64(key + iteration)] for key in channel_key], dtype=np.uint64)
+        hashed = _mix64_inplace(counter(agent_count) + keys)
         hashed = _mix64_inplace(hashed[..., None] + counter(lanes))
         hashed >>= _U11
         draws = hashed.astype(np.float64)
@@ -228,22 +220,22 @@ class SwarmBatch:
 
 @dataclass
 class SwarmState:
-    """Whole-swarm state as parallel arrays, one row per agent; a batch
-    has a leading axis of one swarm per row."""
+    """The state of B swarms as parallel arrays: one row per swarm, one
+    entry per agent within it."""
 
-    positions: np.ndarray       # (N, d), or (B, N, d) for a batch
-    velocities: np.ndarray      # (N, d), or (B, N, d)
-    best_positions: np.ndarray  # (N, d), or (B, N, d)
-    best_scores: np.ndarray     # (N,), or (B, N)
-    alive: np.ndarray           # (N,), or (B, N) bool
+    positions: np.ndarray       # (B, N, d)
+    velocities: np.ndarray      # (B, N, d)
+    best_positions: np.ndarray  # (B, N, d)
+    best_scores: np.ndarray     # (B, N)
+    alive: np.ndarray           # (B, N) bool
 
     @property
     def n_agents(self) -> int:
-        return self.positions.shape[-2]
+        return self.positions.shape[1]
 
     @property
     def dimension(self) -> int:
-        return self.positions.shape[-1]
+        return self.positions.shape[2]
 
 
 @dataclass(frozen=True)
@@ -351,19 +343,12 @@ class Neighborhoods:
         return np.where(alive[leaders], leaders, self._self)
 
 
-def _rows_of(swarm: SwarmState) -> int:
-    return swarm.positions.shape[0] if swarm.positions.ndim == 3 else 1
-
-
-def initialize(config: SwarmConfig | SwarmBatch, objective, rand_fn=None) -> SwarmState:
-    """Fresh swarm: positions uniform in the search box, velocities
-    uniform in the clamp interval, bests at the starting positions,
-    everyone alive.  A batch gives a ``(B, N, d)`` swarm."""
-    if isinstance(config, SwarmBatch):
-        seed, config = [c.seed for c in config.configs], config.configs[0]
-    else:
-        seed = config.seed
-    rand = rand_fn or make_rand_source(seed)
+def initialize(batch: SwarmBatch, objective, rand_fn=None) -> SwarmState:
+    """Fresh ``(B, N, d)`` swarm: positions uniform in the search box,
+    velocities uniform in the clamp interval, bests at the starting
+    positions, everyone alive."""
+    config = batch.configs[0]
+    rand = rand_fn or make_rand_source([c.seed for c in batch.configs])
     n, d = config.n_agents, objective.dimension
     u_pos = rand(CHANNEL_INIT_POSITION, 0, n, d)
     u_vel = rand(CHANNEL_INIT_VELOCITY, 0, n, d)
@@ -373,41 +358,36 @@ def initialize(config: SwarmConfig | SwarmBatch, objective, rand_fn=None) -> Swa
         positions=positions,
         velocities=velocities,
         best_positions=positions.copy(),
-        best_scores=objective.score_many(positions.reshape(-1, d)).reshape(u_pos.shape[:-1]),
-        alive=np.ones(u_pos.shape[:-1], dtype=bool),
+        best_scores=objective.score_many(positions.reshape(-1, d)).reshape(u_pos.shape[:2]),
+        alive=np.ones(u_pos.shape[:2], dtype=bool),
     )
 
 
 def step(
     swarm: SwarmState,
-    graph: Graph | Neighborhoods,
+    neighborhoods: Neighborhoods,
     objective,
     config: SwarmConfig,
     rand_fn,
     iteration: int,
 ) -> SwarmState:
-    """One synchronous constriction update, in place.
+    """One synchronous constriction update of every row, in place.
 
-    ``graph`` is one graph for every row of the swarm, or the rows'
-    :class:`Neighborhoods`.  Neighborhood bests come from the pre-step
-    state, so update order cannot leak information within an
-    iteration.  The uniform draws are scalars per agent per term,
-    multiplying whole difference vectors; the personal term and its
-    draw are skipped when ``phi1`` is 0 (it would add exactly zero).
-    Velocities are clamped per component after the update; positions
-    are never clamped.  Dead agents do not move.
+    ``neighborhoods`` holds one graph per row.  Neighborhood bests come
+    from the pre-step state, so update order cannot leak information
+    within an iteration.  The uniform draws are scalars per agent per
+    term, multiplying whole difference vectors; the personal term and
+    its draw are skipped when ``phi1`` is 0 (it would add exactly
+    zero).  Velocities are clamped per component after the update;
+    positions are never clamped.  Dead agents do not move.
     """
-    rows = _rows_of(swarm)
-    if isinstance(graph, Neighborhoods):
-        neighborhoods = graph
-        if neighborhoods.include_self != config.include_self:
-            raise ValueError("neighborhoods were built for another include_self")
-    else:
-        neighborhoods = Neighborhoods((graph,) * rows, config.include_self)
+    if neighborhoods.include_self != config.include_self:
+        raise ValueError("neighborhoods were built for another include_self")
     if neighborhoods.node_count != swarm.n_agents:
         raise ValueError(
             f"graph has {neighborhoods.node_count} nodes for {swarm.n_agents} agents"
         )
+    rows = swarm.positions.shape[0]
     if neighborhoods.rows != rows:
         raise ValueError(f"{neighborhoods.rows} graphs for {rows} swarms")
     n, d = swarm.n_agents, swarm.dimension
@@ -438,24 +418,20 @@ def step(
     return swarm
 
 
-def randomized_death(
-    swarm: SwarmState, p, rand_fn, iteration: int
-) -> tuple[SwarmState, list[int]]:
-    """Independent per-agent deactivation: alive agents with draw
-    ``r < p`` die.  ``p`` is one probability, or a sequence of one
-    per batch row.  Returns the swarm and the newly dead indices (flat,
-    ``b * N + i``, in a batch)."""
-    probs = np.asarray(p, dtype=np.float64)
-    if probs.ndim and probs.shape != swarm.alive.shape[:-1]:
-        raise ValueError(f"{probs.size} death probabilities for {_rows_of(swarm)} swarms")
+def randomized_death(swarm: SwarmState, probs, rand_fn, iteration: int) -> SwarmState:
+    """Independent per-agent deactivation, in place: alive agents of
+    row ``b`` whose draw is below ``probs[b]`` die."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.shape != swarm.alive.shape[:1]:
+        raise ValueError(
+            f"{probs.size} death probabilities for {swarm.alive.shape[0]} swarms"
+        )
     if not ((probs >= 0.0) & (probs < 1.0)).all():
-        raise ValueError(f"death probability must be in [0, 1), got {p}")
-    if not probs.any():
-        return swarm, []
-    draws = rand_fn(CHANNEL_DEATH, iteration, swarm.n_agents)[..., 0]
-    newly = swarm.alive & (draws < probs[..., None])
-    swarm.alive &= ~newly
-    return swarm, np.flatnonzero(newly).tolist()
+        raise ValueError(f"death probability must be in [0, 1), got {probs.tolist()}")
+    if probs.any():
+        draws = rand_fn(CHANNEL_DEATH, iteration, swarm.n_agents)[..., 0]
+        swarm.alive &= draws >= probs[:, None]
+    return swarm
 
 
 def run(
@@ -474,73 +450,74 @@ def run(
     to ``max_iters`` so late winners still count.  Winners are
     qualifying agents in the final state, dead ones included;
     survivors are agents still alive.  Fully deterministic given
-    ``config.seed`` (or an injected ``rand_fn``).
+    ``config.seed`` (or an injected ``rand_fn``, which draws
+    ``(B, count, lanes)`` arrays like :func:`make_rand_source`).
 
     A :class:`SwarmBatch` takes one graph per row and gives a
-    :class:`BatchResult`; each row is, bit for bit, what ``run`` gives
-    that row's config and graph alone.  ``success_fn`` then sees every
-    row's agents at once, as ``(B * N, d)`` and ``(B * N,)`` arrays.
+    :class:`BatchResult`; ``success_fn`` then sees every row's agents
+    at once, as ``(B * N, d)`` and ``(B * N,)`` arrays.  One
+    :class:`SwarmConfig` and its graph run as a batch of one and give
+    that row's :class:`RunResult`, so each row of a batch is, bit for
+    bit, what ``run`` gives that row's config and graph alone.
     """
-    if isinstance(config, SwarmBatch):
-        graphs, shared = tuple(graph), config.configs[0]
-        seed = [c.seed for c in config.configs]
-        death = np.array([c.death_prob for c in config.configs])
-        if len(graphs) != len(config.configs):
-            raise ValueError(f"{len(graphs)} graphs for {len(config.configs)} rows")
-    else:
-        graphs, shared, seed, death = (graph,), config, config.seed, config.death_prob
+    single = isinstance(config, SwarmConfig)
+    batch, graphs = (SwarmBatch((config,)), (graph,)) if single else (config, tuple(graph))
+    shared = batch.configs[0]
+    if len(graphs) != len(batch.configs):
+        raise ValueError(f"{len(graphs)} graphs for {len(batch.configs)} rows")
     for one in graphs:
         if one.node_count != shared.n_agents:
             raise ValueError(
                 f"graph has {one.node_count} nodes for {shared.n_agents} agents"
             )
     neighborhoods = Neighborhoods(graphs, shared.include_self)
-    rand = rand_fn or make_rand_source(seed)
-    swarm = initialize(config, objective, rand)
+    rand = rand_fn or make_rand_source([c.seed for c in batch.configs])
+    swarm = initialize(batch, objective, rand)
+    death = np.array([c.death_prob for c in batch.configs])
     alive, d = swarm.alive, swarm.dimension
 
     def qualified() -> np.ndarray:
         flat = success_fn(swarm.best_positions.reshape(-1, d), swarm.best_scores.ravel())
         return np.asarray(flat).reshape(alive.shape)
 
-    # per row, as 0-d arrays for one swarm; 0 means not converged
-    executed = np.zeros(alive.shape[:-1], dtype=np.int64)
-    converged_at = np.zeros(alive.shape[:-1], dtype=np.int64)
+    # per row; 0 means not converged
+    executed = np.zeros(len(graphs), dtype=np.int64)
+    converged_at = np.zeros(len(graphs), dtype=np.int64)
     alive_counts, best_scores = [], []
     for iteration in range(1, shared.max_iters + 1):
-        live = alive.any(axis=-1)
+        live = alive.any(axis=1)
         if not live.any():
             break
         executed[live] = iteration
         step(swarm, neighborhoods, objective, shared, rand, iteration)
         randomized_death(swarm, death, rand, iteration)
         if success_fn is not None:
-            pending = (converged_at == 0) & alive.any(axis=-1)
+            pending = (converged_at == 0) & alive.any(axis=1)
             if pending.any():
-                done = pending & (qualified() | ~alive).all(axis=-1)
+                done = pending & (qualified() | ~alive).all(axis=1)
                 converged_at[done] = iteration
         if record_trace:
-            alive_counts.append(np.count_nonzero(alive, axis=-1))
-            best_scores.append(swarm.best_scores.max(axis=-1))
+            alive_counts.append(np.count_nonzero(alive, axis=1))
+            best_scores.append(swarm.best_scores.max(axis=1))
     winners = (
-        np.count_nonzero(qualified(), axis=-1)
+        np.count_nonzero(qualified(), axis=1)
         if success_fn is not None
-        else np.zeros(alive.shape[:-1], dtype=np.int64)
+        else np.zeros(len(graphs), dtype=np.int64)
     )
-    survivors = np.count_nonzero(alive, axis=-1)
+    survivors = np.count_nonzero(alive, axis=1)
     alive_counts, best_scores = np.array(alive_counts), np.array(best_scores)
 
-    def result(row: tuple) -> RunResult:
+    def result(row: int) -> RunResult:
         trace = None
         if record_trace:
             # a row's trace ends with its last executed iteration
-            span = (slice(0, int(executed[row])),) + row
+            span = int(executed[row])
             trace = tuple(
                 TraceRecord(iteration, count, score)
                 for iteration, count, score in zip(
-                    range(1, int(executed[row]) + 1),
-                    alive_counts[span].tolist(),
-                    best_scores[span].tolist(),
+                    range(1, span + 1),
+                    alive_counts[:span, row].tolist(),
+                    best_scores[:span, row].tolist(),
                 )
             )
         at = int(converged_at[row])
@@ -553,5 +530,5 @@ def run(
             trace=trace,
         )
 
-    rows = tuple(result(row) for row in np.ndindex(alive.shape[:-1]))
-    return BatchResult(rows) if isinstance(config, SwarmBatch) else rows[0]
+    rows = tuple(result(row) for row in range(len(graphs)))
+    return rows[0] if single else BatchResult(rows)

@@ -464,7 +464,7 @@ _RESULTS_TABLE = {
     "winners_mean": ("winners_mean", float),
     "trade_off": ("trade_off", _parse_optional_float),
     "L": ("avg_path_length", _parse_optional_float),
-    "natural_connectivity": ("natural_connectivity", _parse_optional_float),
+    "natural_connectivity": ("natural_connectivity", float),
 }
 
 RESULTS_COLUMNS = tuple(_RESULTS_TABLE)

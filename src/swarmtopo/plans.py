@@ -57,6 +57,8 @@ _SCALAR_KEYS = {
     "objectives", "death_fractions",
 }
 _REQUIRED_KEYS = ("version", "base_seed", "objectives", "death_fractions")
+# optional numeric keys, each named after its ExperimentPlan field
+_OPTIONAL_NUMBERS = {"repetitions": int, "alpha": float, "death_horizon": int, "max_iters": int}
 
 
 def _parse_params(parts: list[str], context: str, keys: dict) -> dict:
@@ -134,23 +136,14 @@ def parse_plan(text: str) -> ExperimentPlan:
     if not topology_lines:
         raise ValueError("plan is missing required keys: ['topology']")
 
-    def _int(key: str, default: int | None = None) -> int:
-        if key not in scalars:
-            return default
+    def _number(key: str, convert):
         try:
-            return int(scalars[key])
+            return convert(scalars[key])
         except ValueError:
-            raise ValueError(f"{key} must be an integer, got {scalars[key]!r}") from None
+            expected = "an integer" if convert is int else "a number"
+            raise ValueError(f"{key} must be {expected}, got {scalars[key]!r}") from None
 
-    def _float(key: str, default: float) -> float:
-        if key not in scalars:
-            return default
-        try:
-            return float(scalars[key])
-        except ValueError:
-            raise ValueError(f"{key} must be a number, got {scalars[key]!r}") from None
-
-    version = _int("version")
+    version = _number("version", int)
     if version != PLAN_VERSION:
         raise ValueError(f"unsupported plan version {version}; expected {PLAN_VERSION}")
 
@@ -173,30 +166,30 @@ def parse_plan(text: str) -> ExperimentPlan:
         except ValueError:
             raise ValueError(f"death_fractions: not a number: {part!r}") from None
 
+    # only the keys the plan sets: the dataclasses own every default
+    success = {}
+    if "success_mode" in scalars:
+        success["mode"] = scalars["success_mode"]
     tolerance_raw = scalars.get("success_tolerance", "default")
-    if tolerance_raw == "default":
-        tolerance = None
-    else:
+    if tolerance_raw != "default":
         try:
-            tolerance = float(tolerance_raw)
+            success["tolerance"] = float(tolerance_raw)
         except ValueError:
             raise ValueError(
                 f"success_tolerance must be a number or 'default', got {tolerance_raw!r}"
             ) from None
-    success = SuccessCriterion(
-        mode=scalars.get("success_mode", "position-radius"), tolerance=tolerance
-    )
-
+    settings = {
+        key: _number(key, convert)
+        for key, convert in _OPTIONAL_NUMBERS.items()
+        if key in scalars
+    }
     return ExperimentPlan(
         topologies=tuple(topologies),
         objectives=tuple(objectives),
         death_fractions=tuple(fractions),
-        base_seed=_int("base_seed"),
-        repetitions=_int("repetitions", 50),
-        success=success,
-        alpha=_float("alpha", 0.7),
-        death_horizon=_int("death_horizon", 500),
-        max_iters=_int("max_iters", 1000),
+        base_seed=_number("base_seed", int),
+        success=SuccessCriterion(**success),
+        **settings,
     )
 
 

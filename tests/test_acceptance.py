@@ -24,6 +24,8 @@ from swarmtopo.engine import (
     CHANNEL_DEATH,
     CHANNEL_VELOCITY_PERSONAL,
     CHANNEL_VELOCITY_SOCIAL,
+    Neighborhoods,
+    SwarmBatch,
     SwarmConfig,
     SwarmState,
     initialize,
@@ -120,10 +122,10 @@ def test_criterion_3_death_model():
     # Monte Carlo through the engine's death channel; the 1000 lanes
     # are 1000 independent seeded trials of a 100-agent swarm.
     for prob, expected in ((3.3e-4, 84.8), (7.0e-4, 70.5)):
-        rand = make_rand_source(1)
+        rand = make_rand_source([1])
         alive = np.ones((100, 1000), dtype=bool)
         for iteration in range(1, 501):
-            alive &= rand(CHANNEL_DEATH, iteration, 100, 1000) >= prob
+            alive &= rand(CHANNEL_DEATH, iteration, 100, 1000)[0] >= prob
         survivors = alive.sum(axis=0)
         mean = survivors.mean()
         stderr = survivors.std(ddof=1) / math.sqrt(1000)
@@ -208,20 +210,21 @@ def _trace_rand(channel, iteration, agent_count, lanes=1):
         CHANNEL_VELOCITY_SOCIAL: TRACE_R2,
     }
     assert agent_count == 2 and lanes == 1
-    return np.array(table[channel][iteration - 1]).reshape(2, 1)
+    return np.array(table[channel][iteration - 1]).reshape(1, 2, 1)
 
 
 def test_criterion_5_update_rule_trace_and_clamp():
     config = SwarmConfig(chi=0.5, phi1=1.0, phi2=2.0, n_agents=2, max_iters=3)
-    graph = make_complete(2)
+    graph = Neighborhoods((make_complete(2),), config.include_self)
     objective = _Parabola()
-    positions = np.array([[1.0], [-2.0]])
+    # one swarm is a batch of one: every state array has a leading row axis
+    positions = np.array([[[1.0], [-2.0]]])
     swarm = SwarmState(
         positions=positions.copy(),
-        velocities=np.array([[0.5], [0.25]]),
+        velocities=np.array([[[0.5], [0.25]]]),
         best_positions=positions.copy(),
-        best_scores=objective.score_many(positions),
-        alive=np.ones(2, dtype=bool),
+        best_scores=objective.score_many(positions[0])[None],
+        alive=np.ones((1, 2), dtype=bool),
     )
     expected = [
         # hand-executed: (positions, velocities, best positions)
@@ -235,16 +238,16 @@ def test_criterion_5_update_rule_trace_and_clamp():
     ]
     for iteration, (pos, vel, best) in enumerate(expected, start=1):
         step(swarm, graph, objective, config, _trace_rand, iteration)
-        assert np.allclose(swarm.positions[:, 0], pos, rtol=0.0, atol=1e-12)
-        assert np.allclose(swarm.velocities[:, 0], vel, rtol=0.0, atol=1e-12)
-        assert np.allclose(swarm.best_positions[:, 0], best, rtol=0.0, atol=1e-12)
+        assert np.allclose(swarm.positions[0, :, 0], pos, rtol=0.0, atol=1e-12)
+        assert np.allclose(swarm.velocities[0, :, 0], vel, rtol=0.0, atol=1e-12)
+        assert np.allclose(swarm.best_positions[0, :, 0], best, rtol=0.0, atol=1e-12)
 
     # clamp invariant over 10^5 randomized agent-steps
     config = SwarmConfig(n_agents=1000, max_iters=100, seed=9)
-    rand = make_rand_source(config.seed)
+    rand = make_rand_source([config.seed])
     objective = default_spec("rastrigin")
-    graph = make_random(1000, edge_prob=0.01, rng=3)
-    swarm = initialize(config, objective, rand)
+    graph = Neighborhoods((make_random(1000, edge_prob=0.01, rng=3),), config.include_self)
+    swarm = initialize(SwarmBatch([config]), objective, rand)
     for iteration in range(1, 101):
         step(swarm, graph, objective, config, rand, iteration)
         assert (np.abs(swarm.velocities) <= config.v_max).all()

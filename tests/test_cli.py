@@ -138,6 +138,12 @@ class TestRunAndSweep:
         payload = json.loads((tmp_path / "out" / "res.json").read_text("ascii"))
         assert len(payload["results"]) == 4
 
+    def test_out_prefix_keeps_text_after_a_dot(self, plan_file, tmp_path):
+        prefix = tmp_path / "sweep-0.3"
+        assert _invoke(["run", str(plan_file), "--out-prefix", str(prefix)]) == 0
+        names = sorted(path.name for path in tmp_path.iterdir() if path != plan_file)
+        assert names == ["sweep-0.3.csv", "sweep-0.3.json"]
+
     def test_run_deterministic_across_invocations(self, plan_file, tmp_path):
         first = tmp_path / "r1"
         second = tmp_path / "r2"

@@ -55,7 +55,7 @@ def neighborhood_best(
     agent: int, graph: Graph, swarm: SwarmState, include_self: bool = True
 ) -> np.ndarray:
     """Per-agent oracle: best-known position among an agent's alive
-    candidates.
+    candidates, in a one-row swarm.
 
     Candidates are the agent's graph neighbors, plus itself unless
     ``include_self`` is off.  Ties break toward the lowest agent
@@ -65,11 +65,11 @@ def neighborhood_best(
     row = np.array(graph.adjacency[agent])
     if include_self:
         row[agent] = True
-    candidates = np.flatnonzero(row & swarm.alive)
+    candidates = np.flatnonzero(row & swarm.alive[0])
     if candidates.size == 0:
-        return swarm.best_positions[agent].copy()
-    winner = candidates[int(np.argmax(swarm.best_scores[candidates]))]
-    return swarm.best_positions[winner].copy()
+        return swarm.best_positions[0, agent].copy()
+    winner = candidates[int(np.argmax(swarm.best_scores[0, candidates]))]
+    return swarm.best_positions[0, winner].copy()
 
 
 def dense_leaders(
@@ -87,8 +87,18 @@ def dense_leaders(
     return np.where(eligible.any(axis=1), leaders, np.arange(n))
 
 
+def _hoods(graph: Graph, include_self: bool = True) -> Neighborhoods:
+    return Neighborhoods((graph,), include_self)
+
+
 def _leaders(graph, include_self, scores, alive):
-    return Neighborhoods((graph,), include_self).leaders(scores, alive)
+    return _hoods(graph, include_self).leaders(scores, alive)
+
+
+def _one_row(positions, velocities, best_positions, best_scores, alive) -> SwarmState:
+    """A one-row swarm from per-agent arrays."""
+    arrays = (positions, velocities, best_positions, best_scores, alive)
+    return SwarmState(*(np.asarray(array)[None] for array in arrays))
 
 
 class _Parabola:
@@ -111,12 +121,12 @@ def _trace_rand(channel, iteration, agent_count, lanes=1):
     table = {CHANNEL_VELOCITY_PERSONAL: TRACE_R1, CHANNEL_VELOCITY_SOCIAL: TRACE_R2}
     column = np.array(table[channel][iteration - 1], dtype=np.float64)
     assert agent_count == 2 and lanes == 1
-    return column.reshape(2, 1)
+    return column.reshape(1, 2, 1)
 
 
 def _fresh_trace_swarm():
     positions = np.array([[1.0], [-2.0]])
-    return SwarmState(
+    return _one_row(
         positions=positions.copy(),
         velocities=np.array([[0.5], [0.25]]),
         best_positions=positions.copy(),
@@ -181,18 +191,18 @@ class TestRandSource:
         lanes=st.integers(min_value=1, max_value=6),
     )
     def test_matches_reference(self, seed, channel, iteration, agent_count, lanes):
-        draws = make_rand_source(seed)(channel, iteration, agent_count, lanes)
+        draws = make_rand_source([seed])(channel, iteration, agent_count, lanes)
         expected = [
             [reference_draw(seed, channel, iteration, agent, lane) for lane in range(lanes)]
             for agent in range(agent_count)
         ]
         assert draws.dtype == np.float64
-        assert np.array_equal(draws, np.array(expected))
+        assert np.array_equal(draws, np.array([expected]))
 
     def test_draw_block_pinned(self):
         parts = []
         for seed in DRAW_BLOCK_SEEDS:
-            rand = make_rand_source(seed)
+            rand = make_rand_source([seed])
             for channel in range(1, 6):
                 for iteration in DRAW_BLOCK_ITERATIONS:
                     parts.append(rand(channel, iteration, 37, 3))
@@ -202,48 +212,48 @@ class TestRandSource:
     def test_cached_keys_match_a_fresh_source(self):
         # the per-channel keys and counter arrays are cached: every call
         # in an interleaved sequence must give a fresh source's draws
-        rand = make_rand_source(9)
+        rand = make_rand_source([9])
         calls = [(5, 4, 50, 2), (5, 5, 80, 3), (4, 4, 50, 2), (4, 5, 2, 50),
                  (5, 4, 50, 2), (1, 0, 80, 1), (4, 4, 3, 3)]
         for coords in calls:
-            assert np.array_equal(rand(*coords), make_rand_source(9)(*coords)), coords
+            assert np.array_equal(rand(*coords), make_rand_source([9])(*coords)), coords
 
     def test_shape_and_range(self):
-        rand = make_rand_source(7)
+        rand = make_rand_source([7])
         draws = rand(CHANNEL_DEATH, 3, 50, 4)
-        assert draws.shape == (50, 4)
+        assert draws.shape == (1, 50, 4)
         assert (draws >= 0.0).all() and (draws < 1.0).all()
-        assert rand(CHANNEL_DEATH, 3, 50).shape == (50, 1)
+        assert rand(CHANNEL_DEATH, 3, 50).shape == (1, 50, 1)
 
     def test_pure_coordinates(self):
-        rand = make_rand_source(7)
+        rand = make_rand_source([7])
         a = rand(CHANNEL_VELOCITY_SOCIAL, 9, 20)
         b = rand(CHANNEL_VELOCITY_SOCIAL, 9, 20)
         assert np.array_equal(a, b)
         # same coordinates from a fresh source with the same seed
-        assert np.array_equal(a, make_rand_source(7)(CHANNEL_VELOCITY_SOCIAL, 9, 20))
+        assert np.array_equal(a, make_rand_source([7])(CHANNEL_VELOCITY_SOCIAL, 9, 20))
 
     def test_agent_and_lane_prefixes(self):
-        rand = make_rand_source(11)
+        rand = make_rand_source([11])
         big = rand(CHANNEL_INIT_POSITION, 0, 30, 6)
-        assert np.array_equal(big[:12], rand(CHANNEL_INIT_POSITION, 0, 12, 6))
-        assert np.array_equal(big[:, :2], rand(CHANNEL_INIT_POSITION, 0, 30, 2))
+        assert np.array_equal(big[:, :12], rand(CHANNEL_INIT_POSITION, 0, 12, 6))
+        assert np.array_equal(big[..., :2], rand(CHANNEL_INIT_POSITION, 0, 30, 2))
 
     def test_channels_iterations_seeds_decorrelated(self):
-        rand = make_rand_source(0)
+        rand = make_rand_source([0])
         a = rand(CHANNEL_VELOCITY_PERSONAL, 1, 100)
         assert not np.array_equal(a, rand(CHANNEL_VELOCITY_SOCIAL, 1, 100))
         assert not np.array_equal(a, rand(CHANNEL_VELOCITY_PERSONAL, 2, 100))
-        assert not np.array_equal(a, make_rand_source(1)(CHANNEL_VELOCITY_PERSONAL, 1, 100))
+        assert not np.array_equal(a, make_rand_source([1])(CHANNEL_VELOCITY_PERSONAL, 1, 100))
 
     def test_roughly_uniform(self):
-        rand = make_rand_source(3)
-        draws = rand(CHANNEL_DEATH, 1, 100_000)[:, 0]
+        rand = make_rand_source([3])
+        draws = rand(CHANNEL_DEATH, 1, 100_000)[0, :, 0]
         assert abs(draws.mean() - 0.5) < 0.005
         assert abs(np.quantile(draws, 0.25) - 0.25) < 0.01
 
     def test_rejects_empty(self):
-        rand = make_rand_source(0)
+        rand = make_rand_source([0])
         with pytest.raises(ValueError, match="agent_count and lanes must be >= 1"):
             rand(CHANNEL_DEATH, 0, 0)
         with pytest.raises(ValueError, match="agent_count and lanes must be >= 1"):
@@ -251,7 +261,7 @@ class TestRandSource:
 
     @pytest.mark.parametrize("bad", [-1, -(1 << 40), 1 << 64])
     def test_rejects_coordinates_outside_64_bits(self, bad):
-        rand = make_rand_source(0)
+        rand = make_rand_source([0])
         with pytest.raises(OverflowError):
             rand(bad, 0, 5)
         with pytest.raises(OverflowError):
@@ -261,7 +271,7 @@ class TestRandSource:
 class TestHandTrace:
     def test_three_steps_match_hand_computation(self):
         config = SwarmConfig(chi=0.5, phi1=1.0, phi2=2.0, n_agents=2, max_iters=3)
-        graph = make_complete(2)
+        graph = _hoods(make_complete(2))
         objective = _Parabola()
         swarm = _fresh_trace_swarm()
 
@@ -277,15 +287,15 @@ class TestHandTrace:
         ]
         for iteration, (pos, vel, best) in enumerate(expected, start=1):
             step(swarm, graph, objective, config, _trace_rand, iteration)
-            assert np.allclose(swarm.positions[:, 0], pos, rtol=0.0, atol=1e-12)
-            assert np.allclose(swarm.velocities[:, 0], vel, rtol=0.0, atol=1e-12)
-            assert np.allclose(swarm.best_positions[:, 0], best, rtol=0.0, atol=1e-12)
+            assert np.allclose(swarm.positions[0, :, 0], pos, rtol=0.0, atol=1e-12)
+            assert np.allclose(swarm.velocities[0, :, 0], vel, rtol=0.0, atol=1e-12)
+            assert np.allclose(swarm.best_positions[0, :, 0], best, rtol=0.0, atol=1e-12)
 
         # chi times a cancelling sum: exactly zero, not merely small
         swarm = _fresh_trace_swarm()
         step(swarm, graph, objective, SwarmConfig(chi=0.5, phi1=1.0, phi2=2.0, n_agents=2), _trace_rand, 1)
         step(swarm, graph, objective, SwarmConfig(chi=0.5, phi1=1.0, phi2=2.0, n_agents=2), _trace_rand, 2)
-        assert swarm.velocities[0, 0] == 0.0
+        assert swarm.velocities[0, 0, 0] == 0.0
 
     def test_scalar_draw_multiplies_whole_vector(self):
         # 2-D: one scalar per term scales both components identically
@@ -296,37 +306,37 @@ class TestHandTrace:
                 return -np.abs(np.asarray(points)).sum(axis=1)
 
         def fixed_rand(channel, iteration, agent_count, lanes=1):
-            return np.full((agent_count, lanes), 0.5)
+            return np.full((1, agent_count, lanes), 0.5)
 
         config = SwarmConfig(chi=1.0, phi1=0.0, phi2=2.0, n_agents=2, v_max=100.0, v_min=-100.0)
         positions = np.array([[0.0, 0.0], [3.0, -6.0]])
-        swarm = SwarmState(
+        swarm = _one_row(
             positions=positions.copy(),
             velocities=np.zeros((2, 2)),
             best_positions=positions.copy(),
             best_scores=Plane().score_many(positions),
             alive=np.ones(2, dtype=bool),
         )
-        step(swarm, make_complete(2), Plane(), config, fixed_rand, 1)
+        step(swarm, _hoods(make_complete(2)), Plane(), config, fixed_rand, 1)
         # agent 1 moves toward agent 0's best: v = 1.0*(0 + 2*0.5*(0-x))
-        assert np.allclose(swarm.velocities[1], [-3.0, 6.0], atol=1e-15)
+        assert np.allclose(swarm.velocities[0, 1], [-3.0, 6.0], atol=1e-15)
 
 
 class TestStepInvariants:
     def test_velocity_clamp_on_randomized_steps(self):
         objective = default_spec("rastrigin")
         config = SwarmConfig(n_agents=1000, max_iters=1)
-        rand = make_rand_source(99)
-        graph = make_ring(1000)
+        rand = make_rand_source([99])
+        graph = _hoods(make_ring(1000))
         rng = np.random.default_rng(1)
-        swarm = SwarmState(
+        swarm = _one_row(
             positions=rng.uniform(-500, 500, size=(1000, 2)),
             velocities=rng.uniform(-9.99, 9.99, size=(1000, 2)),
             best_positions=rng.uniform(-500, 500, size=(1000, 2)),
             best_scores=np.zeros(1000),
             alive=np.ones(1000, dtype=bool),
         )
-        swarm.best_scores = objective.score_many(swarm.best_positions)
+        swarm.best_scores = objective.score_many(swarm.best_positions[0])[None]
         for iteration in range(1, 101):  # 10^5 agent-steps
             step(swarm, graph, objective, config, rand, iteration)
             assert (np.abs(swarm.velocities) <= config.v_max).all()
@@ -336,31 +346,31 @@ class TestStepInvariants:
         config = SwarmConfig(chi=1.0, phi2=2.0, n_agents=2, v_min=-10, v_max=10)
 
         def push(channel, iteration, agent_count, lanes=1):
-            return np.full((agent_count, lanes), 0.999)
+            return np.full((1, agent_count, lanes), 0.999)
 
         positions = np.array([[4.9], [-4.9]])
-        swarm = SwarmState(
+        swarm = _one_row(
             positions=positions.copy(),
             velocities=np.array([[9.0], [-9.0]]),
             best_positions=positions.copy(),
             best_scores=objective.score_many(positions),
             alive=np.ones(2, dtype=bool),
         )
-        step(swarm, make_complete(2), objective, config, push, 1)
+        step(swarm, _hoods(make_complete(2)), objective, config, push, 1)
         # agent 0 sails past the objective's box; nothing pulls it back
         assert swarm.positions.max() > 5.0
 
     def test_dead_agents_do_not_move_but_keep_bests(self):
         objective = default_spec("rastrigin")
         config = SwarmConfig(n_agents=4, max_iters=1)
-        rand = make_rand_source(5)
-        swarm = initialize(config_with(n_agents=4), objective, rand)
-        frozen_pos = swarm.positions[2].copy()
-        frozen_best = swarm.best_scores[2]
-        swarm.alive[2] = False
-        step(swarm, make_complete(4), objective, config, rand, 1)
-        assert np.array_equal(swarm.positions[2], frozen_pos)
-        assert swarm.best_scores[2] == frozen_best
+        rand = make_rand_source([5])
+        swarm = initialize(SwarmBatch([config_with(n_agents=4)]), objective, rand)
+        frozen_pos = swarm.positions[0, 2].copy()
+        frozen_best = swarm.best_scores[0, 2]
+        swarm.alive[0, 2] = False
+        step(swarm, _hoods(make_complete(4)), objective, config, rand, 1)
+        assert np.array_equal(swarm.positions[0, 2], frozen_pos)
+        assert swarm.best_scores[0, 2] == frozen_best
 
     def test_synchronous_update_uses_snapshot(self):
         # if updates leaked within the iteration, agent 1 would chase
@@ -369,29 +379,29 @@ class TestStepInvariants:
             pass
 
         def rand(channel, iteration, agent_count, lanes=1):
-            return np.ones((agent_count, lanes)) * 0.5
+            return np.ones((1, agent_count, lanes)) * 0.5
 
         config = SwarmConfig(chi=1.0, phi1=0.0, phi2=1.0, n_agents=2, v_min=-100, v_max=100)
         positions = np.array([[2.0], [10.0]])
-        swarm = SwarmState(
+        swarm = _one_row(
             positions=positions.copy(),
             velocities=np.array([[-1.0], [0.0]]),
             best_positions=positions.copy(),
             best_scores=Line().score_many(positions),
             alive=np.ones(2, dtype=bool),
         )
-        step(swarm, make_complete(2), Line(), config, rand, 1)
+        step(swarm, _hoods(make_complete(2)), Line(), config, rand, 1)
         # agent 0 moved to 1.0 (a better best), but agent 1 must have
         # targeted the snapshot best 2.0: v = 0.5*(2-10) = -4
-        assert swarm.positions[0, 0] == 1.0
-        assert swarm.velocities[1, 0] == -4.0
+        assert swarm.positions[0, 0, 0] == 1.0
+        assert swarm.velocities[0, 1, 0] == -4.0
 
     def test_personal_bests_monotone(self):
         objective = default_spec("ackley")
         config = SwarmConfig(n_agents=30, max_iters=1)
-        rand = make_rand_source(17)
-        swarm = initialize(config_with(n_agents=30), objective, rand)
-        graph = make_ring(30)
+        rand = make_rand_source([17])
+        swarm = initialize(SwarmBatch([config_with(n_agents=30)]), objective, rand)
+        graph = _hoods(make_ring(30))
         previous = swarm.best_scores.copy()
         for iteration in range(1, 40):
             step(swarm, graph, objective, config, rand, iteration)
@@ -407,7 +417,7 @@ class TestNeighborhoodBest:
     def _swarm_with_scores(self, scores):
         n = len(scores)
         positions = np.arange(n, dtype=np.float64).reshape(n, 1)
-        return SwarmState(
+        return _one_row(
             positions=positions.copy(),
             velocities=np.zeros((n, 1)),
             best_positions=positions.copy(),
@@ -439,23 +449,23 @@ class TestNeighborhoodBest:
 
     def test_dead_candidates_excluded(self):
         swarm = self._swarm_with_scores([9.0, 1.0, 0.5])
-        swarm.alive[0] = False
+        swarm.alive[0, 0] = False
         got = neighborhood_best(2, make_complete(3), swarm)
         assert got[0] == 1.0
 
     def test_all_candidates_dead_falls_back_to_self(self):
         swarm = self._swarm_with_scores([9.0, 1.0, 0.5])
         swarm.alive[:] = False
-        swarm.alive[2] = True
+        swarm.alive[0, 2] = True
         got = neighborhood_best(2, make_star(3), swarm, include_self=False)
         assert got[0] == 2.0
 
     def test_matches_step_leader_choice(self):
         objective = default_spec("griewank")
         config = SwarmConfig(n_agents=12, max_iters=1)
-        rand = make_rand_source(23)
-        swarm = initialize(config_with(n_agents=12), objective, rand)
-        swarm.alive[[3, 7]] = False
+        rand = make_rand_source([23])
+        swarm = initialize(SwarmBatch([config_with(n_agents=12)]), objective, rand)
+        swarm.alive[0, [3, 7]] = False
         graph = make_ring(12)
         expected = np.stack(
             [neighborhood_best(i, graph, swarm) for i in range(12)]
@@ -463,7 +473,7 @@ class TestNeighborhoodBest:
         # zero draws isolate the social target: x' = x + chi*phi2*0*(...)
         # so instead compare against a chi=1, phi2=1, r=1 step
         def ones(channel, iteration, agent_count, lanes=1):
-            return np.ones((agent_count, lanes))
+            return np.ones((1, agent_count, lanes))
 
         probe = SwarmState(
             positions=swarm.positions.copy(),
@@ -473,9 +483,9 @@ class TestNeighborhoodBest:
             alive=swarm.alive.copy(),
         )
         cfg = SwarmConfig(chi=1.0, phi1=0.0, phi2=1.0, n_agents=12, v_min=-1e9, v_max=1e9)
-        step(probe, graph, objective, cfg, ones, 1)
+        step(probe, _hoods(graph), objective, cfg, ones, 1)
         # x' - x = social_target - x  =>  social_target = x'
-        got = np.where(swarm.alive[:, None], probe.positions, expected)
+        got = np.where(swarm.alive[0, :, None], probe.positions[0], expected)
         assert np.allclose(got, expected, atol=1e-12)
 
 
@@ -496,7 +506,7 @@ class TestLeaderTable:
         assert np.array_equal(leaders, dense_leaders(graph, include_self, scores, alive))
         # positions equal to agent indices make each oracle best a leader index
         positions = np.arange(n, dtype=np.float64).reshape(n, 1)
-        swarm = SwarmState(positions, np.zeros((n, 1)), positions.copy(), scores, alive)
+        swarm = _one_row(positions, np.zeros((n, 1)), positions.copy(), scores, alive)
         for agent in range(n):
             assert neighborhood_best(agent, graph, swarm, include_self)[0] == leaders[agent]
 
@@ -534,38 +544,40 @@ class TestLeaderTable:
 
 class TestDeathAndRun:
     def test_death_draws_deterministic(self):
-        rand = make_rand_source(31)
+        rand = make_rand_source([31])
         config = SwarmConfig(n_agents=200, max_iters=1)
         objective = default_spec("rastrigin")
-        swarm = initialize(config, objective, rand)
-        _, newly = randomized_death(swarm, 0.1, rand, 7)
-        expected = np.flatnonzero(rand(CHANNEL_DEATH, 7, 200)[:, 0] < 0.1).tolist()
-        assert newly == expected
-        assert not swarm.alive[newly].any()
+        swarm = initialize(SwarmBatch([config]), objective, rand)
+        randomized_death(swarm, [0.1], rand, 7)
+        expected = np.flatnonzero(rand(CHANNEL_DEATH, 7, 200)[0, :, 0] < 0.1).tolist()
+        assert np.flatnonzero(~swarm.alive[0]).tolist() == expected
 
     def test_death_zero_probability(self):
-        rand = make_rand_source(0)
-        swarm = initialize(SwarmConfig(n_agents=50), default_spec("ackley"), rand)
-        _, newly = randomized_death(swarm, 0.0, rand, 1)
-        assert newly == [] and swarm.alive.all()
+        rand = make_rand_source([0])
+        swarm = initialize(SwarmBatch([SwarmConfig(n_agents=50)]), default_spec("ackley"), rand)
+        randomized_death(swarm, [0.0], rand, 1)
+        assert swarm.alive.all()
 
     def test_dead_stay_dead(self):
-        rand = make_rand_source(13)
-        swarm = initialize(SwarmConfig(n_agents=100), default_spec("ackley"), rand)
-        swarm.alive[:50] = False
-        _, newly = randomized_death(swarm, 0.9, rand, 1)
-        assert all(i >= 50 for i in newly)
+        rand = make_rand_source([13])
+        swarm = initialize(SwarmBatch([SwarmConfig(n_agents=100)]), default_spec("ackley"), rand)
+        swarm.alive[0, :50] = False
+        randomized_death(swarm, [0.9], rand, 1)
+        # the dead are not revived; the alive half loses agents of its own
+        assert not swarm.alive[0, :50].any()
+        assert 0 < np.count_nonzero(swarm.alive[0, 50:]) < 50
 
     def test_rejects_certain_death(self):
-        rand = make_rand_source(0)
-        swarm = initialize(SwarmConfig(n_agents=10), default_spec("ackley"), rand)
+        rand = make_rand_source([0])
+        swarm = initialize(SwarmBatch([SwarmConfig(n_agents=10)]), default_spec("ackley"), rand)
         with pytest.raises(ValueError):
-            randomized_death(swarm, 1.0, rand, 1)
+            randomized_death(swarm, [1.0], rand, 1)
 
     def test_initialize_within_bounds(self):
         objective = default_spec("schwefel")
         config = SwarmConfig(n_agents=300, seed=8)
-        swarm = initialize(config, objective)
+        swarm = initialize(SwarmBatch([config]), objective)
+        assert swarm.positions.shape == (1, 300, objective.dimension)
         assert (swarm.positions >= objective.lower).all()
         assert (swarm.positions <= objective.upper).all()
         assert (np.abs(swarm.velocities) <= config.v_max).all()
@@ -612,8 +624,8 @@ class TestDeathAndRun:
         # death channel pinned per agent, every other draw 0.5
         def rand(channel, iteration, agent_count, lanes=1):
             if channel == CHANNEL_DEATH:
-                return np.array(draws, dtype=float).reshape(agent_count, 1)
-            return np.full((agent_count, lanes), 0.5)
+                return np.array(draws, dtype=float).reshape(1, agent_count, 1)
+            return np.full((1, agent_count, lanes), 0.5)
 
         return rand
 
@@ -691,7 +703,7 @@ class TestConfigValidation:
 class TestPersonalTerm:
     @staticmethod
     def _counting_source(seed):
-        source = make_rand_source(seed)
+        source = make_rand_source([seed])
         calls = Counter()
 
         def rand(channel, iteration, agent_count, lanes=1):
@@ -791,7 +803,7 @@ class TestBatch:
         draws = batch(CHANNEL_DEATH, 3, 5, 2)
         assert draws.shape == (3, 5, 2)
         for row, seed in zip(draws, seeds):
-            assert np.array_equal(row, make_rand_source(seed)(CHANNEL_DEATH, 3, 5, 2))
+            assert np.array_equal(row, make_rand_source([seed])(CHANNEL_DEATH, 3, 5, 2)[0])
 
     def test_graph_count_and_size_checked(self):
         batch = SwarmBatch([SwarmConfig(n_agents=6), SwarmConfig(n_agents=6, seed=1)])
@@ -805,11 +817,11 @@ class TestBatch:
         batch = SwarmBatch([SwarmConfig(n_agents=50), SwarmConfig(n_agents=50, seed=1)])
         rand = make_rand_source([0, 1])
         swarm = initialize(batch, default_spec("ackley"), rand)
-        _, newly = randomized_death(swarm, [0.0, 0.5], rand, 1)
-        # row 0 cannot lose anyone; the flat indices of row 1 start at 50
-        assert newly and min(newly) >= 50
+        randomized_death(swarm, [0.0, 0.5], rand, 1)
+        # row 0 cannot lose anyone
         assert swarm.alive[0].all() and not swarm.alive[1].all()
         with pytest.raises(ValueError):
             randomized_death(swarm, [0.0, 1.0], rand, 2)
-        with pytest.raises(ValueError):
-            randomized_death(swarm, [0.1, 0.1, 0.1], rand, 2)
+        for probs in ([0.1, 0.1, 0.1], 0.1):
+            with pytest.raises(ValueError, match="death probabilities for 2 swarms"):
+                randomized_death(swarm, probs, rand, 2)

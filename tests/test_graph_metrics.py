@@ -3,7 +3,8 @@
 The geodesic oracles are a plain Floyd-Warshall reimplementation and
 networkx's breadth-first search; the spectral constants for the 5-node
 complete/star/ring graphs are known closed forms.  Clustering and the
-spectrum are checked against networkx on every topology kind.
+spectrum are checked against networkx on every topology kind, and the
+small-world score omega against a hand-computed five-node case.
 """
 
 import networkx as nx
@@ -215,6 +216,22 @@ class TestSmallWorldNess:
     def test_deterministic_given_seed(self):
         g = make_small_world(60, 6, 0.2, rng=5)
         assert _omega(g, rng=11) == _omega(g, rng=11)
+
+    @pytest.mark.parametrize("rng", [0, 1, 2])
+    def test_hand_computed_omega(self, rng):
+        # Telesford et al. 2011: omega = L_random / L - C / C_lattice.  K5
+        # minus one edge has L = 22/20 (two of the 20 ordered pairs at
+        # distance 2) and C = (1 + 1 + 3 * 5/6) / 5 = 0.9; its lattice
+        # baseline multi-ring(5, 2) is K5 with C = 1, and every random
+        # graph of 5 nodes and 9 edges is again K5 minus one edge.
+        g = Graph.from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5)][1:])
+        assert g.edge_count == 9
+        assert average_geodesic(g) == pytest.approx(1.1, abs=1e-12)
+        assert clustering_coefficient(g) == pytest.approx(0.9, abs=1e-12)
+        assert clustering_coefficient(make_multi_ring(5, 2)) == 1.0
+        assert _omega(g, rng=rng) == pytest.approx(0.1, abs=1e-12)
+        # K5 is its own lattice baseline and its own random graph
+        assert _omega(make_complete(5), rng=rng) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestComputeMetrics:

@@ -431,7 +431,8 @@ class TestSerialization:
                 winners_mean=0.0,
                 trade_off=None,
                 avg_path_length=None,
-                natural_connectivity=None,
+                # never absent: every graph has a natural connectivity
+                natural_connectivity=5.349371175761953,
             ),
         ]
 
@@ -445,7 +446,7 @@ class TestSerialization:
         )
         star = lines[2].split(",")
         assert star[6] == "--" and star[8] == "--"
-        assert star[9] == "--" and star[10] == "--"
+        assert star[9] == "--" and star[10] == "5.349371175761953"
 
     def test_csv_round_trip(self):
         rows = self._rows()
@@ -462,6 +463,13 @@ class TestSerialization:
             parse_results_csv("\n".join(lines) + "\n")
         assert str(info.value) == (
             "line 3, column gsr: could not convert string to float: 'zz'"
+        )
+        # natural connectivity is never absent, so the absent marker is an error
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",--"
+        with pytest.raises(ValueError) as info:
+            parse_results_csv("\n".join(lines) + "\n")
+        assert str(info.value) == (
+            "line 2, column natural_connectivity: could not convert string to float: '--'"
         )
         with pytest.raises(ValueError, match=r"^line 2: malformed results row"):
             parse_results_csv(lines[0] + "\nring-n100,ring\n")
