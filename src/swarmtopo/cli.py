@@ -183,14 +183,17 @@ def _make_trace_factory(trace_dir: str):
 def _execute_plan(plan, args) -> int:
     plan = _apply_env_base_seed(plan)
     workers = args.workers if args.workers is not None else _default_workers()
-    factory = _make_trace_factory(args.trace_dir) if args.trace_dir else None
-    rows = run_plan(plan, workers=workers, trace_hook_factory=factory)
+    # the prefix is checked and its directory made before the plan runs,
+    # so a bad prefix costs no results
     prefix = Path(args.out_prefix)
-    if prefix.parent != Path("."):
-        prefix.parent.mkdir(parents=True, exist_ok=True)
+    if prefix.name in ("", ".."):
+        raise ValueError(f"--out-prefix {args.out_prefix!r} has no file name")
+    prefix.parent.mkdir(parents=True, exist_ok=True)
     # appended, not substituted: a dot in the prefix is part of the name
     csv_path = prefix.with_name(prefix.name + ".csv")
     json_path = prefix.with_name(prefix.name + ".json")
+    factory = _make_trace_factory(args.trace_dir) if args.trace_dir else None
+    rows = run_plan(plan, workers=workers, trace_hook_factory=factory)
     csv_path.write_text(results_to_csv(rows), encoding="ascii")
     json_path.write_text(results_to_json(rows), encoding="ascii")
     print(f"wrote {len(rows)} rows -> {csv_path} and {json_path}")

@@ -1,13 +1,21 @@
 """Structural metrics for communication graphs.
 
-Distances come from breadth-first search expressed as matrix
-products: each BFS level multiplies the boolean frontier, cast to
-float32, by the float32 adjacency, so the product runs in BLAS.  The
-all-pairs cost is depth x n^3 flops.  The results are exact: a product
-entry counts frontier neighbours, at most n, far below float32's 2^24
-integer limit, and only its sign is read.  Spectra come from dense
-symmetric eigendecomposition.  All metrics tolerate disconnected
-graphs: path-based quantities report ``None`` instead of infinities.
+Distances come from one breadth-first search kernel that runs many
+sources at once.  Each BFS level multiplies the frontier, a float32
+(sources x n) 0/1 matrix, by the float32 adjacency in BLAS, thresholds
+the product at > 0 and masks it by the nodes not yet reached, all in
+reused buffers.  Per level that is one n^3 float32 product (all
+sources) plus O(n^2) mask work; a single-source search costs n^2 per
+level.  The results are exact: a product entry counts frontier
+neighbours, at most n, far below float32's 2^24 integer limit, and
+only its sign is read.  The omega sampler checks each random reference
+graph with a single-source search first, so a disconnected sample is
+rejected at O(depth x n^2) before the all-pairs search.  The dense
+product wastes work on long, thin frontiers (a 1000-node ring runs 500
+levels); a sparse or bit-packed search for n >= 1000 is not built yet.
+Spectra come from dense symmetric eigendecomposition.  All metrics
+tolerate disconnected graphs: path-based quantities report ``None``
+instead of infinities.
 """
 
 from __future__ import annotations
@@ -30,29 +38,73 @@ __all__ = [
 ]
 
 
+def _bfs_levels(adjacency: np.ndarray, sources: np.ndarray | list[int]):
+    """Yield ``(depth, new, count)`` for each BFS level from ``sources``
+    at once.
+
+    ``adjacency`` is the float32 (n, n) matrix and ``sources`` a
+    sequence of node indices; row i of the boolean ``new`` marks the
+    nodes first reached from ``sources[i]`` at ``depth``, and ``count``
+    is the number of marks.  One level is the product
+    ``frontier @ adjacency`` written into a reused buffer, thresholded
+    at > 0 and masked by the nodes not yet reached, so ``new`` is
+    overwritten by the next level.  The generator stops at the first
+    level that reaches nothing.
+    """
+    rows = np.arange(len(sources))
+    frontier = np.zeros((len(sources), adjacency.shape[0]), dtype=np.float32)
+    frontier[rows, sources] = 1.0
+    unreached = frontier == 0.0
+    product = np.empty_like(frontier)
+    new = np.empty_like(unreached)
+    depth = 0
+    while True:
+        np.matmul(frontier, adjacency, out=product)
+        np.greater(product, 0.0, out=new)
+        new &= unreached
+        count = int(np.count_nonzero(new))
+        if not count:
+            return
+        unreached ^= new
+        np.copyto(frontier, new)
+        depth += 1
+        yield depth, new, count
+
+
+def _distance_sum(adjacency: np.ndarray, sources: np.ndarray | list[int]) -> int | None:
+    """Sum of hop distances from ``sources`` to every node, or ``None``
+    as soon as a BFS level adds nothing while some node is unreached."""
+    unreached = len(sources) * (adjacency.shape[0] - 1)
+    total = 0
+    for depth, _, count in _bfs_levels(adjacency, sources):
+        total += depth * count
+        unreached -= count
+        if not unreached:
+            break
+    return None if unreached else total
+
+
+def _mean_geodesic(adjacency: np.ndarray) -> float | None:
+    """Mean hop distance over the ordered node pairs of the float32
+    ``adjacency`` (at least two nodes), or ``None`` when disconnected."""
+    n = adjacency.shape[0]
+    total = _distance_sum(adjacency, np.arange(n))
+    return None if total is None else float(total) / (n * (n - 1))
+
+
 def shortest_path_matrix(graph: Graph) -> np.ndarray:
     """All-pairs hop distances; unreachable pairs get -1.
 
-    Level-synchronous BFS from every source at once: the frontier is
-    an n x n boolean matrix, and one level is the float32 product
-    ``frontier @ adjacency`` (BLAS), thresholded at > 0 and masked by
-    the nodes already reached.  Each level costs n^3 multiply-adds, so
-    the call costs depth x n^3 flops, depth being the largest finite
-    distance plus one.  The distances are exact: product entries are
-    neighbour counts no larger than n.
+    Every source's BFS runs at once (:func:`_bfs_levels`): each level
+    costs one n x n x n float32 product plus O(n^2) mask work, so the
+    call costs depth x n^3 flops, depth being the largest finite
+    distance plus one.
     """
-    adj = graph.adjacency.astype(np.float32)
     n = graph.node_count
     dist = np.full((n, n), -1, dtype=np.int32)
     np.fill_diagonal(dist, 0)
-    reached = np.eye(n, dtype=bool)
-    frontier = reached.copy()
-    depth = 0
-    while frontier.any():
-        depth += 1
-        frontier = ((frontier.astype(np.float32) @ adj) > 0) & ~reached
-        dist[frontier] = depth
-        reached |= frontier
+    for depth, new, _ in _bfs_levels(graph.adjacency.astype(np.float32), np.arange(n)):
+        dist[new] = depth
     return dist
 
 
@@ -60,27 +112,18 @@ def average_geodesic(graph: Graph) -> float | None:
     """Mean shortest-path length over ordered node pairs.
 
     Returns ``None`` when the graph is disconnected.  Needs at least
-    two nodes.
+    two nodes.  Adds up depth times the pairs first reached at that
+    depth over the all-pairs BFS levels, stopping once every pair is
+    reached, without building the distance matrix.
     """
-    n = graph.node_count
-    if n < 2:
+    if graph.node_count < 2:
         raise ValueError("average geodesic needs at least 2 nodes")
-    dist = shortest_path_matrix(graph)
-    if (dist < 0).any():
-        return None
-    return float(dist.sum()) / (n * (n - 1))
+    return _mean_geodesic(graph.adjacency.astype(np.float32))
 
 
 def is_connected(graph: Graph) -> bool:
     """True when every node is reachable from node 0."""
-    adj = graph.adjacency.astype(np.float32)
-    reached = np.zeros(graph.node_count, dtype=bool)
-    reached[0] = True
-    frontier = reached.copy()
-    while frontier.any():
-        frontier = ((frontier.astype(np.float32) @ adj) > 0) & ~reached
-        reached |= frontier
-    return bool(reached.all())
+    return _distance_sum(graph.adjacency.astype(np.float32), [0]) is not None
 
 
 def graph_spectrum(graph: Graph) -> np.ndarray:
@@ -115,14 +158,15 @@ def _random_same_size(
     edge_count: int,
     pairs: tuple[np.ndarray, np.ndarray],
     rng: np.random.Generator,
-) -> Graph:
-    # uniform simple graph with exactly edge_count edges; pairs is
+) -> np.ndarray:
+    # symmetric boolean adjacency of a uniform simple graph with exactly
+    # edge_count edges, left unvalidated; pairs is
     # np.triu_indices(node_count, k=1), built once per caller
     iu, ju = pairs
     pick = rng.choice(iu.size, size=edge_count, replace=False)
     adj = np.zeros((node_count, node_count), dtype=bool)
     adj[iu[pick], ju[pick]] = True
-    return Graph(adj | adj.T)
+    return adj | adj.T
 
 
 def small_world_ness(
@@ -159,9 +203,11 @@ def small_world_ness(
     attempts = 0
     while len(lengths) < sample_count and attempts < 20 * sample_count:
         attempts += 1
-        sample_length = average_geodesic(_random_same_size(n, m, pairs, rng))
-        if sample_length is not None:
-            lengths.append(sample_length)
+        sample = _random_same_size(n, m, pairs, rng).astype(np.float32)
+        # a disconnected sample fails the single-source search and is
+        # dropped before the all-pairs one
+        if _distance_sum(sample, [0]) is not None:
+            lengths.append(_mean_geodesic(sample))
     if not lengths:
         return None
     return float(np.mean(lengths) / path_length - clustering / lattice_clustering)
@@ -181,13 +227,18 @@ class GraphMetrics:
 
 
 def compute_metrics(graph: Graph, rng=None, omega_samples: int = 10) -> GraphMetrics:
-    """Evaluate every metric for one graph, measuring its L and C once."""
-    path_length = average_geodesic(graph) if graph.node_count >= 2 else None
+    """Evaluate every metric for one graph, measuring its L and C once.
+
+    The all-pairs search behind L also settles connectivity: a graph is
+    connected when L is defined or it has a single node.
+    """
+    single = graph.node_count == 1
+    path_length = None if single else average_geodesic(graph)
     clustering = clustering_coefficient(graph)
     return GraphMetrics(
         node_count=graph.node_count,
         edge_count=graph.edge_count,
-        connected=is_connected(graph),
+        connected=single or path_length is not None,
         average_path_length=path_length,
         natural_connectivity=natural_connectivity(graph),
         clustering_coefficient=clustering,

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from swarmtopo import cli
 from swarmtopo.cli import main
 from swarmtopo.harness import parse_results_csv
 from swarmtopo.topology import (
@@ -129,6 +130,16 @@ class TestMetrics:
         assert _invoke(["metrics", str(tmp_path / "ghost.txt")]) == 2
 
 
+@pytest.fixture
+def no_run(monkeypatch):
+    """Make any call of ``run_plan`` through the CLI fail the test."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("run_plan called")
+
+    monkeypatch.setattr(cli, "run_plan", never)
+
+
 class TestRunAndSweep:
     def test_run_writes_csv_and_json(self, plan_file, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -143,6 +154,20 @@ class TestRunAndSweep:
         assert _invoke(["run", str(plan_file), "--out-prefix", str(prefix)]) == 0
         names = sorted(path.name for path in tmp_path.iterdir() if path != plan_file)
         assert names == ["sweep-0.3.csv", "sweep-0.3.json"]
+
+    @pytest.mark.parametrize("prefix", [".", "/", "..", "out/.."])
+    def test_out_prefix_without_a_name_exits_1_before_running(
+        self, plan_file, tmp_path, monkeypatch, capsys, no_run, prefix
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert _invoke(["run", str(plan_file), "--out-prefix", prefix]) == 1
+        assert "has no file name" in capsys.readouterr().err
+
+    def test_out_prefix_directory_is_made_before_running(self, plan_file, tmp_path, no_run):
+        # a file where the prefix's directory should go: mkdir fails
+        # (exit 2) without the plan running
+        (tmp_path / "taken").write_text("", encoding="ascii")
+        assert _invoke(["run", str(plan_file), "--out-prefix", str(tmp_path / "taken" / "r")]) == 2
 
     def test_run_deterministic_across_invocations(self, plan_file, tmp_path):
         first = tmp_path / "r1"

@@ -127,8 +127,22 @@ class TestShortestPaths:
     @example(graph=Graph.from_edges(2, [(0, 1)]))
     @example(graph=_two_components())
     def test_matches_networkx(self, graph):
-        assert np.array_equal(shortest_path_matrix(graph), _networkx_distances(graph))
-        assert is_connected(graph) == nx.is_connected(_to_networkx(graph))
+        distances = _networkx_distances(graph)
+        connected = nx.is_connected(_to_networkx(graph))
+        assert np.array_equal(shortest_path_matrix(graph), distances)
+        assert is_connected(graph) == connected
+        assert compute_metrics(graph, rng=0, omega_samples=1).connected == connected
+        n = graph.node_count
+        if n == 1:
+            with pytest.raises(ValueError):
+                average_geodesic(graph)
+        elif not connected:
+            assert average_geodesic(graph) is None
+        else:
+            # the exact integer sum of the networkx distances
+            total = int(distances.sum())
+            assert average_geodesic(graph) == total / (n * (n - 1))
+            assert round(average_geodesic(graph) * n * (n - 1)) == total
 
     def test_matches_networkx_at_depth_and_size(self):
         # the spectrum's deepest BFS (ring: 50 levels) and densest graphs
@@ -234,6 +248,67 @@ class TestSmallWorldNess:
         assert _omega(make_complete(5), rng=rng) == pytest.approx(0.0, abs=1e-12)
 
 
+def _sparse_ring(n: int) -> Graph:
+    # ring plus the chords (i, i + 2) for even i: 1.5 n edges, so most
+    # random graphs of the same size are disconnected, and its lattice
+    # baseline multi-ring(n, 2) has clustering 0.5
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    chords = [(i, (i + 2) % n) for i in range(0, n, 2)]
+    return Graph.from_edges(n, ring + chords)
+
+
+def _reference_omega(graph: Graph, rng: np.random.Generator, sample_count: int):
+    """Independent rejection loop over the same random draws: networkx
+    decides connectivity and measures each accepted sample."""
+    n, m = graph.node_count, graph.edge_count
+    pairs = np.triu_indices(n, k=1)
+    lengths, rejected = [], 0
+    for _ in range(20 * sample_count):
+        if len(lengths) == sample_count:
+            break
+        sample = nx.from_numpy_array(graph_metrics._random_same_size(n, m, pairs, rng))
+        if nx.is_connected(sample):
+            lengths.append(nx.average_shortest_path_length(sample))
+        else:
+            rejected += 1
+    lattice = clustering_coefficient(make_multi_ring(n, round(m / n)))
+    omega = None
+    if lengths:
+        path_length = nx.average_shortest_path_length(_to_networkx(graph))
+        omega = np.mean(lengths) / path_length - clustering_coefficient(graph) / lattice
+    return omega, len(lengths), rejected
+
+
+class TestSparseOmega:
+    """On a sparse graph most omega samples are disconnected and are
+    rejected; the accepted ones and the generator's state must match an
+    independent networkx loop over the same draws."""
+
+    @pytest.mark.parametrize("sample_count, seed", [(4, 0), (4, 3), (1, 5)])
+    def test_matches_reference_rejection_loop(self, sample_count, seed):
+        graph = _sparse_ring(40)
+        assert graph.edge_count == 60
+        rng = np.random.default_rng(seed)
+        reference_rng = np.random.default_rng(seed)
+        omega = _omega(graph, rng=rng, sample_count=sample_count)
+        expected, accepted, rejected = _reference_omega(graph, reference_rng, sample_count)
+        assert rejected > accepted > 0
+        assert omega == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_exhausted_budget_is_none(self):
+        # at n=200 a random graph of 300 edges is connected with
+        # probability about exp(-200 e^-3) < 1e-4: every one of the 20
+        # attempts is rejected
+        graph = _sparse_ring(200)
+        rng = np.random.default_rng(1)
+        reference_rng = np.random.default_rng(1)
+        expected, accepted, rejected = _reference_omega(graph, reference_rng, 1)
+        assert (expected, accepted, rejected) == (None, 0, 20)
+        assert _omega(graph, rng=rng, sample_count=1) is None
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
 class TestComputeMetrics:
     def test_bundle_fields(self):
         g = make_small_world(50, 6, 0.1, rng=1)
@@ -254,18 +329,26 @@ class TestComputeMetrics:
         assert np.isfinite(m.natural_connectivity)
 
     def test_measures_the_graph_once(self, monkeypatch):
-        measured = []
+        searches = []
+        bfs_levels = graph_metrics._bfs_levels
 
-        def recording(graph):
-            measured.append(graph)
-            return shortest_path_matrix(graph)
+        def recording(adjacency, sources):
+            searches.append((adjacency.copy(), len(sources)))
+            return bfs_levels(adjacency, sources)
 
-        monkeypatch.setattr(graph_metrics, "shortest_path_matrix", recording)
+        monkeypatch.setattr(graph_metrics, "_bfs_levels", recording)
         g = make_small_world(40, 6, 0.1, rng=2)
         m = compute_metrics(g, rng=0, omega_samples=2)
         assert m.small_world_ness is not None
-        # g's own BFS runs once; every other call is on a random omega sample
-        assert sum(graph is g for graph in measured) == 1
+        assert m.connected
+        # g gets one all-pairs search and no second, single-source one
+        # for connectivity; every other search is on a random omega sample
+        on_g = [count for adjacency, count in searches if np.array_equal(adjacency, g.adjacency)]
+        assert on_g == [40]
+        # each sample's all-pairs search follows its single-source check
+        counts = [count for _, count in searches][1:]
+        assert counts.count(40) == 2
+        assert all(prev == 1 for prev, count in zip([0] + counts, counts) if count == 40)
         assert m.small_world_ness == _omega(g, rng=0, sample_count=2)
 
 
