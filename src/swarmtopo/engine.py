@@ -20,9 +20,11 @@ the run its own config gives alone.
 
 All randomness flows through a counter-based uniform source keyed by
 (seed, channel, iteration, agent, lane), so draws are independent of
-evaluation order.  :func:`make_rand_source` takes the B seeds and
-draws ``(B, count, lanes)`` arrays; an injected ``rand_fn`` has that
-shape too, which lets tests replace the draws wholesale.
+evaluation order, and the draws of later iterations can be computed
+early without changing a bit.  :func:`make_rand_source` takes the B
+seeds and draws read-only ``(B, count, lanes)`` arrays; an injected
+``rand_fn`` has that shape too, which lets tests replace the draws
+wholesale.
 
 Cost per iteration, for B rows of N agents in dimension d:
 
@@ -34,12 +36,18 @@ Cost per iteration, for B rows of N agents in dimension d:
   2E + N candidate entries, so a hub costs its own degree and no
   other row pads to it.  A complete row with the agent in its own
   neighborhood has one leader, found by an O(N) argmax with no gather;
-* each uniform draw call costs one key derivation per row, on Python
-  ints (per-channel keys are cached), plus two in-place vector
-  splitmix64 rounds over the B * N * lanes words it returns.
+* the uniform draws are computed ahead, a block of up to K
+  iterations per (channel, count, lanes) at a time: three in-place
+  vector splitmix64 rounds over the K * B keys, the K * B * N and the
+  K * B * N * lanes words of the block.  Consecutive iterations double
+  K from 1 up to the ``_BLOCK_WORDS`` budget of 2**12 words (K = 4 at
+  B = 10, N = 100), so a draw call is mostly a dictionary lookup that
+  returns a read-only view of one iteration.
 
 At N=100 one swarm's iteration is mostly fixed per-call numpy
-overhead, which a batch shares among its rows.
+overhead, which a batch shares among its rows; the block draws, the
+centres-major Shekel kernel and the column-wise success check keep
+each numpy call's inner loop N or B * N entries long instead of 1-10.
 """
 
 from __future__ import annotations
@@ -82,6 +90,12 @@ _MUL2 = 0x94D049BB133111EB
 # the same as uint64 scalars, so the array rounds convert nothing per call
 _U_GAMMA, _U_MUL1, _U_MUL2 = np.uint64(_GAMMA), np.uint64(_MUL1), np.uint64(_MUL2)
 _U30, _U27, _U31, _U11 = np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11)
+# the most words one cached block of draws holds (32 KiB of float64):
+# enough iterations to amortize most of the per-call numpy overhead at
+# N = 100, small enough that a block and the temporaries that build it
+# stay below malloc's 128 KiB mmap and trim thresholds, so refilling blocks
+# reuses freed heap memory and faults in no new pages once warm
+_BLOCK_WORDS = 1 << 12
 
 
 def _mix64(z: int) -> int:
@@ -111,11 +125,11 @@ def _mix64_inplace(z: np.ndarray) -> np.ndarray:
 def make_rand_source(seeds):
     """Counter-based uniform source for B swarms.
 
-    ``seeds`` is a sequence of B seeds, one per row.  Returns
+    ``seeds`` is a sequence of B >= 1 seeds, one per row.  Returns
     ``rand(channel, iteration, agent_count, lanes=1)`` giving a
-    ``(B, agent_count, lanes)`` array of floats in ``[0, 1)``, whose
-    row ``b`` depends on ``seeds[b]`` alone.  Every value is a pure
-    hash of ``(seed, channel, iteration, agent, lane)``: no hidden
+    read-only ``(B, agent_count, lanes)`` array of floats in ``[0, 1)``,
+    whose row ``b`` depends on ``seeds[b]`` alone.  Every value is a
+    pure hash of ``(seed, channel, iteration, agent, lane)``: no hidden
     stream state, so the same coordinates always yield the same number
     regardless of call order.
 
@@ -125,10 +139,23 @@ def make_rand_source(seeds):
     the splitmix64 finalizer and every sum wraps modulo 2**64.
     ``channel`` and ``iteration`` must lie in ``[0, 2**64)``
     (``OverflowError`` otherwise).
+
+    Draws are computed a block of K iterations at a time.  The source
+    keeps one ``(K, B, agent_count, lanes)`` block per ``(channel,
+    agent_count, lanes)`` and answers from it, a contiguous view of one
+    iteration, while the iteration lies inside.  A miss on the iteration
+    right after that shape's previous call doubles K; any other miss
+    starts over at K = 1.  K is capped so that a block holds at most
+    ``_BLOCK_WORDS`` words (but at least one iteration), and a block
+    never runs past iteration ``2**64 - 1``.
     """
     bases = [_mix64(int(seed)) for seed in seeds]
-    channel_keys: dict[int, list[int]] = {}
+    if not bases:
+        raise ValueError("a source needs at least one seed")
+    channel_keys: dict[int, np.ndarray] = {}
     counters: dict[int, np.ndarray] = {}
+    # (channel, agent_count, lanes) -> [first iteration, block, last call's iteration]
+    blocks: dict[tuple[int, int, int], list] = {}
 
     def counter(count: int) -> np.ndarray:
         # 0 .. count-1 as uint64, built once per size and never written
@@ -142,19 +169,35 @@ def make_rand_source(seeds):
             raise ValueError("agent_count and lanes must be >= 1")
         if not 0 <= iteration <= _U64_MASK:
             raise OverflowError(f"iteration {iteration} is outside [0, 2**64)")
+        shape = (channel, agent_count, lanes)
+        cached = blocks.get(shape)
+        span = 1
+        if cached is not None:
+            first, block, previous = cached
+            cached[2] = iteration
+            if first <= iteration < first + len(block):
+                return block[iteration - first]
+            if iteration == previous + 1:
+                cap = max(1, _BLOCK_WORDS // (len(bases) * agent_count * lanes))
+                span = min(2 * len(block), cap, _U64_MASK + 1 - iteration)
         channel_key = channel_keys.get(channel)
         if channel_key is None:
             if not 0 <= channel <= _U64_MASK:
                 raise OverflowError(f"channel {channel} is outside [0, 2**64)")
-            channel_key = channel_keys[channel] = [_mix64(base + channel) for base in bases]
-        # one key per row, as a column so that it spans the agents
-        keys = np.array([[_mix64(key + iteration)] for key in channel_key], dtype=np.uint64)
-        hashed = _mix64_inplace(counter(agent_count) + keys)
+            channel_key = channel_keys[channel] = np.array(
+                [_mix64(base + channel) for base in bases], dtype=np.uint64
+            )
+        # one key per (iteration, row), then the per-agent and per-lane rounds
+        keys = counter(span)[:, None] + channel_key
+        keys += np.uint64(iteration)
+        hashed = _mix64_inplace(_mix64_inplace(keys)[..., None] + counter(agent_count))
         hashed = _mix64_inplace(hashed[..., None] + counter(lanes))
         hashed >>= _U11
-        draws = hashed.astype(np.float64)
-        draws *= 2.0**-53
-        return draws
+        block = hashed.astype(np.float64)
+        block *= 2.0**-53
+        block.setflags(write=False)
+        blocks[shape] = [iteration, block, iteration]
+        return block[0]
 
     return rand
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .engine import RunResult, SwarmBatch, SwarmConfig, run
 from .graph_metrics import average_geodesic, natural_connectivity
-from .objectives import ObjectiveSpec
+from .objectives import ObjectiveSpec, _sum_rows
 from .topology import Graph, TopologySpec, build_topology
 
 __all__ = [
@@ -101,12 +101,17 @@ def qualification_mask(
 ) -> np.ndarray:
     """Boolean per-agent mask: does this best satisfy the criterion?
 
-    Boundary is inclusive in both modes.
+    Boundary is inclusive in both modes.  The position radius adds the
+    squared gaps one coordinate column at a time, in the order
+    ``(gaps * gaps).sum(axis=1)`` adds them, so the mask is that
+    formula's bit for bit.
     """
     eps = criterion.resolved_tolerance(objective)
     if criterion.mode == MODE_POSITION_RADIUS:
-        gaps = best_positions - objective.optimum_location[None, :]
-        return np.sqrt((gaps * gaps).sum(axis=1)) <= eps
+        gaps = np.array(np.transpose(best_positions), dtype=np.float64, order="C")
+        gaps -= objective.optimum_location[:, None]
+        distance = _sum_rows(np.square(gaps, out=gaps))
+        return np.sqrt(distance, out=distance) <= eps
     values = best_scores if objective.direction == "max" else -best_scores
     return np.abs(values - objective.optimum_value) <= eps
 

@@ -4,6 +4,16 @@ Five standard landscapes: Shekel (maximized, the 4-D foothill table
 ships in ``data/objective_params.txt``), plus Ackley, Griewank,
 Schwefel and Rastrigin (minimized).  The engine always maximizes a
 score, so :func:`score_many` negates the minimization objectives.
+
+Shekel is computed centres-major: the squared distances form an
+``(m, N)`` array, one contiguous row of N points per centre, so every
+numpy call runs over N entries instead of over a row of m = 10.  The
+sum over the centres must still give the bits of the point-major
+``(N, m)`` array's ``sum(axis=1)``, which numpy adds in its pairwise
+order; :func:`_sum_rows` adds the m rows in that same order.  The
+results therefore rely on numpy's pairwise summation order, which
+``tests/test_objectives.py`` pins so that an upgrade that changes it
+fails there and not silently in a results file.
 """
 
 from __future__ import annotations
@@ -66,16 +76,53 @@ def shekel_params() -> ShekelParams:
     return ShekelParams(centers=table[:, :4], heights=table[:, 4])
 
 
+def _sum_rows(rows: np.ndarray) -> np.ndarray:
+    """Sum of the m rows of an ``(m, N)`` array, added in the order numpy's
+    pairwise summation adds the m entries of one contiguous row.
+
+    Below 8 terms that order is left to right; up to 128 it keeps eight
+    running sums, one per residue mod 8, combines them as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and adds the remainder left
+    to right; above 128 it splits at a multiple of 8 near the middle.
+    So ``_sum_rows(a)`` equals ``np.ascontiguousarray(a.T).sum(axis=1)``
+    bit for bit, with each addition running over N contiguous entries.
+    """
+    m = rows.shape[0]
+    if m < 8:
+        total = rows[0].copy()
+        for row in rows[1:]:
+            total += row
+        return total
+    if m > 128:
+        half = m // 2 - (m // 2) % 8
+        return _sum_rows(rows[:half]) + _sum_rows(rows[half:])
+    tail = m - m % 8
+    lanes = rows[:8]
+    for start in range(8, tail, 8):
+        lanes = lanes + rows[start : start + 8]
+    pairs = lanes[0::2] + lanes[1::2]
+    total = pairs[0::2] + pairs[1::2]
+    total = total[0] + total[1]
+    for row in rows[tail:]:
+        total += row
+    return total
+
+
 def _shekel(points: np.ndarray) -> np.ndarray:
     params = shekel_params()
     centers = params.centers
-    # squared distance to every center, summed one coordinate column at a
-    # time from the left: the order a length-4 reduction adds in, without
-    # the (N, m, 4) temporary
-    sq = (points[:, 0:1] - centers[:, 0]) ** 2
+    # squared distances as one contiguous row of N per center, summed one
+    # coordinate at a time from the left: the order a length-4 reduction
+    # adds in
+    columns = np.ascontiguousarray(points.T)
+    sq = np.subtract(columns[0], centers[:, 0:1])
+    np.square(sq, out=sq)
+    gap = np.empty_like(sq)
     for j in range(1, centers.shape[1]):
-        sq += (points[:, j : j + 1] - centers[:, j]) ** 2
-    return (1.0 / (params.heights + sq)).sum(axis=1)
+        np.subtract(columns[j], centers[:, j : j + 1], out=gap)
+        sq += np.square(gap, out=gap)
+    sq += params.heights[:, None]
+    return _sum_rows(np.divide(1.0, sq, out=sq))
 
 
 def _ackley(points: np.ndarray) -> np.ndarray:

@@ -13,11 +13,13 @@ that derived its keys with one-element arrays under ``np.errstate``).
 
 import hashlib
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from swarmtopo import engine
 from swarmtopo.engine import (
     CHANNEL_DEATH,
     CHANNEL_INIT_POSITION,
@@ -266,6 +268,104 @@ class TestRandSource:
             rand(bad, 0, 5)
         with pytest.raises(OverflowError):
             rand(CHANNEL_DEATH, bad, 5)
+
+
+# one move of the iteration cursor: the next `count` iterations in order,
+# the same one again, a step back, a jump, or a jump to near 2**64 - 1
+_MOVES = st.one_of(
+    st.tuples(st.just("next"), st.integers(min_value=1, max_value=20)),
+    st.tuples(st.just("repeat"), st.just(1)),
+    st.tuples(st.just("back"), st.integers(min_value=1, max_value=40)),
+    st.tuples(st.just("jump"), st.integers(min_value=0, max_value=1 << 40)),
+    st.tuples(st.just("top"), st.integers(min_value=0, max_value=6)),
+)
+# (channel, agent_count, lanes) from small pools, so that shapes recur
+_SHAPES = st.tuples(
+    st.sampled_from([1, 4, 5]),
+    st.sampled_from([1, 3, 5]),
+    st.sampled_from([1, 2]),
+)
+
+
+def _iterations(moves):
+    cursor = 0
+    for (kind, amount), shape in moves:
+        if kind == "next":
+            for _ in range(amount):
+                cursor = min(cursor + 1, MASK64)
+                yield shape, cursor
+            continue
+        if kind == "back":
+            cursor = max(cursor - amount, 0)
+        elif kind == "jump":
+            cursor = amount
+        elif kind == "top":
+            cursor = MASK64 - amount
+        yield shape, cursor
+
+
+class TestDrawBlocks:
+    """The source computes whole blocks of iterations ahead of the calls;
+    every call must still give what a fresh source's single call gives."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seeds=st.lists(
+            st.integers(min_value=-(1 << 64), max_value=1 << 65), min_size=1, max_size=4
+        ),
+        moves=st.lists(st.tuples(_MOVES, _SHAPES), min_size=1, max_size=12),
+        budget=st.sampled_from([1, 7, 64, engine._BLOCK_WORDS]),
+    )
+    def test_any_call_sequence_matches_fresh_single_calls(self, seeds, moves, budget):
+        with mock.patch.object(engine, "_BLOCK_WORDS", budget):
+            rand = make_rand_source(seeds)
+            kept = []
+            for (channel, count, lanes), iteration in _iterations(moves):
+                draws = rand(channel, iteration, count, lanes)
+                assert np.array_equal(
+                    draws, make_rand_source(seeds)(channel, iteration, count, lanes)
+                )
+                expected = [
+                    [[reference_draw(seed, channel, iteration, agent, lane)
+                      for lane in range(lanes)] for agent in range(count)]
+                    for seed in seeds
+                ]
+                assert np.array_equal(draws, np.array(expected))
+                with pytest.raises(ValueError, match="read-only"):
+                    draws[...] = 0.5
+                kept.append((draws, draws.copy()))
+        # later calls never rewrite an array handed out earlier
+        for draws, copy in kept:
+            assert np.array_equal(draws, copy)
+
+    def test_block_sizes_double_on_consecutive_calls(self):
+        # record K of each block through its (K, B) array of iteration keys
+        spans = []
+
+        def recording(z):
+            if z.ndim == 2:
+                spans.append(z.shape[0])
+            return _mix64_inplace(z)
+
+        with mock.patch.object(engine, "_mix64_inplace", recording), \
+                mock.patch.object(engine, "_BLOCK_WORDS", 2 * 3 * 10 * 4):
+            rand = make_rand_source([1, 2])
+            rand(CHANNEL_INIT_POSITION, 0, 3, 4)
+            for iteration in range(1, 30):
+                rand(CHANNEL_VELOCITY_SOCIAL, iteration, 3, 4)
+            rand(CHANNEL_VELOCITY_SOCIAL, 40, 3, 4)
+            rand(CHANNEL_VELOCITY_SOCIAL, 41, 3, 4)
+            rand(CHANNEL_VELOCITY_SOCIAL, 3, 3, 4)
+            for iteration in range(MASK64 - 5, MASK64 + 1):
+                rand(CHANNEL_VELOCITY_SOCIAL, iteration, 3, 4)
+        # one iteration at 0, then 1, 2, 4, 8 and the cap of 10 to iteration
+        # 35; a jump starts over, a step back too, and no block runs past
+        # the last iteration
+        assert spans == [1, 1, 2, 4, 8, 10, 10, 1, 2, 1, 1, 2, 3]
+
+    def test_rejects_empty_seed_list(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            make_rand_source([])
 
 
 class TestHandTrace:

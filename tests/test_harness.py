@@ -83,6 +83,33 @@ class TestSuccessCriterion:
         with pytest.raises(ValueError):
             SuccessCriterion(tolerance=0.0)
 
+    @pytest.mark.parametrize("dimension", [1, 2, 4, 10])
+    def test_radius_mask_matches_row_formula_bit_for_bit(self, dimension):
+        # the column-wise sum must give the bits of the row-wise formula,
+        # on random points and on points placed at the tolerance itself
+        objective = default_spec("rastrigin", dimension)
+        criterion = SuccessCriterion()
+        eps = criterion.resolved_tolerance(objective)
+        opt = objective.optimum_location
+        rng = np.random.default_rng(dimension)
+        points = [opt + rng.normal(0.0, eps / np.sqrt(dimension), size=(400, dimension))]
+        for scale in (eps, eps / np.sqrt(dimension)):
+            for towards in (-np.inf, np.inf):
+                edge = np.nextafter(scale, towards)
+                points.append(opt + np.diag(np.full(dimension, edge)))
+                points.append(opt - np.full((1, dimension), edge))
+                direction = rng.normal(size=(50, dimension))
+                direction /= np.sqrt((direction * direction).sum(axis=1))[:, None]
+                points.append(opt + edge * direction)
+        points = np.concatenate(points)
+        before = points.copy()
+        gaps = points - opt
+        expected = np.sqrt((gaps * gaps).sum(axis=1)) <= eps
+        mask = _mask_at(points, objective, criterion)
+        assert np.array_equal(mask, expected)
+        assert mask.any() and not mask.all()
+        assert np.array_equal(points, before)
+
     def test_all_agents_at_optimum_all_win(self):
         objective = default_spec("shekel")
         assert _mask_at([objective.optimum_location] * 5, objective).all()

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swarmtopo.objectives import (
     OBJECTIVE_NAMES,
     ObjectiveSpec,
+    _sum_rows,
     default_spec,
     shekel_params,
 )
@@ -25,6 +27,35 @@ def _shekel_reference(x) -> float:
             square += (float(xj) - float(aj)) ** 2
         total += 1.0 / (float(height) + square)
     return total
+
+
+def _shekel_rows(points: np.ndarray) -> np.ndarray:
+    """Oracle: the point-major form, an (N, m) array of squared distances
+    built one coordinate column at a time, then summed along each row of
+    m by numpy's own reduction."""
+    params = shekel_params()
+    centers = params.centers
+    sq = (points[:, 0:1] - centers[:, 0]) ** 2
+    for j in range(1, centers.shape[1]):
+        sq += (points[:, j : j + 1] - centers[:, j]) ** 2
+    return (1.0 / (params.heights + sq)).sum(axis=1)
+
+
+# a coordinate of magnitude 1e-8 to 1e8, of either sign, or a center's
+# coordinate nudged by such an amount
+_COORDINATES = st.one_of(
+    st.builds(
+        lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(min_value=1.0, max_value=10.0, exclude_max=True),
+        st.integers(min_value=-8, max_value=7),
+    ),
+    st.builds(
+        lambda center, offset: float(shekel_params().centers.flat[center]) + offset,
+        st.integers(min_value=0, max_value=39),
+        st.floats(min_value=-1e-8, max_value=1e-8),
+    ),
+)
 
 
 class TestShekel:
@@ -62,6 +93,28 @@ class TestShekel:
             squares = (diffs * diffs).sum(axis=2)
             expected = (1.0 / (params.heights[None, :] + squares)).sum(axis=1)
             assert np.array_equal(spec.evaluate_many(points), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.lists(_COORDINATES, min_size=4, max_size=4), min_size=1, max_size=40)
+    )
+    def test_centres_major_kernel_matches_row_formula(self, points):
+        points = np.array(points)
+        assert np.array_equal(default_spec("shekel").evaluate_many(points), _shekel_rows(points))
+
+    @pytest.mark.parametrize("m", [*range(1, 41), 64, 128, 129, 200])
+    def test_row_sum_follows_numpy_pairwise_order(self, m):
+        # if a numpy upgrade changes how it sums a contiguous row, this
+        # fails, and with it the Shekel kernel's bytes
+        rng = np.random.default_rng(m)
+        rows = rng.standard_normal((m, 501)) * 10.0 ** rng.uniform(-8, 8, size=(m, 501))
+        assert np.array_equal(_sum_rows(rows), np.ascontiguousarray(rows.T).sum(axis=1))
+
+    def test_row_sum_order_is_not_left_to_right(self):
+        # the pin above has teeth: from 8 rows on, a left-to-right sum gives
+        # other bits on a good share of the columns
+        rows = np.random.default_rng(10).uniform(0.0, 1.0, size=(10, 1000))
+        assert (_sum_rows(rows) != rows.sum(axis=0)).sum() > 100
 
     def test_first_center_beats_million_random_samples(self):
         spec = default_spec("shekel")
