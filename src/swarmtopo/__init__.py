@@ -55,7 +55,6 @@ from .engine import (
     SwarmBatch,
     RunResult,
     BatchResult,
-    TraceRecord,
     make_rand_source,
     run,
 )

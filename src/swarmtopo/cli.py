@@ -103,24 +103,18 @@ def _cmd_gen_topology(args) -> int:
             raise ValueError("spectrum generation requires --out-dir")
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for spec in specs:
-            graph = build_topology(spec)
-            path = out_dir / f"{spec.topology_id()}.txt"
-            write_edge_list(graph, path)
-            print(
-                f"{spec.topology_id()} nodes={graph.node_count} "
-                f"edges={graph.edge_count} -> {path}"
-            )
-        return 0
-    if args.out is None:
+        paths = [out_dir / f"{spec.topology_id()}.txt" for spec in specs]
+    elif args.out is None:
         raise ValueError("single-topology generation requires --out")
-    spec = specs[0]
-    graph = build_topology(spec)
-    write_edge_list(graph, args.out)
-    print(
-        f"{spec.topology_id()} nodes={graph.node_count} "
-        f"edges={graph.edge_count} -> {args.out}"
-    )
+    else:
+        paths = [args.out]
+    for spec, path in zip(specs, paths):
+        graph = build_topology(spec)
+        write_edge_list(graph, path)
+        print(
+            f"{spec.topology_id()} nodes={graph.node_count} "
+            f"edges={graph.edge_count} -> {path}"
+        )
     return 0
 
 
@@ -157,27 +151,24 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-def _make_trace_factory(trace_dir: str):
+def _trace_writer(trace_dir: str):
+    """``run_plan``'s trace callback: one CSV per run in ``trace_dir``."""
     directory = Path(trace_dir)
     directory.mkdir(parents=True, exist_ok=True)
 
-    def factory(topology_id: str, objective_name: str, death_fraction: float):
-        def hook(repetition: int, trace):
-            name = (
-                f"{topology_id}--{objective_name}--f{format_number(death_fraction)}"
-                f"--rep{repetition:03d}.csv"
-            )
-            with open(directory / name, "w", encoding="ascii", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["iteration", "alive_count", "best_score"])
-                for record in trace:
-                    writer.writerow(
-                        [record.iteration, record.alive_count, repr(record.best_score)]
-                    )
+    def write(topology_id, objective_name, death_fraction, repetition, trace):
+        name = (
+            f"{topology_id}--{objective_name}--f{format_number(death_fraction)}"
+            f"--rep{repetition:03d}.csv"
+        )
+        alive_counts, best_scores = trace
+        with open(directory / name, "w", encoding="ascii", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["iteration", "alive_count", "best_score"])
+            for iteration, (count, score) in enumerate(zip(alive_counts, best_scores), 1):
+                writer.writerow([iteration, count, repr(score)])
 
-        return hook
-
-    return factory
+    return write
 
 
 def _execute_plan(plan, args) -> int:
@@ -192,8 +183,8 @@ def _execute_plan(plan, args) -> int:
     # appended, not substituted: a dot in the prefix is part of the name
     csv_path = prefix.with_name(prefix.name + ".csv")
     json_path = prefix.with_name(prefix.name + ".json")
-    factory = _make_trace_factory(args.trace_dir) if args.trace_dir else None
-    rows = run_plan(plan, workers=workers, trace_hook_factory=factory)
+    on_trace = _trace_writer(args.trace_dir) if args.trace_dir else None
+    rows = run_plan(plan, workers=workers, on_trace=on_trace)
     csv_path.write_text(results_to_csv(rows), encoding="ascii")
     json_path.write_text(results_to_json(rows), encoding="ascii")
     print(f"wrote {len(rows)} rows -> {csv_path} and {json_path}")

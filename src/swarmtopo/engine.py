@@ -65,7 +65,6 @@ __all__ = [
     "SwarmConfig",
     "SwarmBatch",
     "SwarmState",
-    "TraceRecord",
     "RunResult",
     "BatchResult",
     "Neighborhoods",
@@ -282,24 +281,21 @@ class SwarmState:
 
 
 @dataclass(frozen=True)
-class TraceRecord:
-    """One per-iteration snapshot in a run trace."""
-
-    iteration: int
-    alive_count: int
-    best_score: float
-
-
-@dataclass(frozen=True)
 class RunResult:
-    """Outcome of one full run."""
+    """Outcome of one full run.
+
+    ``trace``, when recorded, is ``(alive_counts, best_scores)``: two
+    tuples of Python numbers, the alive agent count and the swarm's best
+    score after each of iterations 1..``iterations_executed``, iteration
+    k at index k - 1.
+    """
 
     converged: bool
     convergence_iteration: int | None
     winners: int
     survivors: int
     iterations_executed: int
-    trace: tuple[TraceRecord, ...] | None = None
+    trace: tuple[tuple[int, ...], tuple[float, ...]] | None = None
 
 
 @dataclass(frozen=True)
@@ -555,13 +551,9 @@ def run(
         if record_trace:
             # a row's trace ends with its last executed iteration
             span = int(executed[row])
-            trace = tuple(
-                TraceRecord(iteration, count, score)
-                for iteration, count, score in zip(
-                    range(1, span + 1),
-                    alive_counts[:span, row].tolist(),
-                    best_scores[:span, row].tolist(),
-                )
+            trace = (
+                tuple(alive_counts[:span, row].tolist()),
+                tuple(best_scores[:span, row].tolist()),
             )
         at = int(converged_at[row])
         return RunResult(

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .topology import Graph, make_multi_ring
+from .topology import Graph, _as_rng, make_multi_ring
 
 __all__ = [
     "shortest_path_matrix",
@@ -197,7 +197,7 @@ def small_world_ness(
     lattice_clustering = clustering_coefficient(make_multi_ring(n, levels))
     if lattice_clustering <= 0.0:
         return None
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    rng = _as_rng(rng)
     pairs = np.triu_indices(n, k=1)
     lengths = []
     attempts = 0

@@ -25,7 +25,9 @@ import io
 import json
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import groupby, product
 from typing import NamedTuple
 import numpy as np
@@ -389,9 +391,7 @@ def _fill_trade_offs(plan: ExperimentPlan, rows: list[AggregateMetrics]) -> None
             rows[i] = replace(row, trade_off=value)
 
 
-def run_plan(
-    plan: ExperimentPlan, workers: int = 1, trace_hook_factory=None
-) -> list[AggregateMetrics]:
+def run_plan(plan: ExperimentPlan, workers: int = 1, on_trace=None) -> list[AggregateMetrics]:
     """Run every cell and return rows in canonical order.
 
     Each topology is built and measured once; all of its (objective,
@@ -403,14 +403,18 @@ def run_plan(
     so the output is byte-stable no matter how the plan lists its
     cells or how workers schedule them.  With ``workers > 1`` the
     batches execute in a process pool, each task carrying its graphs.
-    ``trace_hook_factory(topology_id, objective_name, death_fraction)``
-    may return a per-repetition trace consumer; tracing forces the
-    serial path.
+
+    ``on_trace(topology_id, objective_name, death_fraction, repetition,
+    trace)``, when given, receives every run's trace (the
+    ``(alive_counts, best_scores)`` columns of :class:`RunResult`) in
+    chunk order as each chunk's results arrive, under any worker count.
+    The trace is dropped once the callback returns, so a traced plan
+    holds one chunk's traces at a time, not the whole plan's.  An
+    exception from ``on_trace`` stops the plan and propagates; chunks
+    not yet started are cancelled.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if trace_hook_factory is not None and workers > 1:
-        raise ValueError("tracing requires workers=1")
     cells: list[_Cell] = []
     for topology in plan.topologies:
         graph = build_topology(topology)
@@ -421,26 +425,25 @@ def run_plan(
         )
         for objective, fraction in product(plan.objectives, plan.death_fractions):
             cells.append(_Cell(len(cells), topology, graph, stats, objective, fraction))
-    hooks = None
-    if trace_hook_factory is not None:
-        hooks = [
-            trace_hook_factory(c.topology.topology_id(), c.objective.name, c.death_fraction)
-            for c in cells
-        ]
     chunks = _chunks(plan, cells, workers)
-    # both paths give results in chunk order; the serial one lazily, so
-    # that a chunk's traces reach their hooks before the next chunk runs
-    if workers == 1 or len(chunks) == 1:
-        outputs = (_run_chunk(plan, chunk, hooks is not None) for chunk in chunks)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_run_chunk, [plan] * len(chunks), chunks))
+    run_chunk = partial(_run_chunk, plan, record_trace=on_trace is not None)
     results: list[list[RunResult]] = [[] for _ in cells]
-    for chunk, output in zip(chunks, outputs):
-        for (cell, repetition), result in zip(chunk, output):
-            results[cell.index].append(result)
-            if hooks is not None and hooks[cell.index] is not None:
-                hooks[cell.index](repetition, result.trace)
+    serial = workers == 1 or len(chunks) == 1
+    # outputs arrive in chunk order.  The map is consumed inside the pool's
+    # block and bound to no name, so an error in the loop frees it before
+    # the pool shuts down, and freeing it cancels the chunks not started
+    with nullcontext() if serial else ProcessPoolExecutor(max_workers=workers) as pool:
+        for chunk, output in zip(
+            chunks, map(run_chunk, chunks) if serial else pool.map(run_chunk, chunks)
+        ):
+            for (cell, repetition), result in zip(chunk, output):
+                if on_trace is not None:
+                    on_trace(
+                        cell.topology.topology_id(), cell.objective.name,
+                        cell.death_fraction, repetition, result.trace,
+                    )
+                    result = replace(result, trace=None)
+                results[cell.index].append(result)
     rows = [_aggregate(plan, cell, results[cell.index]) for cell in cells]
     _fill_trade_offs(plan, rows)
     rows.sort(key=lambda row: (row.topology_id, row.objective, row.death_fraction))

@@ -3,7 +3,8 @@
 Five standard landscapes: Shekel (maximized, the 4-D foothill table
 ships in ``data/objective_params.txt``), plus Ackley, Griewank,
 Schwefel and Rastrigin (minimized).  The engine always maximizes a
-score, so :func:`score_many` negates the minimization objectives.
+score, so :meth:`ObjectiveSpec.score_many` negates the minimization
+objectives.
 
 Shekel is computed centres-major: the squared distances form an
 ``(m, N)`` array, one contiguous row of N points per centre, so every
@@ -29,9 +30,6 @@ __all__ = [
     "shekel_params",
     "ObjectiveSpec",
     "default_spec",
-    "evaluate",
-    "evaluate_many",
-    "score_many",
 ]
 
 OBJECTIVE_NAMES = ("shekel", "ackley", "griewank", "schwefel", "rastrigin")
@@ -222,39 +220,25 @@ class ObjectiveSpec:
         return float(np.sqrt(self.dimension) * (self.upper - self.lower))
 
     def evaluate(self, x) -> float:
-        return evaluate(self, x)
+        """Objective value at a single position; rejects non-finite input."""
+        vec = np.asarray(x, dtype=np.float64)
+        if vec.shape != (self.dimension,):
+            raise ValueError(f"expected shape ({self.dimension},), got {vec.shape}")
+        if not np.isfinite(vec).all():
+            raise ValueError("position must be finite")
+        return float(self.evaluate_many(vec[None, :])[0])
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        return evaluate_many(self, points)
+        """Objective values for an ``(N, dimension)`` batch of positions."""
+        pts = np.asarray(points, dtype=np.float64)
+        if pts.ndim != 2 or pts.shape[1] != self.dimension:
+            raise ValueError(f"expected shape (N, {self.dimension}), got {pts.shape}")
+        return _EVALUATORS[self.name](pts)
 
     def score_many(self, points: np.ndarray) -> np.ndarray:
-        return score_many(self, points)
-
-
-def evaluate_many(spec: ObjectiveSpec, points: np.ndarray) -> np.ndarray:
-    """Objective values for an ``(N, dimension)`` batch of positions."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != spec.dimension:
-        raise ValueError(
-            f"expected shape (N, {spec.dimension}), got {pts.shape}"
-        )
-    return _EVALUATORS[spec.name](pts)
-
-
-def evaluate(spec: ObjectiveSpec, x) -> float:
-    """Objective value at a single position; rejects non-finite input."""
-    vec = np.asarray(x, dtype=np.float64)
-    if vec.shape != (spec.dimension,):
-        raise ValueError(f"expected shape ({spec.dimension},), got {vec.shape}")
-    if not np.isfinite(vec).all():
-        raise ValueError("position must be finite")
-    return float(evaluate_many(spec, vec[None, :])[0])
-
-
-def score_many(spec: ObjectiveSpec, points: np.ndarray) -> np.ndarray:
-    """Direction-adjusted values: larger is always better."""
-    values = evaluate_many(spec, points)
-    return values if spec.direction == "max" else -values
+        """Direction-adjusted values: larger is always better."""
+        values = self.evaluate_many(points)
+        return values if self.direction == "max" else -values
 
 
 _TABLE_DEFAULTS = {
@@ -292,7 +276,7 @@ def default_spec(name: str, dimension: int | None = None) -> ObjectiveSpec:
         optimum_location=optimum,
         optimum_value=0.0,
     )
-    value = evaluate(probe, optimum)
+    value = probe.evaluate(optimum)
     return ObjectiveSpec(
         name=name,
         dimension=dim,

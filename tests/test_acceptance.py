@@ -44,7 +44,7 @@ from swarmtopo.harness import (
     run_plan,
     trade_off,
 )
-from swarmtopo.objectives import default_spec, evaluate, evaluate_many
+from swarmtopo.objectives import default_spec
 from swarmtopo.plans import parse_plan
 from swarmtopo.topology import (
     build_spectrum,
@@ -165,17 +165,15 @@ def _shekel_by_hand(x):
 
 
 def test_criterion_4_objective_optima():
-    assert evaluate(default_spec("rastrigin"), [0.0, 0.0]) == 0.0
-    assert evaluate(default_spec("griewank"), [0.0, 0.0]) == 0.0
+    assert default_spec("rastrigin").evaluate([0.0, 0.0]) == 0.0
+    assert default_spec("griewank").evaluate([0.0, 0.0]) == 0.0
     # libm residual: exact zero is two ulps away
-    assert abs(evaluate(default_spec("ackley"), [0.0, 0.0])) <= 1e-12
-    schwefel_floor = evaluate(
-        default_spec("schwefel"), [420.9687, 420.9687]
-    )
+    assert abs(default_spec("ackley").evaluate([0.0, 0.0])) <= 1e-12
+    schwefel_floor = default_spec("schwefel").evaluate([420.9687, 420.9687])
     assert abs(schwefel_floor) <= 1e-3
 
     shekel = default_spec("shekel")
-    peak = evaluate(shekel, [4.0, 4.0, 4.0, 4.0])
+    peak = shekel.evaluate([4.0, 4.0, 4.0, 4.0])
     by_hand = _shekel_by_hand([4.0, 4.0, 4.0, 4.0])
     assert abs(peak - by_hand) <= 1e-12 * abs(by_hand)
 
@@ -183,7 +181,7 @@ def test_criterion_4_objective_optima():
     rng = np.random.default_rng(20240816)
     for _ in range(10):
         points = rng.uniform(0.0, 10.0, size=(100_000, 4))
-        assert evaluate_many(shekel, points).max() < peak
+        assert shekel.evaluate_many(points).max() < peak
 
 
 # ---------------------------------------------------------------- 5

@@ -229,10 +229,15 @@ class TestRunAndSweep:
         assert "ringé" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
-    def test_trace_requires_serial(self, plan_file, tmp_path):
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_unwritable_trace_exits_2_without_results(self, plan_file, tmp_path, workers):
+        traces = tmp_path / "traces"
+        # a directory where a trace file should go: writing it fails
+        (traces / "ring-n10--shekel--f0.3--rep001.csv").mkdir(parents=True)
         code = _invoke(["run", str(plan_file), "--out-prefix", str(tmp_path / "x"),
-                        "--trace-dir", str(tmp_path / "tr"), "--workers", "2"])
-        assert code == 1
+                        "--trace-dir", str(traces), "--workers", workers])
+        assert code == 2
+        assert not (tmp_path / "x.csv").exists()
 
     def test_env_seed_override(self, plan_file, tmp_path, monkeypatch):
         base = tmp_path / "b"

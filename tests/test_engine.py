@@ -766,10 +766,13 @@ class TestDeathAndRun:
     def test_run_trace(self):
         config = SwarmConfig(n_agents=15, max_iters=20, seed=6)
         result = run(config, make_ring(15), default_spec("griewank"), record_trace=True)
-        assert len(result.trace) == 20
-        assert [r.iteration for r in result.trace] == list(range(1, 21))
-        scores = [r.best_score for r in result.trace]
-        assert scores == sorted(scores)
+        alive_counts, scores = result.trace
+        # iteration k at index k - 1, for iterations 1..20
+        assert len(alive_counts) == len(scores) == result.iterations_executed == 20
+        assert alive_counts == (15,) * 20 and isinstance(scores, tuple)
+        assert all(type(count) is int for count in alive_counts)
+        assert all(type(score) is float for score in scores)
+        assert list(scores) == sorted(scores)
 
     def test_run_graph_size_mismatch(self):
         with pytest.raises(ValueError):

@@ -222,13 +222,14 @@ def test_metrics_csv_digest():
     assert _sha256(metrics_csv_text()) == METRICS_CSV_SHA256
 
 
-def test_trace_dir_digest(tmp_path):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_trace_dir_digest(tmp_path, workers):
     plan = tmp_path / "plan.txt"
     plan.write_text(TRACE_PLAN, encoding="ascii")
     traces = tmp_path / "traces"
     code = main([
         "run", str(plan), "--out-prefix", str(tmp_path / "results"),
-        "--trace-dir", str(traces), "--workers", "1",
+        "--trace-dir", str(traces), "--workers", workers,
     ])
     assert code == 0
     digest = hashlib.sha256()
@@ -237,3 +238,6 @@ def test_trace_dir_digest(tmp_path):
         digest.update(path.name.encode("ascii") + b"\n" + path.read_bytes())
     assert len(files) == 60
     assert digest.hexdigest() == TRACE_DIR_SHA256
+    # neither tracing nor the worker count changes the results bytes
+    assert main(["run", str(plan), "--out-prefix", str(tmp_path / "serial")]) == 0
+    assert (tmp_path / "results.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()

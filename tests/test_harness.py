@@ -367,9 +367,9 @@ class TestRunCellAndPlan:
             return run(batch, graphs, *args, **kwargs)
 
         monkeypatch.setattr(harness, "run", failing_run)
-        factory = (lambda *cell: lambda repetition, trace: None) if traced else None
+        on_trace = (lambda *run: None) if traced else None
         with pytest.raises(RuntimeError) as info:
-            run_plan(_tiny_plan(), trace_hook_factory=factory)
+            run_plan(_tiny_plan(), on_trace=on_trace)
         assert str(info.value) == (
             "cell topology=ring-n12 objective=shekel death_fraction=0.3 "
             "failed: ZeroDivisionError: boom"
@@ -405,18 +405,59 @@ class TestRunCellAndPlan:
         def traced_run(workers=1):
             traces = {}
 
-            def factory(*cell):
-                return lambda repetition, trace: traces.__setitem__((*cell, repetition), trace)
+            def on_trace(*run):
+                traces[run[:4]] = run[4]
 
-            return run_plan(plan, trace_hook_factory=factory), traces
+            return run_plan(plan, workers, on_trace), traces
 
         # a one-byte budget runs every run as its own batch
         with mock.patch.object(harness, "_CHUNK_BYTES", 1):
             alone = traced_run()
         with mock.patch.object(harness, "_CHUNK_BYTES", budget):
             assert traced_run() == alone
+            assert traced_run(workers=2) == alone
             assert run_plan(plan, workers=2) == alone[0]
         assert len(alone[1]) == len(specs) * 2 * 2 * plan.repetitions
+
+    def test_traces_are_dropped_before_aggregation(self, monkeypatch):
+        seen = []
+        aggregate = harness._aggregate
+
+        def spying_aggregate(plan, cell, results):
+            seen.extend(results)
+            return aggregate(plan, cell, results)
+
+        monkeypatch.setattr(harness, "_aggregate", spying_aggregate)
+        traces = []
+        rows = run_plan(_tiny_plan(), on_trace=lambda *run: traces.append(run))
+        # 4 cells x 2 repetitions, each trace handed over once and then dropped
+        assert len(seen) == len(traces) == 8
+        assert all(result.trace is None for result in seen)
+        assert all(len(trace[0]) == 60 for *_, trace in traces)
+        assert rows == run_plan(_tiny_plan())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_trace_callback_error_stops_the_plan(self, monkeypatch, tmp_path, workers):
+        log = tmp_path / "chunks.log"
+        run_rows = harness._run_rows
+
+        def logging_run_rows(*args):
+            # forked workers inherit this patch and append to the same file
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write("chunk\n")
+            return run_rows(*args)
+
+        def failing(*run):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness, "_run_rows", logging_run_rows)
+        plan = _tiny_plan(repetitions=10)
+        # a one-byte budget makes each of the 40 runs its own chunk
+        with mock.patch.object(harness, "_CHUNK_BYTES", 1):
+            with pytest.raises(OSError, match="disk full"):
+                run_plan(plan, workers, on_trace=failing)
+        # the chunks not yet started when the callback failed never run
+        assert len(log.read_text("ascii").splitlines()) < 40
 
     def test_chunk_failure_without_a_failing_cell(self, monkeypatch):
         run = harness.run
