@@ -26,9 +26,21 @@ seeds and draws read-only ``(B, count, lanes)`` arrays; an injected
 ``rand_fn`` has that shape too, which lets tests replace the draws
 wholesale.
 
+The ``(B, N, d)`` arrays are stored coordinate-major: :func:`initialize`
+makes each a view of a C-contiguous ``(d, B, N)`` block, so every
+coordinate of the whole batch is one contiguous row of B * N values and
+``reshape(-1, d)`` stays a view.  Only the memory order differs from a
+C-ordered array: shapes, values and indexing are the same, and ``step``
+gives the same bits for a state in any order.
+
 Cost per iteration, for B rows of N agents in dimension d:
 
-* the velocity and position update is O(B * N * d);
+* the velocity and position update is O(B * N * d), in numpy calls
+  whose inner loops run over the B * N values of one coordinate row:
+  the social targets are gathered with one ``np.take`` along the rows
+  of the ``(d, B * N)`` best positions, the temporaries inherit that
+  order, and the ``(B, N, 1)`` draws and the alive and improved masks
+  broadcast along contiguous rows rather than over rows of d = 2 or 4;
 * leader selection gathers the scores through one flat CSR over the
   rows' candidate sets (:class:`Neighborhoods`), then takes one
   segmented max and the lowest index among each segment's maxima.
@@ -45,9 +57,11 @@ Cost per iteration, for B rows of N agents in dimension d:
   returns a read-only view of one iteration.
 
 At N=100 one swarm's iteration is mostly fixed per-call numpy
-overhead, which a batch shares among its rows; the block draws, the
-centres-major Shekel kernel and the column-wise success check keep
-each numpy call's inner loop N or B * N entries long instead of 1-10.
+overhead, which a batch shares among its rows; the coordinate-major
+state, the block draws, the centres-major Shekel kernel and the
+column-wise success check keep each numpy call's inner loop N or B * N
+entries long instead of 1-10, and read the state's coordinate rows
+with no transposing copy.
 """
 
 from __future__ import annotations
@@ -263,7 +277,8 @@ class SwarmBatch:
 @dataclass
 class SwarmState:
     """The state of B swarms as parallel arrays: one row per swarm, one
-    entry per agent within it."""
+    entry per agent within it.  Any memory order steps to the same bits;
+    the coordinate-major order of :func:`initialize` is the fast one."""
 
     positions: np.ndarray       # (B, N, d)
     velocities: np.ndarray      # (B, N, d)
@@ -382,21 +397,29 @@ class Neighborhoods:
         return np.where(alive[leaders], leaders, self._self)
 
 
+def _coordinate_major(values: np.ndarray) -> np.ndarray:
+    """``values`` copied into a ``(B, N, d)`` view of a C-contiguous
+    ``(d, B, N)`` block."""
+    return np.ascontiguousarray(values.transpose(2, 0, 1)).transpose(1, 2, 0)
+
+
 def initialize(batch: SwarmBatch, objective, rand_fn=None) -> SwarmState:
     """Fresh ``(B, N, d)`` swarm: positions uniform in the search box,
     velocities uniform in the clamp interval, bests at the starting
-    positions, everyone alive."""
+    positions, everyone alive; the ``(B, N, d)`` arrays coordinate-major."""
     config = batch.configs[0]
     rand = rand_fn or make_rand_source([c.seed for c in batch.configs])
     n, d = config.n_agents, objective.dimension
     u_pos = rand(CHANNEL_INIT_POSITION, 0, n, d)
     u_vel = rand(CHANNEL_INIT_VELOCITY, 0, n, d)
-    positions = objective.lower + u_pos * (objective.upper - objective.lower)
-    velocities = config.v_min + u_vel * (config.v_max - config.v_min)
+    positions = _coordinate_major(
+        objective.lower + u_pos * (objective.upper - objective.lower)
+    )
+    velocities = _coordinate_major(config.v_min + u_vel * (config.v_max - config.v_min))
     return SwarmState(
         positions=positions,
         velocities=velocities,
-        best_positions=positions.copy(),
+        best_positions=positions.copy(order="K"),
         best_scores=objective.score_many(positions.reshape(-1, d)).reshape(u_pos.shape[:2]),
         alive=np.ones(u_pos.shape[:2], dtype=bool),
     )
@@ -432,9 +455,12 @@ def step(
     n, d = swarm.n_agents, swarm.dimension
     positions, alive = swarm.positions, swarm.alive
 
-    # social term: toward each agent's neighborhood leader, read before any write
+    # social term: toward each agent's neighborhood leader, read before any
+    # write; the gather yields contiguous (d, B * N) coordinate rows, so the
+    # temporaries below are coordinate-major whatever the state's order
     leaders = neighborhoods.leaders(swarm.best_scores, alive)
-    velocity = swarm.best_positions.reshape(-1, d)[leaders].reshape(positions.shape)
+    targets = np.take(swarm.best_positions.reshape(-1, d).T, leaders, axis=1)
+    velocity = targets.T.reshape(positions.shape)
     velocity -= positions
     velocity *= config.phi2 * rand_fn(CHANNEL_VELOCITY_SOCIAL, iteration, n)
     if config.phi1:

@@ -12,9 +12,13 @@ numpy call runs over N entries instead of over a row of m = 10.  The
 sum over the centres must still give the bits of the point-major
 ``(N, m)`` array's ``sum(axis=1)``, which numpy adds in its pairwise
 order; :func:`_sum_rows` adds the m rows in that same order.  The
-results therefore rely on numpy's pairwise summation order, which
-``tests/test_objectives.py`` pins so that an upgrade that changes it
-fails there and not silently in a results file.
+separable objectives work the same way on the ``(d, N)`` coordinate
+rows, so every kernel gives the bits of the C-order point-major formula
+whatever the memory order of its input (numpy's own ``sum(axis=1)``
+over a column-ordered array adds left to right, which from d = 8 on
+gives other bits).  The results therefore rely on numpy's pairwise
+summation order, which ``tests/test_objectives.py`` pins so that an
+upgrade that changes it fails there and not silently in a results file.
 """
 
 from __future__ import annotations
@@ -106,13 +110,15 @@ def _sum_rows(rows: np.ndarray) -> np.ndarray:
     return total
 
 
-def _shekel(points: np.ndarray) -> np.ndarray:
+# Each kernel takes the contiguous (d, N) coordinate rows of N points.
+
+
+def _shekel(columns: np.ndarray) -> np.ndarray:
     params = shekel_params()
     centers = params.centers
     # squared distances as one contiguous row of N per center, summed one
     # coordinate at a time from the left: the order a length-4 reduction
     # adds in
-    columns = np.ascontiguousarray(points.T)
     sq = np.subtract(columns[0], centers[:, 0:1])
     np.square(sq, out=sq)
     gap = np.empty_like(sq)
@@ -123,34 +129,35 @@ def _shekel(points: np.ndarray) -> np.ndarray:
     return _sum_rows(np.divide(1.0, sq, out=sq))
 
 
-def _ackley(points: np.ndarray) -> np.ndarray:
+def _ackley(columns: np.ndarray) -> np.ndarray:
     a, b, c = 20.0, 0.2, 2.0 * np.pi
-    d = points.shape[1]
-    radial = np.sqrt((points * points).sum(axis=1) / d)
-    cosine = np.cos(c * points).sum(axis=1) / d
+    d = columns.shape[0]
+    radial = np.sqrt(_sum_rows(columns * columns) / d)
+    cosine = _sum_rows(np.cos(c * columns)) / d
     return -a * np.exp(-b * radial) - np.exp(cosine) + a + np.e
 
 
-def _griewank(points: np.ndarray) -> np.ndarray:
-    d = points.shape[1]
+def _griewank(columns: np.ndarray) -> np.ndarray:
+    d = columns.shape[0]
     idx = np.sqrt(np.arange(1, d + 1, dtype=np.float64))
     return (
-        (points * points).sum(axis=1) / 4000.0
-        - np.cos(points / idx[None, :]).prod(axis=1)
+        _sum_rows(columns * columns) / 4000.0
+        # a product multiplies left to right along either axis
+        - np.cos(columns / idx[:, None]).prod(axis=0)
         + 1.0
     )
 
 
-def _schwefel(points: np.ndarray) -> np.ndarray:
-    d = points.shape[1]
-    return 418.9829 * d - (points * np.sin(np.sqrt(np.abs(points)))).sum(axis=1)
+def _schwefel(columns: np.ndarray) -> np.ndarray:
+    d = columns.shape[0]
+    return 418.9829 * d - _sum_rows(columns * np.sin(np.sqrt(np.abs(columns))))
 
 
-def _rastrigin(points: np.ndarray) -> np.ndarray:
-    d = points.shape[1]
-    return 10.0 * d + (
-        points * points - 10.0 * np.cos(2.0 * np.pi * points)
-    ).sum(axis=1)
+def _rastrigin(columns: np.ndarray) -> np.ndarray:
+    d = columns.shape[0]
+    return 10.0 * d + _sum_rows(
+        columns * columns - 10.0 * np.cos(2.0 * np.pi * columns)
+    )
 
 
 _EVALUATORS = {
@@ -233,7 +240,8 @@ class ObjectiveSpec:
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.dimension:
             raise ValueError(f"expected shape (N, {self.dimension}), got {pts.shape}")
-        return _EVALUATORS[self.name](pts)
+        # a no-op for the engine's coordinate-major points
+        return _EVALUATORS[self.name](np.ascontiguousarray(pts.T))
 
     def score_many(self, points: np.ndarray) -> np.ndarray:
         """Direction-adjusted values: larger is always better."""

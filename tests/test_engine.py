@@ -928,3 +928,69 @@ class TestBatch:
         for probs in ([0.1, 0.1, 0.1], 0.1):
             with pytest.raises(ValueError, match="death probabilities for 2 swarms"):
                 randomized_death(swarm, probs, rand, 2)
+
+
+def _coordinate_major_ok(array: np.ndarray) -> bool:
+    """A ``(B, N, d)`` array is a view of a C-contiguous ``(d, B, N)``
+    block, and its ``(B * N, d)`` reshape is a view."""
+    d = array.shape[2]
+    return array.transpose(2, 0, 1).flags.c_contiguous and np.shares_memory(
+        array.reshape(-1, d), array
+    )
+
+
+_STATE_FIELDS = ("positions", "velocities", "best_positions", "best_scores", "alive")
+
+
+class TestStateLayout:
+    """The state is stored coordinate-major; ``step`` gives the same bits
+    for a state in any memory order."""
+
+    def _batch(self, name, phi1):
+        n = 30
+        graphs = [make_ring(n), make_star(n), make_complete(n)]
+        configs = [
+            SwarmConfig(n_agents=n, phi1=phi1, seed=seed, death_prob=0.01)
+            for seed in range(len(graphs))
+        ]
+        # Shekel is 4-D only; the separable objectives run at d = 10, where
+        # a sum in another memory order would change bits
+        dimension = None if name == "shekel" else 10
+        return SwarmBatch(configs), graphs, default_spec(name, dimension)
+
+    @pytest.mark.parametrize("name", ["shekel", "rastrigin"])
+    def test_state_arrays_are_coordinate_major(self, name):
+        batch, graphs, objective = self._batch(name, 0.0)
+        rand = make_rand_source([c.seed for c in batch.configs])
+        swarm = initialize(batch, objective, rand)
+        hoods = Neighborhoods(graphs, True)
+        for iteration in range(4):
+            if iteration:
+                step(swarm, hoods, objective, batch.configs[0], rand, iteration)
+            for array in (swarm.positions, swarm.velocities, swarm.best_positions):
+                assert array.shape == (3, 30, objective.dimension)
+                assert _coordinate_major_ok(array)
+
+    @pytest.mark.parametrize("name", ["shekel", "rastrigin", "griewank"])
+    @pytest.mark.parametrize("phi1", [0.0, 1.5])
+    def test_step_bits_do_not_depend_on_memory_order(self, name, phi1):
+        batch, graphs, objective = self._batch(name, phi1)
+        config = batch.configs[0]
+        probs = [c.death_prob for c in batch.configs]
+        rand = make_rand_source([c.seed for c in batch.configs])
+        columns = initialize(batch, objective, rand)
+        rows = SwarmState(
+            *(np.array(getattr(columns, field), order="C") for field in _STATE_FIELDS)
+        )
+        assert not _coordinate_major_ok(rows.positions)
+        hoods = Neighborhoods(graphs, True)
+        for iteration in range(1, 51):
+            for swarm in (columns, rows):
+                step(swarm, hoods, objective, config, rand, iteration)
+                randomized_death(swarm, probs, rand, iteration)
+            for field in _STATE_FIELDS:
+                # tobytes reads both in C order: equal bytes are equal bits
+                expected = getattr(columns, field).tobytes()
+                assert getattr(rows, field).tobytes() == expected, (iteration, field)
+        assert rows.positions.flags.c_contiguous
+        assert not columns.alive.all()

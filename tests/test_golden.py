@@ -21,7 +21,14 @@ numpy arrays).  The plan CSV and trace digests were taken from the
 engine that ran each run on its own, before runs were batched across
 cells.  The metrics CSV is the ``swarmtopo metrics`` output,
 omega sampler seed 0, over the 40-node spectrum with 10 graphs per
-segment, a small-world graph, and two disconnected graphs.  Each takes
+segment, a small-world graph, and two disconnected graphs.  The d = 10
+digest runs a Rastrigin batch and a Griewank batch at dimension 10 on a
+ring, a star and a small-world graph at n=36, with no loss and 30% loss,
+for 100 iterations; it was taken from the engine that stored its state
+row-major, ``(B, N, d)`` in C order, and summed the separable objectives
+with ``sum(axis=1)``, before the state moved to the coordinate-major
+layout, so it pins that a summation over ten coordinates keeps its bits
+in either layout.  Each takes
 a few seconds or less.  The digests were taken with numpy 2.4 on
 x86-64.
 """
@@ -33,7 +40,7 @@ import hashlib
 import pytest
 
 from swarmtopo.cli import METRICS_COLUMNS, main
-from swarmtopo.engine import SwarmConfig, run
+from swarmtopo.engine import SwarmBatch, SwarmConfig, run
 from swarmtopo.graph_metrics import compute_metrics
 from swarmtopo.harness import (
     SuccessCriterion,
@@ -69,6 +76,21 @@ GRID_SPECS = (
 GRID_ITERS = 150
 
 GRID_SHA256 = "fa5b84def55383299393b2dd6b672fdb44849df1348c83b9a3bf22b87f71b3c9"
+
+# d = 10 batches: each objective runs one batch of six rows, three graphs
+# at n=36 by two loss levels, and the digest covers every row's outcome
+# and its per-iteration best score, so a change in the last bit of any
+# objective sum shows
+HIGH_D_OBJECTIVES = ("rastrigin", "griewank")
+HIGH_D_DIMENSION = 10
+HIGH_D_SPECS = (
+    TopologySpec("ring", node_count=36),
+    TopologySpec("star", node_count=36),
+    TopologySpec("small-world", node_count=36, degree=4, rewire_prob=0.2, seed=3),
+)
+HIGH_D_ITERS = 100
+
+HIGH_D_SHA256 = "4131b8e5ff2c73c9de7b2a5469e4b73b94c0a629098264cafbfc9f8da9cce34a"
 
 REDUCED_ACCEPTANCE_PLAN = """\
 version = 1
@@ -163,6 +185,37 @@ def engine_grid_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+def high_dimension_text() -> str:
+    """One line per batch row: the objective and cell, the row's outcome,
+    then its best score after every iteration."""
+    lines = []
+    for name in HIGH_D_OBJECTIVES:
+        objective = default_spec(name, HIGH_D_DIMENSION)
+        predicate = success_predicate(SuccessCriterion(), objective)
+        cells = [(spec, loss) for spec in HIGH_D_SPECS for loss in (0.0, 0.3)]
+        configs = [
+            SwarmConfig(
+                n_agents=36,
+                max_iters=HIGH_D_ITERS,
+                death_prob=death_fraction_to_prob(loss, HIGH_D_ITERS),
+                seed=row,
+            )
+            for row, (_, loss) in enumerate(cells)
+        ]
+        graphs = [build_topology(spec) for spec, _ in cells]
+        batch = run(SwarmBatch(configs), graphs, objective, predicate, record_trace=True)
+        for (spec, loss), row in zip(cells, batch.rows):
+            outcome = (
+                row.converged,
+                row.convergence_iteration,
+                row.winners,
+                row.survivors,
+                row.iterations_executed,
+            )
+            lines.append(f"{name} {spec.topology_id()} {loss} {outcome} {row.trace[1]!r}")
+    return "\n".join(lines) + "\n"
+
+
 def _optional_repr(value) -> str:
     return "" if value is None else repr(float(value))
 
@@ -197,6 +250,10 @@ def test_grid_covers_every_kind():
 
 def test_engine_grid_digest():
     assert _sha256(engine_grid_text()) == GRID_SHA256
+
+
+def test_high_dimension_digest():
+    assert _sha256(high_dimension_text()) == HIGH_D_SHA256
 
 
 def test_reduced_acceptance_csv_digest():

@@ -187,6 +187,77 @@ class TestSeparableObjectives:
         assert spec.evaluate(np.zeros(5)) == 0.0
 
 
+def _row_formula(name: str, points: np.ndarray) -> np.ndarray:
+    """Oracle: each separable objective written point-major, as its
+    textbook formula summed along the contiguous rows of a C-order
+    ``(N, d)`` array by numpy's own reduction."""
+    points = np.ascontiguousarray(points)
+    d = points.shape[1]
+    if name == "ackley":
+        radial = np.sqrt((points * points).sum(axis=1) / d)
+        cosine = np.cos(2.0 * np.pi * points).sum(axis=1) / d
+        return -20.0 * np.exp(-0.2 * radial) - np.exp(cosine) + 20.0 + np.e
+    if name == "griewank":
+        idx = np.sqrt(np.arange(1, d + 1, dtype=np.float64))
+        return (
+            (points * points).sum(axis=1) / 4000.0
+            - np.cos(points / idx).prod(axis=1)
+            + 1.0
+        )
+    if name == "schwefel":
+        return 418.9829 * d - (points * np.sin(np.sqrt(np.abs(points)))).sum(axis=1)
+    assert name == "rastrigin"
+    return 10.0 * d + (points * points - 10.0 * np.cos(2.0 * np.pi * points)).sum(axis=1)
+
+
+_LAYOUT_CASES = [("shekel", 4)] + [
+    (name, d)
+    for name in ("ackley", "griewank", "schwefel", "rastrigin")
+    for d in (1, 2, 3, 7, 8, 9, 16, 17, 129)
+]
+
+
+class TestMemoryOrder:
+    """The engine hands the objectives coordinate-major ``(P, d)`` views;
+    the bits must not depend on the memory order of the points."""
+
+    @pytest.mark.parametrize("name,d", _LAYOUT_CASES)
+    def test_score_many_is_bit_equal_in_every_layout(self, name, d):
+        spec = default_spec(name, d)
+        rng = np.random.default_rng(d)
+        points = rng.uniform(spec.lower, spec.upper, size=(600, d))
+        expected = spec.score_many(points).tobytes()
+        for layout in (np.asfortranarray(points), np.ascontiguousarray(points.T).T):
+            assert spec.score_many(layout).tobytes() == expected
+        if name != "shekel":
+            sign = 1.0 if spec.direction == "max" else -1.0
+            assert (sign * _row_formula(name, points)).tobytes() == expected
+
+    @pytest.mark.parametrize("name,d", _LAYOUT_CASES)
+    def test_evaluate_matches_its_batch_row(self, name, d):
+        spec = default_spec(name, d)
+        rng = np.random.default_rng(100 + d)
+        points = np.ascontiguousarray(
+            rng.uniform(spec.lower, spec.upper, size=(d, 40))
+        ).T
+        values = spec.evaluate_many(points)
+        scores = spec.score_many(points)
+        sign = 1.0 if spec.direction == "max" else -1.0
+        for point, value, score in zip(points, values, scores):
+            assert spec.evaluate(point) == value
+            assert sign * spec.evaluate(point) == score
+
+    def test_row_formula_differs_in_column_order(self):
+        # the test above has teeth: at d = 10 numpy sums a column-ordered
+        # array's rows left to right, not in its pairwise order, and a good
+        # share of the values change bits
+        spec = default_spec("rastrigin", 10)
+        points = np.random.default_rng(3).uniform(-5.12, 5.12, size=(3000, 10))
+        terms = points * points - 10.0 * np.cos(2.0 * np.pi * points)
+        column_sums = np.asfortranarray(terms).sum(axis=1)
+        assert (100.0 + column_sums != spec.evaluate_many(points)).sum() > 10
+
+
 class TestSpecContainer:
     def test_table_defaults(self):
         expectations = {
