@@ -41,13 +41,14 @@ Cost per iteration, for B rows of N agents in dimension d:
   of the ``(d, B * N)`` best positions, the temporaries inherit that
   order, and the ``(B, N, 1)`` draws and the alive and improved masks
   broadcast along contiguous rows rather than over rows of d = 2 or 4;
-* leader selection gathers the scores through one flat CSR over the
-  rows' candidate sets (:class:`Neighborhoods`), then takes one
+* leader selection: an agent's candidates are itself and its
+  neighbours.  The scores are gathered through one flat CSR over the
+  rows' candidate sets (:class:`Neighborhoods`), then reduced by one
   segmented max and the lowest index among each segment's maxima.
   That is O(sum over rows of N + E), where a row with E edges holds
   2E + N candidate entries, so a hub costs its own degree and no
-  other row pads to it.  A complete row with the agent in its own
-  neighborhood has one leader, found by an O(N) argmax with no gather;
+  other row pads to it.  A complete row has one leader, found by an
+  O(N) argmax with no gather;
 * the uniform draws are computed ahead, a block of up to K
   iterations per (channel, count, lanes) at a time: three in-place
   vector splitmix64 rounds over the K * B keys, the K * B * N and the
@@ -233,7 +234,6 @@ class SwarmConfig:
     max_iters: int = 1000
     death_prob: float = 0.0
     seed: int = 0
-    include_self: bool = True
 
     def __post_init__(self) -> None:
         if self.n_agents < 1:
@@ -328,41 +328,35 @@ class BatchResult:
 class Neighborhoods:
     """The leader-candidate sets of B graphs over N agents, flattened once.
 
-    Agent ``i`` of row ``b`` is flat agent ``b * N + i``.  The rows'
-    candidate sets (:meth:`Graph.candidates`) are laid end to end as
-    one CSR whose indices are offset by row, so a hub costs its own
-    degree and no other row pads to it.  A complete graph with
-    ``include_self`` on joins no CSR: its agents share one leader, one
-    argmax over the row.
+    An agent's candidates are itself and its neighbours.  Agent ``i`` of
+    row ``b`` is flat agent ``b * N + i``.  The rows' candidate sets
+    (:attr:`Graph.candidates`) are laid end to end as one CSR whose
+    indices are offset by row, so a hub costs its own degree and no
+    other row pads to it.  A complete graph joins no CSR: its agents
+    share one leader, one argmax over the row.
     """
 
-    def __init__(self, graphs, include_self: bool) -> None:
+    def __init__(self, graphs) -> None:
         graphs = tuple(graphs)
         n = graphs[0].node_count
         for graph in graphs:
             if graph.node_count != n:
                 raise ValueError("every graph of a batch needs the same node count")
-        self.node_count, self.rows, self.include_self = n, len(graphs), include_self
-        full = [include_self and graph.is_complete for graph in graphs]
+        self.node_count, self.rows = n, len(graphs)
+        full = [graph.is_complete for graph in graphs]
         self._full_rows = np.flatnonzero(full)
         self._self = np.arange(self.rows * n)
-        self._indices, self._covers_all = None, False
+        self._indices = None
         sparse = [row for row, is_full in enumerate(full) if not is_full]
         if sparse:
-            parts = [graphs[row].candidates(include_self) for row in sparse]
+            parts = [graphs[row].candidates for row in sparse]
             counts = np.concatenate([np.diff(indptr) for indptr, _ in parts])
-            owners = (np.array(sparse)[:, None] * n + np.arange(n)).ravel()
-            # an agent with no candidate (isolated, itself left out) has no
-            # segment and leads itself
-            self._owners = owners[counts > 0]
-            counts = counts[counts > 0]
+            self._owners = (np.array(sparse)[:, None] * n + np.arange(n)).ravel()
             self._starts = np.cumsum(counts) - counts
             self._segments = np.repeat(np.arange(counts.size), counts)
-            if counts.size:
-                self._indices = np.concatenate(
-                    [indices + row * n for row, (_, indices) in zip(sparse, parts)]
-                )
-                self._covers_all = counts.size == self._self.size
+            self._indices = np.concatenate(
+                [indices + row * n for row, (_, indices) in zip(sparse, parts)]
+            )
 
     def _gather(self, masked: np.ndarray) -> np.ndarray:
         # the lowest-index best candidate of every CSR segment
@@ -383,16 +377,16 @@ class Neighborhoods:
         """
         alive = alive.ravel()
         masked = np.where(alive, scores.ravel(), -np.inf)
-        if self._covers_all:
+        if not self._full_rows.size:
             leaders = self._gather(masked)
         else:
-            leaders = self._self.copy()
+            # every row is complete or in the CSR, so every entry is written
+            leaders = np.empty_like(self._self)
             if self._indices is not None:
                 leaders[self._owners] = self._gather(masked)
-            if self._full_rows.size:
-                n, rows = self.node_count, self._full_rows
-                top = masked.reshape(-1, n)[rows].argmax(axis=1) + rows * n
-                leaders.reshape(-1, n)[rows] = top[:, None]
+            n, rows = self.node_count, self._full_rows
+            top = masked.reshape(-1, n)[rows].argmax(axis=1) + rows * n
+            leaders.reshape(-1, n)[rows] = top[:, None]
         # a dead leader means every candidate is dead (they all score -inf)
         return np.where(alive[leaders], leaders, self._self)
 
@@ -403,15 +397,15 @@ def _coordinate_major(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(values.transpose(2, 0, 1)).transpose(1, 2, 0)
 
 
-def initialize(batch: SwarmBatch, objective, rand_fn=None) -> SwarmState:
+def initialize(batch: SwarmBatch, objective, rand_fn) -> SwarmState:
     """Fresh ``(B, N, d)`` swarm: positions uniform in the search box,
     velocities uniform in the clamp interval, bests at the starting
-    positions, everyone alive; the ``(B, N, d)`` arrays coordinate-major."""
+    positions, everyone alive; the ``(B, N, d)`` arrays coordinate-major.
+    ``rand_fn`` draws like :func:`make_rand_source` of the batch's seeds."""
     config = batch.configs[0]
-    rand = rand_fn or make_rand_source([c.seed for c in batch.configs])
     n, d = config.n_agents, objective.dimension
-    u_pos = rand(CHANNEL_INIT_POSITION, 0, n, d)
-    u_vel = rand(CHANNEL_INIT_VELOCITY, 0, n, d)
+    u_pos = rand_fn(CHANNEL_INIT_POSITION, 0, n, d)
+    u_vel = rand_fn(CHANNEL_INIT_VELOCITY, 0, n, d)
     positions = _coordinate_major(
         objective.lower + u_pos * (objective.upper - objective.lower)
     )
@@ -443,8 +437,6 @@ def step(
     zero).  Velocities are clamped per component after the update;
     positions are never clamped.  Dead agents do not move.
     """
-    if neighborhoods.include_self != config.include_self:
-        raise ValueError("neighborhoods were built for another include_self")
     if neighborhoods.node_count != swarm.n_agents:
         raise ValueError(
             f"graph has {neighborhoods.node_count} nodes for {swarm.n_agents} agents"
@@ -535,7 +527,7 @@ def run(
             raise ValueError(
                 f"graph has {one.node_count} nodes for {shared.n_agents} agents"
             )
-    neighborhoods = Neighborhoods(graphs, shared.include_self)
+    neighborhoods = Neighborhoods(graphs)
     rand = rand_fn or make_rand_source([c.seed for c in batch.configs])
     swarm = initialize(batch, objective, rand)
     death = np.array([c.death_prob for c in batch.configs])

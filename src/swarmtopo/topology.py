@@ -111,29 +111,24 @@ class Graph:
         n = self.node_count
         return self.edge_count == n * (n - 1) // 2
 
-    def candidates(self, include_self: bool) -> tuple[np.ndarray, np.ndarray]:
+    @cached_property
+    def candidates(self) -> tuple[np.ndarray, np.ndarray]:
         """Every node's candidate set in CSR form, ``(indptr, indices)``.
 
-        Node ``i``'s candidates are ``indices[indptr[i]:indptr[i + 1]]``:
-        its neighbors, plus ``i`` itself when ``include_self`` is on, in
-        ascending order.  The arrays hold ``n + 1`` and ``2 * edges``
-        (plus ``n``) entries, so a hub costs its degree and no more.
-        They are built on first use, cached on the graph and read-only.
+        A node's candidates are itself and its neighbours: node ``i``'s
+        are ``indices[indptr[i]:indptr[i + 1]]``, in ascending order.
+        The arrays hold ``n + 1`` and ``2 * edges + n`` entries, so a
+        hub costs its degree and no more.  They are built on first use,
+        cached on the graph and read-only.
         """
-        # the dataclass is frozen: like cached_property, cache in __dict__
-        cache = self.__dict__.setdefault("_candidates", {})
-        if include_self not in cache:
-            n = self.node_count
-            members = self.adjacency
-            if include_self:
-                members = members | np.eye(n, dtype=bool)
-            rows, indices = np.nonzero(members)  # row-major: ascending per row
-            indptr = np.zeros(n + 1, dtype=np.intp)
-            np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-            for array in (indptr, indices):
-                array.setflags(write=False)
-            cache[include_self] = (indptr, indices)
-        return cache[include_self]
+        n = self.node_count
+        rows, indices = np.nonzero(self.adjacency | np.eye(n, dtype=bool))
+        # row-major, so each node's candidates ascend
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        for array in (indptr, indices):
+            array.setflags(write=False)
+        return indptr, indices
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as ``(i, j)`` with ``i < j``, lexicographically sorted."""

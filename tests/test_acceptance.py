@@ -213,7 +213,7 @@ def _trace_rand(channel, iteration, agent_count, lanes=1):
 
 def test_criterion_5_update_rule_trace_and_clamp():
     config = SwarmConfig(chi=0.5, phi1=1.0, phi2=2.0, n_agents=2, max_iters=3)
-    graph = Neighborhoods((make_complete(2),), config.include_self)
+    graph = Neighborhoods((make_complete(2),))
     objective = _Parabola()
     # one swarm is a batch of one: every state array has a leading row axis
     positions = np.array([[[1.0], [-2.0]]])
@@ -244,7 +244,7 @@ def test_criterion_5_update_rule_trace_and_clamp():
     config = SwarmConfig(n_agents=1000, max_iters=100, seed=9)
     rand = make_rand_source([config.seed])
     objective = default_spec("rastrigin")
-    graph = Neighborhoods((make_random(1000, edge_prob=0.01, rng=3),), config.include_self)
+    graph = Neighborhoods((make_random(1000, edge_prob=0.01, rng=3),))
     swarm = initialize(SwarmBatch([config]), objective, rand)
     for iteration in range(1, 101):
         step(swarm, graph, objective, config, rand, iteration)

@@ -53,20 +53,17 @@ from swarmtopo.topology import (
 from strategies import topology_specs
 
 
-def neighborhood_best(
-    agent: int, graph: Graph, swarm: SwarmState, include_self: bool = True
-) -> np.ndarray:
+def neighborhood_best(agent: int, graph: Graph, swarm: SwarmState) -> np.ndarray:
     """Per-agent oracle: best-known position among an agent's alive
     candidates, in a one-row swarm.
 
-    Candidates are the agent's graph neighbors, plus itself unless
-    ``include_self`` is off.  Ties break toward the lowest agent
-    index.  If every candidate is dead the agent falls back to its
-    own best (no outside information is available).
+    Candidates are the agent itself and its graph neighbors.  Ties
+    break toward the lowest agent index.  If every candidate is dead
+    the agent falls back to its own best (no outside information is
+    available).
     """
     row = np.array(graph.adjacency[agent])
-    if include_self:
-        row[agent] = True
+    row[agent] = True
     candidates = np.flatnonzero(row & swarm.alive[0])
     if candidates.size == 0:
         return swarm.best_positions[0, agent].copy()
@@ -74,27 +71,24 @@ def neighborhood_best(
     return swarm.best_positions[0, winner].copy()
 
 
-def dense_leaders(
-    graph: Graph, include_self: bool, scores: np.ndarray, alive: np.ndarray
-) -> np.ndarray:
+def dense_leaders(graph: Graph, scores: np.ndarray, alive: np.ndarray) -> np.ndarray:
     """Whole-swarm oracle: leaders from the dense N x N candidate mask,
     the selection ``step`` used before the neighbor table."""
     n = scores.shape[0]
     cand = np.array(graph.adjacency, dtype=bool)
-    if include_self:
-        np.fill_diagonal(cand, True)
+    np.fill_diagonal(cand, True)
     eligible = cand & alive[None, :]
     masked = np.where(eligible, scores[None, :], -np.inf)
     leaders = np.argmax(masked, axis=1)  # ties take the lowest index
     return np.where(eligible.any(axis=1), leaders, np.arange(n))
 
 
-def _hoods(graph: Graph, include_self: bool = True) -> Neighborhoods:
-    return Neighborhoods((graph,), include_self)
+def _hoods(graph: Graph) -> Neighborhoods:
+    return Neighborhoods((graph,))
 
 
-def _leaders(graph, include_self, scores, alive):
-    return _hoods(graph, include_self).leaders(scores, alive)
+def _leaders(graph, scores, alive):
+    return _hoods(graph).leaders(scores, alive)
 
 
 def _one_row(positions, velocities, best_positions, best_scores, alive) -> SwarmState:
@@ -533,15 +527,6 @@ class TestNeighborhoodBest:
         # hub's own score wins over every leaf
         assert neighborhood_best(0, graph, swarm)[0] == 0.0
 
-    def test_strict_neighbors_excludes_self(self):
-        swarm = self._swarm_with_scores([0.0, 9.0, 0.0, 0.0, 0.0])
-        graph = make_star(5)
-        # leaf 2 only sees the hub, even though its own best is equal
-        got = neighborhood_best(2, graph, swarm, include_self=False)
-        assert got[0] == 0.0
-        # hub sees all leaves; agent 1 wins
-        assert neighborhood_best(0, graph, swarm, include_self=False)[0] == 1.0
-
     def test_ties_break_to_lowest_index(self):
         swarm = self._swarm_with_scores([1.0, 1.0, 1.0])
         got = neighborhood_best(2, make_complete(3), swarm)
@@ -554,11 +539,13 @@ class TestNeighborhoodBest:
         assert got[0] == 1.0
 
     def test_all_candidates_dead_falls_back_to_self(self):
+        # leaf 2's candidates are itself and the hub; both are dead, while
+        # leaf 1, alive and best, is not among them
         swarm = self._swarm_with_scores([9.0, 1.0, 0.5])
-        swarm.alive[:] = False
-        swarm.alive[0, 2] = True
-        got = neighborhood_best(2, make_star(3), swarm, include_self=False)
-        assert got[0] == 2.0
+        swarm.alive[0, [0, 2]] = False
+        graph = make_star(3)
+        assert neighborhood_best(2, graph, swarm)[0] == 2.0
+        assert _leaders(graph, swarm.best_scores, swarm.alive)[2] == 2
 
     def test_matches_step_leader_choice(self):
         objective = default_spec("griewank")
@@ -596,38 +583,35 @@ _SCORE = st.one_of(st.integers(-2, 2).map(float), st.floats(-1e6, 1e6))
 
 class TestLeaderTable:
     @settings(max_examples=300, deadline=None)
-    @given(spec=topology_specs(), include_self=st.booleans(), data=st.data())
-    def test_matches_dense_and_per_agent_oracles(self, spec, include_self, data):
+    @given(spec=topology_specs(), data=st.data())
+    def test_matches_dense_and_per_agent_oracles(self, spec, data):
         graph = build_topology(spec)
         n = graph.node_count
         scores = np.array(data.draw(st.lists(_SCORE, min_size=n, max_size=n)))
         alive = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-        leaders = _leaders(graph, include_self, scores, alive)
-        assert np.array_equal(leaders, dense_leaders(graph, include_self, scores, alive))
+        leaders = _leaders(graph, scores, alive)
+        assert np.array_equal(leaders, dense_leaders(graph, scores, alive))
         # positions equal to agent indices make each oracle best a leader index
         positions = np.arange(n, dtype=np.float64).reshape(n, 1)
         swarm = _one_row(positions, np.zeros((n, 1)), positions.copy(), scores, alive)
         for agent in range(n):
-            assert neighborhood_best(agent, graph, swarm, include_self)[0] == leaders[agent]
+            assert neighborhood_best(agent, graph, swarm)[0] == leaders[agent]
 
-    @pytest.mark.parametrize("include_self", [True, False])
     @pytest.mark.parametrize("alive", [True, False])
-    def test_single_agent_leads_itself(self, include_self, alive):
-        leaders = _leaders(make_complete(1), include_self, np.array([3.0]), np.array([alive]))
+    def test_single_agent_leads_itself(self, alive):
+        leaders = _leaders(make_complete(1), np.array([3.0]), np.array([alive]))
         assert leaders.tolist() == [0]
 
     def test_table_layout(self):
         star = make_star(4)
-        indptr, indices = star.candidates(False)
-        assert indptr.tolist() == [0, 3, 4, 5, 6]
-        assert indices.tolist() == [1, 2, 3, 0, 0, 0]
-        indptr, indices = star.candidates(True)
+        indptr, indices = star.candidates
         assert indptr.tolist() == [0, 4, 6, 8, 10]
         assert indices.tolist() == [0, 1, 2, 3, 0, 1, 0, 2, 0, 3]
-        # an edgeless graph has empty candidate sets
-        assert Graph(np.zeros((2, 2), dtype=bool)).candidates(False)[0].tolist() == [0, 0, 0]
-        assert star.candidates(True) is star.candidates(True)
-        assert not any(array.flags.writeable for array in star.candidates(True))
+        # an edgeless graph gives each node itself alone
+        indptr, indices = Graph(np.zeros((2, 2), dtype=bool)).candidates
+        assert indptr.tolist() == [0, 1, 2] and indices.tolist() == [0, 1]
+        assert star.candidates is star.candidates
+        assert not any(array.flags.writeable for array in star.candidates)
 
     def test_complete_path_keyed_on_graph_not_kind(self):
         # a core-periphery graph whose core is everything is complete
@@ -636,10 +620,10 @@ class TestLeaderTable:
         assert graph.is_complete and not make_star(6).is_complete
         scores = np.array([1.0, 5.0, 5.0, 2.0, 0.0, 4.0])
         alive = np.array([True, False, True, True, True, True])
-        assert _leaders(graph, True, scores, alive).tolist() == [2] * 6
-        assert "_candidates" not in graph.__dict__
+        assert _leaders(graph, scores, alive).tolist() == [2] * 6
+        assert "candidates" not in graph.__dict__
         all_dead = np.zeros(6, dtype=bool)
-        assert _leaders(graph, True, scores, all_dead).tolist() == list(range(6))
+        assert _leaders(graph, scores, all_dead).tolist() == list(range(6))
 
 
 class TestDeathAndRun:
@@ -676,7 +660,7 @@ class TestDeathAndRun:
     def test_initialize_within_bounds(self):
         objective = default_spec("schwefel")
         config = SwarmConfig(n_agents=300, seed=8)
-        swarm = initialize(SwarmBatch([config]), objective)
+        swarm = initialize(SwarmBatch([config]), objective, make_rand_source([config.seed]))
         assert swarm.positions.shape == (1, 300, objective.dimension)
         assert (swarm.positions >= objective.lower).all()
         assert (swarm.positions <= objective.upper).all()
@@ -788,7 +772,6 @@ class TestConfigValidation:
         assert (config.v_min, config.v_max) == (-10.0, 10.0)
         assert config.n_agents == 100
         assert config.max_iters == 1000
-        assert config.include_self
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -862,7 +845,6 @@ class TestBatch:
     def test_rows_equal_serial_runs(self, mixed, data):
         n, graphs = mixed
         objective = default_spec(data.draw(st.sampled_from(OBJECTIVE_NAMES)))
-        include_self = data.draw(st.booleans())
         # a wide success radius, so that some runs converge and some do not
         tolerance = data.draw(st.floats(0.05, 0.5)) * objective.range_diagonal()
         qualifies = success_predicate(SuccessCriterion(tolerance=tolerance), objective)
@@ -872,7 +854,6 @@ class TestBatch:
                 max_iters=25,
                 death_prob=data.draw(st.sampled_from((0.0, 0.02, 0.3))),
                 seed=data.draw(st.integers(0, 2**64 - 1)),
-                include_self=include_self,
             )
             for _ in graphs
         ]
@@ -963,7 +944,7 @@ class TestStateLayout:
         batch, graphs, objective = self._batch(name, 0.0)
         rand = make_rand_source([c.seed for c in batch.configs])
         swarm = initialize(batch, objective, rand)
-        hoods = Neighborhoods(graphs, True)
+        hoods = Neighborhoods(graphs)
         for iteration in range(4):
             if iteration:
                 step(swarm, hoods, objective, batch.configs[0], rand, iteration)
@@ -983,7 +964,7 @@ class TestStateLayout:
             *(np.array(getattr(columns, field), order="C") for field in _STATE_FIELDS)
         )
         assert not _coordinate_major_ok(rows.positions)
-        hoods = Neighborhoods(graphs, True)
+        hoods = Neighborhoods(graphs)
         for iteration in range(1, 51):
             for swarm in (columns, rows):
                 step(swarm, hoods, objective, config, rand, iteration)

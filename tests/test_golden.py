@@ -11,9 +11,14 @@ change that fixes a bug and says so.
 
 The engine grid runs every topology kind at n=36 (star, scale-free and
 core-periphery give wide, ragged candidate sets; the complete graph
-takes the one-argmax path), plus the one-agent complete graph, with the
-agent itself in or out of its neighbourhood and with no loss or 30%
-loss.  The plan is the acceptance plan cut to two repetitions of 150
+takes the one-argmax path), plus the one-agent complete graph, with no
+loss or 30% loss, each agent a candidate for its own leader.  Its
+digest was derived from an engine that could also leave the agent out
+of its own candidates: that engine's grid ran each topology with the
+agent in and then out, at seed ``len(lines) + 100 * index``, and printed
+the flag after the topology id; the digest is the sha256 of its agent-in
+lines (22 of 44; seed ``104 * index + k`` for the k-th death fraction)
+with the flag token removed.  The plan is the acceptance plan cut to two repetitions of 150
 iterations; the two built-in sweeps are cut to one repetition of 50
 iterations, the spectrum to 10 graphs per segment (their digests were
 taken from the engine that derived its random keys with one-element
@@ -75,7 +80,7 @@ GRID_SPECS = (
 )
 GRID_ITERS = 150
 
-GRID_SHA256 = "fa5b84def55383299393b2dd6b672fdb44849df1348c83b9a3bf22b87f71b3c9"
+GRID_SHA256 = "e8414d748e66a9152b92366d0d3ad6eba29abe1ea690a969d32dcaebbc715c53"
 
 # d = 10 batches: each objective runs one batch of six rows, three graphs
 # at n=36 by two loss levels, and the digest covers every row's outcome
@@ -162,26 +167,22 @@ def engine_grid_text() -> str:
     lines = []
     for index, spec in enumerate(GRID_SPECS):
         graph = build_topology(spec)
-        for include_self in (True, False):
-            for death_fraction in (0.0, 0.3):
-                config = SwarmConfig(
-                    n_agents=graph.node_count,
-                    max_iters=GRID_ITERS,
-                    death_prob=death_fraction_to_prob(death_fraction, GRID_ITERS),
-                    seed=len(lines) + 100 * index,
-                    include_self=include_self,
-                )
-                result = run(config, graph, objective, predicate)
-                outcome = (
-                    result.converged,
-                    result.convergence_iteration,
-                    result.winners,
-                    result.survivors,
-                    result.iterations_executed,
-                )
-                lines.append(
-                    f"{spec.topology_id()} {include_self} {death_fraction} {outcome}"
-                )
+        for k, death_fraction in enumerate((0.0, 0.3)):
+            config = SwarmConfig(
+                n_agents=graph.node_count,
+                max_iters=GRID_ITERS,
+                death_prob=death_fraction_to_prob(death_fraction, GRID_ITERS),
+                seed=104 * index + k,
+            )
+            result = run(config, graph, objective, predicate)
+            outcome = (
+                result.converged,
+                result.convergence_iteration,
+                result.winners,
+                result.survivors,
+                result.iterations_executed,
+            )
+            lines.append(f"{spec.topology_id()} {death_fraction} {outcome}")
     return "\n".join(lines) + "\n"
 
 

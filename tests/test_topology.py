@@ -280,15 +280,14 @@ class TestEveryKind:
         graph = build_topology(spec)
         _check_invariants(graph)
         n = graph.node_count
-        for include_self in (False, True):
-            indptr, indices = graph.candidates(include_self)
-            candidates = graph.adjacency | (include_self & np.eye(n, dtype=bool))
-            assert indptr.shape == (n + 1,) and indptr[0] == 0
-            for node, members in enumerate(candidates):
-                # each node's members, ascending
-                row = indices[indptr[node]:indptr[node + 1]]
-                assert row.tolist() == np.flatnonzero(members).tolist()
-            assert indptr[-1] == indices.size
+        indptr, indices = graph.candidates
+        candidates = graph.adjacency | np.eye(n, dtype=bool)
+        assert indptr.shape == (n + 1,) and indptr[0] == 0
+        for node, members in enumerate(candidates):
+            # each node's members, itself included, ascending
+            row = indices[indptr[node]:indptr[node + 1]]
+            assert row.tolist() == np.flatnonzero(members).tolist()
+        assert indptr[-1] == indices.size
         text = edge_list_text(graph)
         assert edge_list_text(parse_edge_list(text)) == text
 
