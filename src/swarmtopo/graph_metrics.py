@@ -1,21 +1,24 @@
 """Structural metrics for communication graphs.
 
 Distances come from one breadth-first search kernel that runs many
-sources at once.  Each BFS level multiplies the frontier, a float32
-(sources x n) 0/1 matrix, by the float32 adjacency in BLAS, thresholds
-the product at > 0 and masks it by the nodes not yet reached, all in
-reused buffers.  Per level that is one n^3 float32 product (all
-sources) plus O(n^2) mask work; a single-source search costs n^2 per
-level.  The results are exact: a product entry counts frontier
+sources at once.  The first BFS level is the sources' adjacency rows;
+each later level multiplies the frontier, a float32 (sources x n) 0/1
+matrix, by the float32 adjacency in BLAS, thresholds the product at
+> 0 and masks it by the nodes not yet reached, all in reused buffers.
+The all-pairs path-length sum stops at the level that reaches its last
+pair, so on a connected graph of diameter D it costs D - 1 n^3 float32
+products plus O(n^2) mask work per level; a single-source search costs
+n^2 per level.  The results are exact: a product entry counts frontier
 neighbours, at most n, far below float32's 2^24 integer limit, and
-only its sign is read.  The omega sampler checks each random reference
-graph with a single-source search first, so a disconnected sample is
-rejected at O(depth x n^2) before the all-pairs search.  The dense
-product wastes work on long, thin frontiers (a 1000-node ring runs 500
-levels); a sparse or bit-packed search for n >= 1000 is not built yet.
-Spectra come from dense symmetric eigendecomposition.  All metrics
-tolerate disconnected graphs: path-based quantities report ``None``
-instead of infinities.
+only its sign is read.  The omega sampler rejects a random reference
+graph with an isolated node (most disconnected ones) without
+searching, and gives every other sample one all-pairs search, which
+also rejects the rest.  The dense product wastes work on long, thin
+frontiers (a 1000-node ring runs 500 levels); a sparse or bit-packed
+search for n >= 1000 is not built yet.  Spectra come from dense
+symmetric eigendecomposition, and clustering from one float32 A @ A.
+All metrics tolerate disconnected graphs: path-based quantities report
+``None`` instead of infinities.
 """
 
 from __future__ import annotations
@@ -45,30 +48,31 @@ def _bfs_levels(adjacency: np.ndarray, sources: np.ndarray | list[int]):
     ``adjacency`` is the float32 (n, n) matrix and ``sources`` a
     sequence of node indices; row i of the boolean ``new`` marks the
     nodes first reached from ``sources[i]`` at ``depth``, and ``count``
-    is the number of marks.  One level is the product
+    is the number of marks.  The first level is the sources' adjacency
+    rows, read without a product.  Each later level is the product
     ``frontier @ adjacency`` written into a reused buffer, thresholded
     at > 0 and masked by the nodes not yet reached, so ``new`` is
-    overwritten by the next level.  The generator stops at the first
-    level that reaches nothing.
+    overwritten by the next level, and a level's product is formed
+    only when the caller asks for it.  The generator stops at the
+    first level that reaches nothing.
     """
-    rows = np.arange(len(sources))
-    frontier = np.zeros((len(sources), adjacency.shape[0]), dtype=np.float32)
-    frontier[rows, sources] = 1.0
-    unreached = frontier == 0.0
+    frontier = adjacency[sources]
+    new = frontier > 0.0
+    unreached = np.ones_like(new)
+    unreached[np.arange(len(sources)), sources] = False
     product = np.empty_like(frontier)
-    new = np.empty_like(unreached)
-    depth = 0
+    depth = 1
     while True:
-        np.matmul(frontier, adjacency, out=product)
-        np.greater(product, 0.0, out=new)
         new &= unreached
         count = int(np.count_nonzero(new))
         if not count:
             return
         unreached ^= new
-        np.copyto(frontier, new)
-        depth += 1
         yield depth, new, count
+        np.copyto(frontier, new)
+        np.matmul(frontier, adjacency, out=product)
+        np.greater(product, 0.0, out=new)
+        depth += 1
 
 
 def _distance_sum(adjacency: np.ndarray, sources: np.ndarray | list[int]) -> int | None:
@@ -95,10 +99,11 @@ def _mean_geodesic(adjacency: np.ndarray) -> float | None:
 def shortest_path_matrix(graph: Graph) -> np.ndarray:
     """All-pairs hop distances; unreachable pairs get -1.
 
-    Every source's BFS runs at once (:func:`_bfs_levels`): each level
-    costs one n x n x n float32 product plus O(n^2) mask work, so the
-    call costs depth x n^3 flops, depth being the largest finite
-    distance plus one.
+    Every source's BFS runs at once (:func:`_bfs_levels`): the first
+    level is the adjacency itself, and each later level costs one
+    n x n x n float32 product plus O(n^2) mask work, so the call costs
+    depth x n^3 flops, depth being the largest finite distance (the
+    last product finds no new node).
     """
     n = graph.node_count
     dist = np.full((n, n), -1, dtype=np.int32)
@@ -143,9 +148,11 @@ def natural_connectivity(graph: Graph) -> float:
 
 def clustering_coefficient(graph: Graph) -> float:
     """Mean local clustering; nodes of degree < 2 contribute 0."""
-    a = graph.adjacency.astype(np.float64)
-    deg = a.sum(axis=1)
-    closed_walks = ((a @ a) * a).sum(axis=1)  # diag of A^3
+    a = graph.adjacency.astype(np.float32)
+    deg = a.sum(axis=1, dtype=np.float64)
+    # diag of A^3; A @ A is exact in float32, its entries at most n - 1,
+    # and the integer row sums are exact in float64
+    closed_walks = ((a @ a) * a).sum(axis=1, dtype=np.float64)
     denom = deg * (deg - 1.0)
     local = np.divide(
         closed_walks, denom, out=np.zeros_like(denom), where=denom > 0
@@ -159,14 +166,16 @@ def _random_same_size(
     pairs: tuple[np.ndarray, np.ndarray],
     rng: np.random.Generator,
 ) -> np.ndarray:
-    # symmetric boolean adjacency of a uniform simple graph with exactly
-    # edge_count edges, left unvalidated; pairs is
+    # symmetric float32 0/1 adjacency of a uniform simple graph with
+    # exactly edge_count edges, left unvalidated; pairs is
     # np.triu_indices(node_count, k=1), built once per caller
     iu, ju = pairs
     pick = rng.choice(iu.size, size=edge_count, replace=False)
-    adj = np.zeros((node_count, node_count), dtype=bool)
-    adj[iu[pick], ju[pick]] = True
-    return adj | adj.T
+    i, j = iu[pick], ju[pick]
+    adj = np.zeros(node_count * node_count, dtype=np.float32)
+    adj[i * node_count + j] = 1.0
+    adj[j * node_count + i] = 1.0
+    return adj.reshape(node_count, node_count)
 
 
 def small_world_ness(
@@ -203,11 +212,14 @@ def small_world_ness(
     attempts = 0
     while len(lengths) < sample_count and attempts < 20 * sample_count:
         attempts += 1
-        sample = _random_same_size(n, m, pairs, rng).astype(np.float32)
-        # a disconnected sample fails the single-source search and is
-        # dropped before the all-pairs one
-        if _distance_sum(sample, [0]) is not None:
-            lengths.append(_mean_geodesic(sample))
+        sample = _random_same_size(n, m, pairs, rng)
+        # a sample with an isolated node is disconnected without a
+        # search; the all-pairs search rejects any other disconnected one
+        if not sample.any(axis=1).all():
+            continue
+        length = _mean_geodesic(sample)
+        if length is not None:
+            lengths.append(length)
     if not lengths:
         return None
     return float(np.mean(lengths) / path_length - clustering / lattice_clustering)

@@ -151,6 +151,50 @@ class TestShortestPaths:
             assert is_connected(g) == nx.is_connected(_to_networkx(g))
 
 
+class TestBfsLevels:
+    """Each level of the multi-source search against networkx's
+    single-source distances, one source row at a time."""
+
+    GRAPHS = {
+        "one-node": Graph.from_edges(1, []),
+        "edgeless": Graph.from_edges(5, []),
+        "two-component": _two_components(),
+        "ring": make_ring(9),
+        "small-world": make_small_world(30, 4, 0.1, rng=1),
+    }
+    SOURCES = {
+        "one": lambda n: [n - 1],
+        "several": lambda n: [0, n // 2, n - 1],
+        "repeated": lambda n: [n // 2, 0, n // 2, n // 2],
+        "all": lambda n: list(range(n)),
+    }
+
+    @pytest.mark.parametrize("pick", SOURCES)
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_matches_networkx(self, name, pick):
+        graph = self.GRAPHS[name]
+        sources = self.SOURCES[pick](graph.node_count)
+        reached = [{source: 0} for source in sources]
+        depths = []
+        levels = graph_metrics._bfs_levels(graph.adjacency.astype(np.float32), sources)
+        for depth, new, count in levels:
+            assert count == np.count_nonzero(new) > 0
+            depths.append(depth)
+            for row, node in zip(*np.nonzero(new)):
+                assert node not in reached[row]
+                reached[row][node] = depth
+        assert depths == list(range(1, len(depths) + 1))
+        g = _to_networkx(graph)
+        for source, lengths in zip(sources, reached):
+            assert lengths == nx.single_source_shortest_path_length(g, source)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_edgeless_graph_yields_no_level(self, n):
+        adjacency = np.zeros((n, n), dtype=np.float32)
+        assert list(graph_metrics._bfs_levels(adjacency, list(range(n)))) == []
+        assert list(graph_metrics._bfs_levels(adjacency, [0])) == []
+
+
 class TestSpectra:
     def test_complete_star_ring_eigenvalues(self):
         golden = 2 * np.cos(2 * np.pi / 5)  # 0.618...
@@ -206,6 +250,20 @@ class TestClustering:
         expected = (1 + 1 + 1 / 3 + 0) / 4
         assert abs(clustering_coefficient(g) - expected) < 1e-12
 
+    @pytest.mark.parametrize(
+        "build", [lambda: make_complete(300), lambda: make_random(400, 0.6, rng=3)]
+    )
+    def test_bit_equal_to_float64_formula(self, build):
+        # the float64 formula is the oracle: its A @ A is exact in float64,
+        # so the float32 product must give the same bits on dense graphs
+        graph = build()
+        a = graph.adjacency.astype(np.float64)
+        deg = a.sum(axis=1)
+        closed_walks = ((a @ a) * a).sum(axis=1)
+        denom = deg * (deg - 1.0)
+        local = np.divide(closed_walks, denom, out=np.zeros_like(denom), where=denom > 0)
+        assert clustering_coefficient(graph) == float(local.mean())
+
 
 def _omega(graph: Graph, **kwargs) -> float | None:
     # the graph's own L and C, measured by the caller as compute_metrics does
@@ -259,10 +317,17 @@ def _sparse_ring(n: int) -> Graph:
 
 def _reference_omega(graph: Graph, rng: np.random.Generator, sample_count: int):
     """Independent rejection loop over the same random draws: networkx
-    decides connectivity and measures each accepted sample."""
+    decides connectivity and measures each accepted sample.
+
+    Returns omega, the number of accepted samples and, for each rejected
+    one, whether it has an isolated node.  A triangle-free lattice
+    baseline leaves omega undefined before any draw."""
     n, m = graph.node_count, graph.edge_count
+    lattice = clustering_coefficient(make_multi_ring(n, round(m / n)))
+    if lattice == 0.0:
+        return None, 0, []
     pairs = np.triu_indices(n, k=1)
-    lengths, rejected = [], 0
+    lengths, rejected = [], []
     for _ in range(20 * sample_count):
         if len(lengths) == sample_count:
             break
@@ -270,13 +335,25 @@ def _reference_omega(graph: Graph, rng: np.random.Generator, sample_count: int):
         if nx.is_connected(sample):
             lengths.append(nx.average_shortest_path_length(sample))
         else:
-            rejected += 1
-    lattice = clustering_coefficient(make_multi_ring(n, round(m / n)))
+            rejected.append(nx.number_of_isolates(sample) > 0)
     omega = None
     if lengths:
         path_length = nx.average_shortest_path_length(_to_networkx(graph))
         omega = np.mean(lengths) / path_length - clustering_coefficient(graph) / lattice
     return omega, len(lengths), rejected
+
+
+@st.composite
+def _ring_with_chords(draw) -> Graph:
+    """A ring on 6 to 16 nodes plus random chords, n <= m <= 1.5 n edges:
+    sparse enough that many random graphs of the same size are
+    disconnected, with and without an isolated node."""
+    n = draw(st.integers(6, 16))
+    m = draw(st.one_of(st.just(n + n // 2), st.integers(n, n + n // 2)))
+    ring = [(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)]
+    others = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in ring]
+    chords = draw(st.lists(st.sampled_from(others), min_size=m - n, max_size=m - n, unique=True))
+    return Graph.from_edges(n, ring + chords)
 
 
 class TestSparseOmega:
@@ -292,7 +369,7 @@ class TestSparseOmega:
         reference_rng = np.random.default_rng(seed)
         omega = _omega(graph, rng=rng, sample_count=sample_count)
         expected, accepted, rejected = _reference_omega(graph, reference_rng, sample_count)
-        assert rejected > accepted > 0
+        assert len(rejected) > accepted > 0
         assert omega == pytest.approx(expected, rel=1e-12, abs=1e-12)
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
@@ -304,8 +381,32 @@ class TestSparseOmega:
         rng = np.random.default_rng(1)
         reference_rng = np.random.default_rng(1)
         expected, accepted, rejected = _reference_omega(graph, reference_rng, 1)
-        assert (expected, accepted, rejected) == (None, 0, 20)
+        assert (expected, accepted, len(rejected)) == (None, 0, 20)
         assert _omega(graph, rng=rng, sample_count=1) is None
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @settings(max_examples=120, deadline=None)
+    @given(graph=_ring_with_chords(), seed=st.integers(0, 2**32 - 1), sample_count=st.integers(1, 6))
+    @example(graph=_sparse_ring(16), seed=1, sample_count=3)
+    def test_matches_reference_on_sparse_graphs(self, graph, seed, sample_count):
+        # Only m = 1.5 n (n even) has a lattice baseline with triangles,
+        # multi-ring(n, 2); below it omega is None before any draw.
+        rng = np.random.default_rng(seed)
+        reference_rng = np.random.default_rng(seed)
+        expected, _, _ = _reference_omega(graph, reference_rng, sample_count)
+        assert _omega(graph, rng=rng, sample_count=sample_count) == expected
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_disconnected_sample_without_isolated_node(self):
+        # seed 13 draws a disconnected 10-node sample in which every node
+        # has an edge, so the all-pairs search, not the isolated-node
+        # check, must reject it
+        graph = _sparse_ring(10)
+        rng = np.random.default_rng(13)
+        reference_rng = np.random.default_rng(13)
+        expected, accepted, rejected = _reference_omega(graph, reference_rng, 1)
+        assert (accepted, rejected) == (1, [False])
+        assert _omega(graph, rng=rng, sample_count=1) == expected
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
@@ -329,15 +430,22 @@ class TestComputeMetrics:
         assert np.isfinite(m.natural_connectivity)
 
     def test_measures_the_graph_once(self, monkeypatch):
-        searches = []
+        searches, samples = [], []
         bfs_levels = graph_metrics._bfs_levels
+        random_same_size = graph_metrics._random_same_size
 
-        def recording(adjacency, sources):
+        def recording_search(adjacency, sources):
             searches.append((adjacency.copy(), len(sources)))
             return bfs_levels(adjacency, sources)
 
-        monkeypatch.setattr(graph_metrics, "_bfs_levels", recording)
-        g = make_small_world(40, 6, 0.1, rng=2)
+        def recording_sample(*args):
+            sample = random_same_size(*args)
+            samples.append(sample.copy())
+            return sample
+
+        monkeypatch.setattr(graph_metrics, "_bfs_levels", recording_search)
+        monkeypatch.setattr(graph_metrics, "_random_same_size", recording_sample)
+        g = _sparse_ring(40)
         m = compute_metrics(g, rng=0, omega_samples=2)
         assert m.small_world_ness is not None
         assert m.connected
@@ -345,10 +453,15 @@ class TestComputeMetrics:
         # for connectivity; every other search is on a random omega sample
         on_g = [count for adjacency, count in searches if np.array_equal(adjacency, g.adjacency)]
         assert on_g == [40]
-        # each sample's all-pairs search follows its single-source check
-        counts = [count for _, count in searches][1:]
-        assert counts.count(40) == 2
-        assert all(prev == 1 for prev, count in zip([0] + counts, counts) if count == 40)
+        assert all(count == 40 for _, count in searches)  # no single-source search
+        # a sample with an isolated node is rejected unsearched; any other
+        # gets exactly one all-pairs search
+        isolated = [not sample.any(axis=1).all() for sample in samples]
+        assert True in isolated and False in isolated
+        for sample, lonely in zip(samples, isolated):
+            on_sample = [count for adjacency, count in searches if np.array_equal(adjacency, sample)]
+            assert on_sample == ([] if lonely else [40])
+        assert len(searches) == 1 + isolated.count(False)
         assert m.small_world_ness == _omega(g, rng=0, sample_count=2)
 
 
