@@ -183,8 +183,10 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         object.__setattr__(self, "topologies", tuple(self.topologies))
         object.__setattr__(self, "objectives", tuple(self.objectives))
+        # + 0.0 turns -0.0 into 0.0: repr() tells them apart, and so
+        # would each run's seed and the results row
         object.__setattr__(
-            self, "death_fractions", tuple(float(f) for f in self.death_fractions)
+            self, "death_fractions", tuple(float(f) + 0.0 for f in self.death_fractions)
         )
         if not self.topologies:
             raise ValueError("plan needs at least one topology")
@@ -207,7 +209,6 @@ class ExperimentPlan:
                 )
         for spec in self.topologies:
             spec.validate()
-        # by value: 0 and -0 are one death fraction
         for axis, values in (
             ("topology ids", [spec.topology_id() for spec in self.topologies]),
             ("objectives", [obj.name for obj in self.objectives]),

@@ -24,8 +24,10 @@ upgrade that changes it fails there and not silently in a results file.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 __all__ = [
@@ -35,9 +37,6 @@ __all__ = [
     "ObjectiveSpec",
     "default_spec",
 ]
-
-OBJECTIVE_NAMES = ("shekel", "ackley", "griewank", "schwefel", "rastrigin")
-
 
 @dataclass(frozen=True, eq=False)
 class ShekelParams:
@@ -160,67 +159,79 @@ def _rastrigin(columns: np.ndarray) -> np.ndarray:
     )
 
 
-_EVALUATORS = {
-    "shekel": _shekel,
-    "ackley": _ackley,
-    "griewank": _griewank,
-    "schwefel": _schwefel,
-    "rastrigin": _rastrigin,
-}
+class _Landscape(NamedTuple):
+    """What an objective's name fixes: its kernel, its dimension unless
+    a spec sets another, its search box, its direction and the
+    coordinate its optimum repeats along every axis."""
 
-
-@dataclass(frozen=True, eq=False)
-class ObjectiveSpec:
-    """One benchmark objective with its search box and optimum.
-
-    ``direction`` is ``"max"`` or ``"min"``; ``optimum_value`` is the
-    objective evaluated exactly at ``optimum_location``.
-    """
-
-    name: str
+    kernel: Callable[[np.ndarray], np.ndarray]
     dimension: int
     lower: float
     upper: float
     direction: str
-    optimum_location: np.ndarray
-    optimum_value: float
+    optimum_coordinate: float
+
+
+_LANDSCAPES = {
+    "shekel": _Landscape(_shekel, 4, 0.0, 10.0, "max", 4.0),
+    "ackley": _Landscape(_ackley, 2, -15.0, 30.0, "min", 0.0),
+    "griewank": _Landscape(_griewank, 2, -600.0, 600.0, "min", 0.0),
+    "schwefel": _Landscape(_schwefel, 2, -500.0, 500.0, "min", 420.9687),
+    "rastrigin": _Landscape(_rastrigin, 2, -5.12, 5.12, "min", 0.0),
+}
+
+OBJECTIVE_NAMES = tuple(_LANDSCAPES)
+
+
+def _landscape(name: str) -> _Landscape:
+    if name not in _LANDSCAPES:
+        raise ValueError(f"unknown objective {name!r}; expected one of {OBJECTIVE_NAMES}")
+    return _LANDSCAPES[name]
+
+
+@dataclass(frozen=True)
+class ObjectiveSpec:
+    """One benchmark objective: a named landscape in ``dimension``
+    coordinates.  The name fixes everything else, read from one table:
+    the search box ``[lower, upper]`` per coordinate, the ``direction``
+    (``"max"`` or ``"min"``) and the optimum, whose ``optimum_value``
+    is the objective evaluated exactly at ``optimum_location``.
+    """
+
+    name: str
+    dimension: int
 
     def __post_init__(self) -> None:
-        if self.name not in OBJECTIVE_NAMES:
-            raise ValueError(
-                f"unknown objective {self.name!r}; expected one of {OBJECTIVE_NAMES}"
-            )
-        if self.direction not in ("max", "min"):
-            raise ValueError(f"direction must be 'max' or 'min', got {self.direction!r}")
+        _landscape(self.name)
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
-        if not self.lower < self.upper:
-            raise ValueError("need lower < upper")
-        pos = np.asarray(self.optimum_location, dtype=np.float64)
-        if pos.shape != (self.dimension,):
-            raise ValueError(
-                f"optimum_location shape {pos.shape} does not match dimension {self.dimension}"
-            )
-        pos.setflags(write=False)
-        object.__setattr__(self, "optimum_location", pos)
+        if self.name == "shekel" and self.dimension != 4:
+            raise ValueError("shekel is defined only for dimension 4")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ObjectiveSpec):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.dimension == other.dimension
-            and self.lower == other.lower
-            and self.upper == other.upper
-            and self.direction == other.direction
-            and self.optimum_value == other.optimum_value
-            and np.array_equal(self.optimum_location, other.optimum_location)
-        )
+    @property
+    def lower(self) -> float:
+        return _LANDSCAPES[self.name].lower
 
-    def __hash__(self) -> int:
-        return hash(
-            (self.name, self.dimension, self.lower, self.upper, self.direction)
+    @property
+    def upper(self) -> float:
+        return _LANDSCAPES[self.name].upper
+
+    @property
+    def direction(self) -> str:
+        return _LANDSCAPES[self.name].direction
+
+    @cached_property
+    def optimum_location(self) -> np.ndarray:
+        """The optimum as a read-only vector."""
+        location = np.full(
+            self.dimension, _LANDSCAPES[self.name].optimum_coordinate, dtype=np.float64
         )
+        location.setflags(write=False)
+        return location
+
+    @cached_property
+    def optimum_value(self) -> float:
+        return self.evaluate(self.optimum_location)
 
     def range_diagonal(self) -> float:
         """Length of the search box diagonal."""
@@ -241,7 +252,7 @@ class ObjectiveSpec:
         if pts.ndim != 2 or pts.shape[1] != self.dimension:
             raise ValueError(f"expected shape (N, {self.dimension}), got {pts.shape}")
         # a no-op for the engine's coordinate-major points
-        return _EVALUATORS[self.name](np.ascontiguousarray(pts.T))
+        return _LANDSCAPES[self.name].kernel(np.ascontiguousarray(pts.T))
 
     def score_many(self, points: np.ndarray) -> np.ndarray:
         """Direction-adjusted values: larger is always better."""
@@ -249,48 +260,12 @@ class ObjectiveSpec:
         return values if self.direction == "max" else -values
 
 
-_TABLE_DEFAULTS = {
-    # name: (dimension, lower, upper, direction, optimum coordinate)
-    "shekel": (4, 0.0, 10.0, "max", 4.0),
-    "ackley": (2, -15.0, 30.0, "min", 0.0),
-    "griewank": (2, -600.0, 600.0, "min", 0.0),
-    "schwefel": (2, -500.0, 500.0, "min", 420.9687),
-    "rastrigin": (2, -5.12, 5.12, "min", 0.0),
-}
-
-
 def default_spec(name: str, dimension: int | None = None) -> ObjectiveSpec:
     """Standard configuration for a named objective.
 
-    ``dimension`` overrides the default for the separable objectives;
+    ``dimension`` overrides the table's for the separable objectives;
     the Shekel table is 4-D only.
     """
-    if name not in _TABLE_DEFAULTS:
-        raise ValueError(f"unknown objective {name!r}; expected one of {OBJECTIVE_NAMES}")
-    dim, lower, upper, direction, opt_coord = _TABLE_DEFAULTS[name]
-    if dimension is not None:
-        if name == "shekel" and dimension != 4:
-            raise ValueError("shekel is defined only for dimension 4")
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        dim = dimension
-    optimum = np.full(dim, opt_coord, dtype=np.float64)
-    probe = ObjectiveSpec(
-        name=name,
-        dimension=dim,
-        lower=lower,
-        upper=upper,
-        direction=direction,
-        optimum_location=optimum,
-        optimum_value=0.0,
-    )
-    value = probe.evaluate(optimum)
-    return ObjectiveSpec(
-        name=name,
-        dimension=dim,
-        lower=lower,
-        upper=upper,
-        direction=direction,
-        optimum_location=optimum,
-        optimum_value=value,
-    )
+    if dimension is None:
+        dimension = _landscape(name).dimension
+    return ObjectiveSpec(name, dimension)

@@ -16,8 +16,21 @@ import math
 
 __all__ = ["X_AXES", "Y_AXES", "PlotSpec", "render_results_svg"]
 
-X_AXES = ("topology-index", "avg-path-length", "natural-connectivity")
-Y_AXES = ("gsr", "gs-time", "winners", "trade-off")
+# axis name -> (label, value of a results row); a topology's index is
+# the order in which its id first appears in the rows
+_X_AXIS = {
+    "topology-index": ("topology index", lambda row, order: float(order[row.topology_id])),
+    "avg-path-length": ("average path length", lambda row, order: row.avg_path_length),
+    "natural-connectivity": ("natural connectivity", lambda row, order: row.natural_connectivity),
+}
+_Y_AXIS = {
+    "gsr": ("GSR", lambda row: row.gsr),
+    "gs-time": ("GS time", lambda row: row.gs_time),
+    "winners": ("winners", lambda row: row.winners_mean),
+    "trade-off": ("trade-off", lambda row: row.trade_off),
+}
+X_AXES = tuple(_X_AXIS)
+Y_AXES = tuple(_Y_AXIS)
 
 _SEGMENT_COLORS = {
     "core-periphery": "#d62728",   # complete-to-star
@@ -26,18 +39,6 @@ _SEGMENT_COLORS = {
 }
 _NEUTRAL_COLOR = "#777777"
 _MARKER_SHAPES = ("circle", "triangle", "square", "diamond", "cross")
-
-_X_LABELS = {
-    "topology-index": "topology index",
-    "avg-path-length": "average path length",
-    "natural-connectivity": "natural connectivity",
-}
-_Y_LABELS = {
-    "gsr": "GSR",
-    "gs-time": "GS time",
-    "winners": "winners",
-    "trade-off": "trade-off",
-}
 
 _PANEL_WIDTH = 640
 _PANEL_HEIGHT = 240
@@ -90,24 +91,6 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
         ticks.append(round(value, 12))
         value += step
     return ticks
-
-
-def _x_value(row, axis: str, topology_order: dict[str, int]):
-    if axis == "topology-index":
-        return float(topology_order[row.topology_id])
-    if axis == "avg-path-length":
-        return row.avg_path_length
-    return row.natural_connectivity
-
-
-def _y_value(row, axis: str):
-    if axis == "gsr":
-        return row.gsr
-    if axis == "gs-time":
-        return row.gs_time
-    if axis == "winners":
-        return row.winners_mean
-    return row.trade_off
 
 
 def _marker_svg(shape: str, x: float, y: float, color: str) -> str:
@@ -196,7 +179,9 @@ def render_results_svg(rows, plot: PlotSpec) -> str:
         parts.append(f'<text x="{cursor + 12}" y="{legend_y}">{kind}</text>')
         cursor += 26 + 7 * len(kind)
 
+    x_label, x_value = _X_AXIS[plot.x_axis]
     for panel_index, y_axis in enumerate(plot.y_axes):
+        y_label, y_value = _Y_AXIS[y_axis]
         top = title_height + _LEGEND_HEIGHT + panel_block * panel_index + _MARGIN_TOP
         bottom = top + _PANEL_HEIGHT
         left = _MARGIN_LEFT
@@ -204,8 +189,8 @@ def render_results_svg(rows, plot: PlotSpec) -> str:
 
         points = []
         for row in rows:
-            x_val = _x_value(row, plot.x_axis, topology_order)
-            y_val = _y_value(row, y_axis)
+            x_val = x_value(row, topology_order)
+            y_val = y_value(row)
             if x_val is None or y_val is None:
                 continue
             points.append((float(x_val), float(y_val), row))
@@ -253,12 +238,12 @@ def render_results_svg(rows, plot: PlotSpec) -> str:
             )
         parts.append(
             f'<text x="{(left + right) / 2}" y="{bottom + 32}" text-anchor="middle">'
-            f"{_X_LABELS[plot.x_axis]}</text>"
+            f"{x_label}</text>"
         )
         parts.append(
             f'<text x="{left - 48}" y="{(top + bottom) / 2}" text-anchor="middle" '
             f'transform="rotate(-90 {left - 48} {(top + bottom) / 2})">'
-            f"{_Y_LABELS[y_axis]}</text>"
+            f"{y_label}</text>"
         )
         for x_val, y_val, row in points:
             color = _SEGMENT_COLORS.get(row.topology_kind, _NEUTRAL_COLOR)

@@ -204,6 +204,21 @@ class TestPlanValidation:
             _tiny_plan(death_fractions=(0.0, 0.3, -0.0))
         assert str(info.value) == "duplicate death fractions in plan: [0.0]"
 
+    def test_negative_zero_fraction_is_zero(self):
+        # repr(-0.0) is '-0.0': kept as given, it would give the runs other
+        # seeds than 0.0 and print -0.0 in the row
+        def csv(fraction):
+            plan = _tiny_plan(
+                topologies=(TopologySpec(kind="ring", node_count=12),),
+                objectives=(default_spec("rastrigin"),),
+                death_fractions=(fraction,),
+                max_iters=30,
+            )
+            assert repr(plan.death_fractions[0]) == "0.0"
+            return results_to_csv(run_plan(plan))
+
+        assert csv(-0.0) == csv(0.0)
+
     def test_rejects_empty_axes(self):
         with pytest.raises(ValueError):
             _tiny_plan(topologies=())

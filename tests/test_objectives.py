@@ -1,6 +1,9 @@
 """Benchmark objective values against independent hand computations."""
 
+import dataclasses
 import math
+import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -140,6 +143,9 @@ class TestShekel:
     def test_locked_to_four_dimensions(self):
         with pytest.raises(ValueError):
             default_spec("shekel", dimension=2)
+        # built directly too: a 2-D spec would otherwise fail in the kernel
+        with pytest.raises(ValueError):
+            ObjectiveSpec("shekel", 2)
 
 
 class TestSeparableObjectives:
@@ -305,12 +311,37 @@ class TestSpecContainer:
         with pytest.raises(ValueError):
             default_spec("banana")
         with pytest.raises(ValueError):
-            ObjectiveSpec(
-                name="banana",
-                dimension=2,
-                lower=0.0,
-                upper=1.0,
-                direction="min",
-                optimum_location=np.zeros(2),
-                optimum_value=0.0,
-            )
+            ObjectiveSpec("banana", 2)
+
+    def test_rejects_empty_dimension(self):
+        with pytest.raises(ValueError):
+            ObjectiveSpec("ackley", 0)
+        with pytest.raises(ValueError):
+            default_spec("ackley", 0)
+
+    def test_a_spec_is_its_name_and_dimension(self):
+        assert [f.name for f in dataclasses.fields(ObjectiveSpec)] == ["name", "dimension"]
+        spec = default_spec("ackley")
+        assert spec == ObjectiveSpec("ackley", 2)
+        assert hash(spec) == hash(ObjectiveSpec("ackley", 2))
+        assert spec != default_spec("ackley", 3)
+
+    def test_pickle_round_trip(self):
+        # process-pool workers receive their specs by pickle, with or
+        # without the optimum already computed
+        for name in OBJECTIVE_NAMES:
+            spec = default_spec(name, 4)
+            fresh = pickle.loads(pickle.dumps(spec))
+            value = spec.optimum_value
+            cached = pickle.loads(pickle.dumps(spec))
+            for copy in (fresh, cached):
+                assert copy == spec and hash(copy) == hash(spec)
+                assert struct.pack("<d", copy.optimum_value) == struct.pack("<d", value)
+
+    def test_optimum_location_is_read_only(self):
+        spec = default_spec("schwefel")
+        with pytest.raises(ValueError):
+            spec.optimum_location[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.optimum_location = np.zeros(2)
+        assert np.array_equal(spec.optimum_location, [420.9687, 420.9687])

@@ -1,5 +1,7 @@
-"""SVG rendering sanity: structure, axis handling, absent values."""
+"""SVG rendering sanity: structure, axis handling, absent values, and
+the bytes of a fixed figure."""
 
+import hashlib
 from xml.dom import minidom
 
 import pytest
@@ -79,3 +81,29 @@ class TestRender:
         svg = render_results_svg(rows, PlotSpec(x_axis="topology-index", y_axes=("gsr",)))
         # legend names both fractions
         assert "death 0%" in svg and "death 30%" in svg
+
+
+# every segment color and the neutral one, three death fractions, one
+# topology drawn twice and one row without a path length, GS time or
+# trade-off
+_PINNED_ROWS = [
+    AggregateMetrics("cp-a", "core-periphery", "shekel", 0.0, 4, 0.75, 120.5, 30.0, 0.61, 1.25, 9.5),
+    AggregateMetrics("rcs-b", "ring-core-star", "shekel", 0.0, 4, 0.5, 310.0, 20.0, 0.42, 2.75, 3.125),
+    AggregateMetrics("mr-c", "multi-ring", "shekel", 0.15, 4, 1.0, 88.25, 40.0, 0.7, 3.5, 4.0),
+    AggregateMetrics("ring-d", "ring", "shekel", 0.15, 4, 0.0, None, 0.0, None, None, 1.75),
+    AggregateMetrics("cp-a", "core-periphery", "shekel", 0.3, 4, 0.25, 400.0, 10.0, 0.1, 1.25, 9.5),
+]
+
+# sha256 of the figure with every y axis on each x axis: a change that
+# moves a single byte of a figure fails here
+_PINNED_SVG_SHA256 = {
+    "topology-index": "98835d0c2905dba6382d9477c515181b689c84b160bd755b14d74a7e56c692a8",
+    "avg-path-length": "8285a1d6b0e7095256938cbeccafa0a0aa86f07c301f424df94d4cffc9233454",
+    "natural-connectivity": "42da8e6411055b9fd0933d2a2bafb5693c55ae0c9758114e1ea7849d525e1563",
+}
+
+
+@pytest.mark.parametrize("x_axis", X_AXES)
+def test_pinned_figure_bytes(x_axis):
+    svg = render_results_svg(_PINNED_ROWS, PlotSpec(x_axis=x_axis, y_axes=Y_AXES))
+    assert hashlib.sha256(svg.encode()).hexdigest() == _PINNED_SVG_SHA256[x_axis]
