@@ -28,8 +28,6 @@ from .topology import (
     make_scale_free,
     make_random,
     make_small_world,
-    read_edge_list,
-    write_edge_list,
     parse_edge_list,
     edge_list_text,
 )
@@ -63,8 +61,6 @@ from .harness import (
     ExperimentPlan,
     AggregateMetrics,
     SUCCESS_MODES,
-    default_tolerance,
-    qualification_mask,
     success_predicate,
     death_fraction_to_prob,
     trade_off,

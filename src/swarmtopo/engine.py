@@ -377,13 +377,11 @@ class Neighborhoods:
         """
         alive = alive.ravel()
         masked = np.where(alive, scores.ravel(), -np.inf)
-        if not self._full_rows.size:
-            leaders = self._gather(masked)
-        else:
-            # every row is complete or in the CSR, so every entry is written
-            leaders = np.empty_like(self._self)
-            if self._indices is not None:
-                leaders[self._owners] = self._gather(masked)
+        # every row is complete or in the CSR, so every entry is written
+        leaders = np.empty_like(self._self)
+        if self._indices is not None:
+            leaders[self._owners] = self._gather(masked)
+        if self._full_rows.size:
             n, rows = self.node_count, self._full_rows
             top = masked.reshape(-1, n)[rows].argmax(axis=1) + rows * n
             leaders.reshape(-1, n)[rows] = top[:, None]

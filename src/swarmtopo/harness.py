@@ -42,8 +42,6 @@ __all__ = [
     "MODE_VALUE_GAP",
     "SUCCESS_MODES",
     "SuccessCriterion",
-    "default_tolerance",
-    "qualification_mask",
     "success_predicate",
     "death_fraction_to_prob",
     "trade_off",
@@ -62,11 +60,6 @@ MODE_VALUE_GAP = "value-gap"
 SUCCESS_MODES = (MODE_POSITION_RADIUS, MODE_VALUE_GAP)
 
 
-def default_tolerance(objective: ObjectiveSpec) -> float:
-    """Success radius when none is given: 0.5% of the box diagonal."""
-    return 0.005 * objective.range_diagonal()
-
-
 @dataclass(frozen=True)
 class SuccessCriterion:
     """What counts as having reached the optimum.
@@ -74,8 +67,7 @@ class SuccessCriterion:
     ``position-radius`` accepts bests within Euclidean ``tolerance``
     of the optimum location; ``value-gap`` accepts bests whose
     objective value is within ``tolerance`` of the optimum value.  A
-    ``None`` tolerance resolves per objective via
-    :func:`default_tolerance`.
+    ``None`` tolerance is 0.5% of the objective's box diagonal.
     """
 
     mode: str = MODE_POSITION_RADIUS
@@ -86,45 +78,43 @@ class SuccessCriterion:
             raise ValueError(
                 f"unknown success mode {self.mode!r}; expected one of {SUCCESS_MODES}"
             )
-        if self.tolerance is not None and not self.tolerance > 0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
-
-    def resolved_tolerance(self, objective: ObjectiveSpec) -> float:
-        if self.tolerance is not None:
-            return self.tolerance
-        return default_tolerance(objective)
-
-
-def qualification_mask(
-    criterion: SuccessCriterion,
-    objective: ObjectiveSpec,
-    best_positions: np.ndarray,
-    best_scores: np.ndarray,
-) -> np.ndarray:
-    """Boolean per-agent mask: does this best satisfy the criterion?
-
-    Boundary is inclusive in both modes.  The position radius adds the
-    squared gaps one coordinate column at a time, in the order
-    ``(gaps * gaps).sum(axis=1)`` adds them, so the mask is that
-    formula's bit for bit.
-    """
-    eps = criterion.resolved_tolerance(objective)
-    if criterion.mode == MODE_POSITION_RADIUS:
-        gaps = np.array(np.transpose(best_positions), dtype=np.float64, order="C")
-        gaps -= objective.optimum_location[:, None]
-        distance = _sum_rows(np.square(gaps, out=gaps))
-        return np.sqrt(distance, out=distance) <= eps
-    values = best_scores if objective.direction == "max" else -best_scores
-    return np.abs(values - objective.optimum_value) <= eps
+        # an infinite tolerance would count every run converged at iteration 1
+        if self.tolerance is not None and not 0 < self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
 
 
 def success_predicate(criterion: SuccessCriterion, objective: ObjectiveSpec):
-    """Bind criterion and objective into the engine's success callback."""
+    """Bind criterion and objective into the engine's success callback.
 
-    def predicate(best_positions: np.ndarray, best_scores: np.ndarray) -> np.ndarray:
-        return qualification_mask(criterion, objective, best_positions, best_scores)
+    The tolerance and the mode are resolved once, here; the callback
+    maps ``(best_positions, best_scores)`` to a boolean per-agent mask:
+    does this best satisfy the criterion?  The boundary is inclusive
+    in both modes.  The position radius adds the squared gaps one
+    coordinate column at a time, in the order ``(gaps *
+    gaps).sum(axis=1)`` adds them, so the mask is that formula's bit
+    for bit.
+    """
+    eps = criterion.tolerance
+    if eps is None:
+        eps = 0.005 * objective.range_diagonal()
+    if criterion.mode == MODE_VALUE_GAP:
+        maximize = objective.direction == "max"
+        optimum_value = objective.optimum_value
 
-    return predicate
+        def within_gap(best_positions: np.ndarray, best_scores: np.ndarray) -> np.ndarray:
+            values = best_scores if maximize else -best_scores
+            return np.abs(values - optimum_value) <= eps
+
+        return within_gap
+    optimum = objective.optimum_location[:, None]
+
+    def within_radius(best_positions: np.ndarray, best_scores: np.ndarray) -> np.ndarray:
+        gaps = np.array(np.transpose(best_positions), dtype=np.float64, order="C")
+        gaps -= optimum
+        distance = _sum_rows(np.square(gaps, out=gaps))
+        return np.sqrt(distance, out=distance) <= eps
+
+    return within_radius
 
 
 def death_fraction_to_prob(death_fraction: float, t: int) -> float:
@@ -207,8 +197,6 @@ class ExperimentPlan:
                 raise ValueError(
                     f"death fractions must be in [0, 1), got {fraction}"
                 )
-        for spec in self.topologies:
-            spec.validate()
         for axis, values in (
             ("topology ids", [spec.topology_id() for spec in self.topologies]),
             ("objectives", [obj.name for obj in self.objectives]),

@@ -102,9 +102,7 @@ def parse_topology_line(text: str) -> list[TopologySpec]:
         raise ValueError(
             f"unknown topology kind {kind!r}; expected one of {TOPOLOGY_KINDS + ('spectrum',)}"
         )
-    spec = TopologySpec(kind=kind, **_parse_params(parts[1:], context, _TOPOLOGY_KEYS))
-    spec.validate()
-    return [spec]
+    return [TopologySpec(kind=kind, **_parse_params(parts[1:], context, _TOPOLOGY_KEYS))]
 
 
 def parse_plan(text: str) -> ExperimentPlan:

@@ -52,8 +52,6 @@ __all__ = [
     "build_spectrum",
     "edge_list_text",
     "parse_edge_list",
-    "write_edge_list",
-    "read_edge_list",
 ]
 
 
@@ -492,7 +490,9 @@ class TopologySpec:
     stay ``None``.  Randomized kinds require an explicit ``seed`` so
     experiment plans stay reproducible.  A ``label``, when set, is the
     topology id; it must be non-empty ASCII, free of whitespace and of
-    path separators.
+    path separators.  A spec checks all of this when it is built (by
+    ``dataclasses.replace`` too) and raises ``ValueError``, so every
+    existing spec is valid.
     """
 
     kind: str
@@ -509,7 +509,7 @@ class TopologySpec:
     rewire_prob: float | None = None
     label: str | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(
                 f"unknown topology kind {self.kind!r}; expected one of {TOPOLOGY_KINDS}"
@@ -539,7 +539,6 @@ class TopologySpec:
         """Stable identifier used in file names and result tables."""
         if self.label is not None:
             return self.label
-        self.validate()
         return self.kind + "".join(
             PARAMETERS[name].id_prefix + format_number(getattr(self, name))
             for name in KINDS[self.kind].parameters
@@ -548,7 +547,6 @@ class TopologySpec:
 
 def build_topology(spec: TopologySpec) -> Graph:
     """Construct the graph a :class:`TopologySpec` describes."""
-    spec.validate()
     kind = KINDS[spec.kind]
     return kind.builder(*(getattr(spec, name) for name in kind.parameters))
 
@@ -682,14 +680,3 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError("empty edge-list text")
     return Graph.from_edges(node_count, edges)
 
-
-def write_edge_list(graph: Graph, path) -> None:
-    """Write :func:`edge_list_text` output to ``path``."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(edge_list_text(graph))
-
-
-def read_edge_list(path) -> Graph:
-    """Read a graph from an edge-list file."""
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_edge_list(fh.read())

@@ -12,7 +12,7 @@ from swarmtopo.topology import (
     build_topology,
     edge_list_text,
     make_ring,
-    read_edge_list,
+    parse_edge_list,
 )
 
 TINY_PLAN = """\
@@ -45,7 +45,7 @@ class TestGenTopology:
     def test_single_graph(self, tmp_path):
         out = tmp_path / "ring.txt"
         assert _invoke(["gen-topology", "--kind", "ring", "--n", "12", "--out", str(out)]) == 0
-        assert read_edge_list(out) == make_ring(12)
+        assert parse_edge_list(out.read_text(encoding="ascii")) == make_ring(12)
 
     def test_seeded_kind(self, tmp_path):
         out = tmp_path / "sf.txt"
@@ -54,7 +54,7 @@ class TestGenTopology:
              "--attach-count", "2", "--seed", "4", "--out", str(out)]
         )
         assert code == 0
-        assert read_edge_list(out).edge_count == 2 * 28
+        assert parse_edge_list(out.read_text(encoding="ascii")).edge_count == 2 * 28
 
     def test_rewire_flag(self, tmp_path):
         out = tmp_path / "sw.txt"
@@ -125,6 +125,12 @@ class TestMetrics:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: line ")
         assert "non-integer endpoint in '1 x'" in err
+
+    def test_non_ascii_file_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("n 2\n0 1 \u00e9\n", encoding="utf-8")
+        assert _invoke(["metrics", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
     def test_missing_file_exits_2(self, tmp_path):
         assert _invoke(["metrics", str(tmp_path / "ghost.txt")]) == 2
@@ -266,6 +272,22 @@ class TestRunAndSweep:
 
     def test_sweep_rejects_unknown_name(self):
         assert _invoke(["sweep", "spectrum-partial"]) == 1
+
+    def test_sweep_rejects_zero_repetitions(self, tmp_path, capsys):
+        prefix = tmp_path / "res"
+        code = _invoke(
+            ["sweep", "reference-grid", "--repetitions", "0", "--out-prefix", str(prefix)]
+        )
+        assert code == 1
+        assert "repetitions must be >= 1" in capsys.readouterr().err
+        assert not prefix.with_name("res.csv").exists()
+
+    def test_infinite_success_tolerance_exits_1(self, plan_file, tmp_path, capsys):
+        plan_file.write_text(TINY_PLAN + "success_tolerance = inf\n", encoding="ascii")
+        prefix = tmp_path / "res"
+        assert _invoke(["run", str(plan_file), "--out-prefix", str(prefix)]) == 1
+        assert "tolerance must be finite and > 0, got inf" in capsys.readouterr().err
+        assert not prefix.with_name("res.csv").exists()
 
 
 class TestPlot:

@@ -17,24 +17,23 @@ from swarmtopo.harness import (
     RESULTS_COLUMNS,
     SuccessCriterion,
     death_fraction_to_prob,
-    default_tolerance,
     derive_seed,
     parse_results_csv,
-    qualification_mask,
     results_to_csv,
     results_to_json,
     run_plan,
+    success_predicate,
     trade_off,
 )
 from swarmtopo.graph_metrics import natural_connectivity
-from swarmtopo.objectives import default_spec
+from swarmtopo.objectives import ObjectiveSpec, default_spec
 from swarmtopo.topology import TOPOLOGY_KINDS, TopologySpec, make_complete
 
 
 def _mask_at(points, objective, criterion=SuccessCriterion()):
     # position-radius reads only the positions; scores are placeholders
     positions = np.asarray(points, dtype=np.float64)
-    return qualification_mask(criterion, objective, positions, np.zeros(len(positions)))
+    return success_predicate(criterion, objective)(positions, np.zeros(len(positions)))
 
 
 def _tiny_plan(**overrides):
@@ -55,14 +54,39 @@ def _tiny_plan(**overrides):
 
 class TestSuccessCriterion:
     def test_default_tolerance_is_half_percent_of_diagonal(self):
-        assert default_tolerance(default_spec("shekel")) == 0.1
-        ackley = default_spec("ackley")
-        assert abs(default_tolerance(ackley) - 0.005 * ackley.range_diagonal()) < 1e-15
+        # shekel's box [0, 10]^4 has diagonal 20, ackley's [-15, 30]^2
+        # sqrt(2) * 45.  The last coordinate within eps of the optimum
+        # qualifies and the next float does not
+        for name, eps in (("shekel", 0.1), ("ackley", 0.005 * np.sqrt(2) * 45.0)):
+            objective = default_spec(name)
+            opt = objective.optimum_location
+            inside = opt[0] + eps
+            if inside - opt[0] > eps:
+                inside = np.nextafter(inside, -np.inf)
+            points = np.tile(opt, (2, 1))
+            points[:, 0] = inside, np.nextafter(inside, np.inf)
+            assert _mask_at(points, objective).tolist() == [True, False], name
+
+    def test_default_tolerance_is_resolved_once_per_predicate(self, monkeypatch):
+        calls = []
+        diagonal = ObjectiveSpec.range_diagonal
+
+        def counted(self):
+            calls.append(self.name)
+            return diagonal(self)
+
+        monkeypatch.setattr(ObjectiveSpec, "range_diagonal", counted)
+        objective = default_spec("shekel")
+        predicate = success_predicate(SuccessCriterion(), objective)
+        positions = np.array([objective.optimum_location] * 3)
+        for _ in range(10):
+            assert predicate(positions, np.zeros(3)).all()
+        assert calls == ["shekel"]
 
     def test_boundary_inclusive_two_of_three(self):
         objective = default_spec("shekel")
         criterion = SuccessCriterion()
-        eps = criterion.resolved_tolerance(objective)
+        eps = 0.1
         base = objective.optimum_location
         offsets = [0.1 * eps, eps, 1.1 * eps]
         points = [base + np.array([d, 0, 0, 0]) for d in offsets]
@@ -74,7 +98,15 @@ class TestSuccessCriterion:
         # rastrigin([0.04, 0]) ~ 0.319 <= 0.5; rastrigin([0.25, 0]) ~ 5.6
         near = np.array([[0.04, 0.0], [0.25, 0.0]])
         scores = objective.score_many(near)
-        mask = qualification_mask(criterion, objective, near, scores)
+        mask = success_predicate(criterion, objective)(near, scores)
+        assert mask.tolist() == [True, False]
+
+    def test_value_gap_mode_maximization(self):
+        objective = default_spec("shekel")
+        criterion = SuccessCriterion(mode="value-gap", tolerance=0.5)
+        # shekel peaks near 10.5 at the optimum and is below 1 at the origin
+        points = np.array([objective.optimum_location, np.zeros(4)])
+        mask = success_predicate(criterion, objective)(points, objective.score_many(points))
         assert mask.tolist() == [True, False]
 
     def test_rejects_bad_settings(self):
@@ -82,6 +114,9 @@ class TestSuccessCriterion:
             SuccessCriterion(mode="nearest")
         with pytest.raises(ValueError):
             SuccessCriterion(tolerance=0.0)
+        for tolerance in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"got {tolerance}"):
+                SuccessCriterion(tolerance=tolerance)
 
     @pytest.mark.parametrize("dimension", [1, 2, 4, 10])
     def test_radius_mask_matches_row_formula_bit_for_bit(self, dimension):
@@ -89,7 +124,8 @@ class TestSuccessCriterion:
         # on random points and on points placed at the tolerance itself
         objective = default_spec("rastrigin", dimension)
         criterion = SuccessCriterion()
-        eps = criterion.resolved_tolerance(objective)
+        # rastrigin's box is [-5.12, 5.12]^d
+        eps = 0.005 * (np.sqrt(dimension) * 10.24)
         opt = objective.optimum_location
         rng = np.random.default_rng(dimension)
         points = [opt + rng.normal(0.0, eps / np.sqrt(dimension), size=(400, dimension))]

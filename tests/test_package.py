@@ -22,6 +22,32 @@ def test_every_public_name_resolves(module):
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(public)
 
 
+# the package's public names, pinned: a change that adds or removes one
+# edits this list and says why
+PUBLIC_NAMES = [
+    "AggregateMetrics", "BUILTIN_PLAN_NAMES", "BatchResult", "CHANNEL_DEATH",
+    "CHANNEL_INIT_POSITION", "CHANNEL_INIT_VELOCITY", "CHANNEL_VELOCITY_PERSONAL",
+    "CHANNEL_VELOCITY_SOCIAL", "ExperimentPlan", "Graph", "GraphMetrics",
+    "OBJECTIVE_NAMES", "ObjectiveSpec", "PlotSpec", "RunResult", "SUCCESS_MODES",
+    "SpectrumPoint", "SuccessCriterion", "SwarmBatch", "SwarmConfig", "TOPOLOGY_KINDS",
+    "TopologySpec", "__version__", "average_geodesic", "build_spectrum",
+    "build_topology", "builtin_plan_text", "clustering_coefficient", "compute_metrics",
+    "death_fraction_to_prob", "default_spec", "derive_seed", "edge_list_text",
+    "graph_spectrum", "is_connected", "make_complete", "make_core_periphery",
+    "make_multi_ring", "make_rand_source", "make_random", "make_ring",
+    "make_ring_core_star", "make_scale_free", "make_small_world", "make_star",
+    "make_von_neumann", "natural_connectivity", "parse_edge_list", "parse_plan",
+    "parse_results_csv", "parse_topology_line", "plan_to_text", "render_results_svg",
+    "results_to_csv", "results_to_json", "run", "run_plan", "shekel_params",
+    "shortest_path_matrix", "small_world_ness", "spectrum_points", "success_predicate",
+    "trade_off",
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(swarmtopo.__all__) == PUBLIC_NAMES
+
+
 def test_benchmark_wraps_and_restores_its_names(monkeypatch):
     # the traced benchmark run patches swarmtopo names by attribute; a
     # renamed or removed one fails here with an AttributeError

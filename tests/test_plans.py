@@ -112,6 +112,12 @@ class TestParsePlan:
         with pytest.raises(ValueError, match="objective"):
             parse_plan(MINIMAL.replace("shekel", "banana"))
 
+    def test_non_finite_success_tolerance_rejected(self):
+        # an infinite tolerance would count every run converged at iteration 1
+        for raw, value in (("inf", "inf"), ("1e400", "inf"), ("-inf", "-inf"), ("nan", "nan")):
+            with pytest.raises(ValueError, match=f"tolerance must be finite and > 0, got {value}"):
+                parse_plan(MINIMAL + f"success_tolerance = {raw}\n")
+
     def test_duplicate_death_fractions_rejected(self):
         with pytest.raises(ValueError, match=r"duplicate death fractions in plan: \[0\.0\]"):
             parse_plan(MINIMAL.replace("0, 0.15, 0.30", "0, 0, -0"))

@@ -29,9 +29,7 @@ from swarmtopo.topology import (
     make_star,
     make_von_neumann,
     parse_edge_list,
-    read_edge_list,
     spectrum_points,
-    write_edge_list,
 )
 
 from strategies import topology_specs
@@ -395,18 +393,24 @@ class TestTopologySpec:
         assert build_topology(spec) == make_multi_ring(12, 3)
 
     def test_randomized_kind_requires_seed(self):
-        spec = TopologySpec(kind="random", node_count=10, edge_prob=0.5)
-        with pytest.raises(ValueError):
-            spec.validate()
+        with pytest.raises(ValueError, match="random requires seed"):
+            TopologySpec(kind="random", node_count=10, edge_prob=0.5)
 
     def test_rejects_extra_fields(self):
-        spec = TopologySpec(kind="ring", node_count=10, hub_count=2)
-        with pytest.raises(ValueError):
-            spec.validate()
+        with pytest.raises(ValueError, match="ring does not take hub_count"):
+            TopologySpec(kind="ring", node_count=10, hub_count=2)
 
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            TopologySpec(kind="mystery", node_count=5).validate()
+        with pytest.raises(ValueError, match="unknown topology kind 'mystery'"):
+            TopologySpec(kind="mystery", node_count=5)
+
+    def test_replace_checks_the_new_spec(self):
+        spec = TopologySpec(kind="ring", node_count=10)
+        with pytest.raises(ValueError, match="ring requires node_count"):
+            replace(spec, node_count=None)
+        with pytest.raises(ValueError, match="label must be ASCII"):
+            replace(spec, label="ring\u00e9")
+        assert not hasattr(spec, "validate")
 
     def test_von_neumann_uses_grid_fields(self):
         spec = TopologySpec(kind="von-neumann", rows=4, cols=5)
@@ -427,8 +431,6 @@ class TestTopologySpec:
         ]
         ids = [s.topology_id() for s in specs]
         assert len(set(ids)) == len(ids)
-        for s in specs:
-            s.validate()
 
     def test_label_overrides_id(self):
         spec = TopologySpec(kind="ring", node_count=10, label="my-ring")
@@ -463,13 +465,13 @@ class TestTopologySpec:
     def test_rejects_labels_a_plan_line_cannot_hold(self):
         for label in ("", "two words", "tab\there", "ringé"):
             with pytest.raises(ValueError, match="label"):
-                TopologySpec(kind="ring", node_count=10, label=label).validate()
+                TopologySpec(kind="ring", node_count=10, label=label)
 
     def test_rejects_labels_that_cannot_name_a_file(self):
         for label in ("a/b", "/abs", "a\\b", "trailing/"):
             with pytest.raises(ValueError, match="label must be free of path separators"):
-                TopologySpec(kind="ring", node_count=10, label=label).validate()
-        TopologySpec(kind="ring", node_count=10, label="a.b-c_d=e#f").validate()
+                TopologySpec(kind="ring", node_count=10, label=label)
+        TopologySpec(kind="ring", node_count=10, label="a.b-c_d=e#f")
 
 
 class TestEdgeLists:
@@ -484,8 +486,8 @@ class TestEdgeLists:
     def test_file_round_trip(self, tmp_path):
         g = make_small_world(40, 6, 0.3, rng=2)
         path = tmp_path / "g.txt"
-        write_edge_list(g, path)
-        assert read_edge_list(path) == g
+        path.write_text(edge_list_text(g), encoding="ascii")
+        assert parse_edge_list(path.read_text(encoding="ascii")) == g
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
