@@ -18,6 +18,13 @@ and trace.  A single run is a batch of one: ``run`` wraps a lone
 returns that row's result, so every row of a batch is, bit for bit,
 the run its own config gives alone.
 
+``run`` is the one checked entry: :class:`SwarmConfig` and
+:class:`SwarmBatch` check their values when built, and ``run`` checks
+the graphs against the rows and the agent count once per call.  Its
+loop parts, :func:`initialize`, :class:`Neighborhoods`, :func:`step`
+and :func:`randomized_death` on a :class:`SwarmState`, are not public
+and trust those checks: they check nothing on any iteration.
+
 All randomness flows through a counter-based uniform source keyed by
 (seed, channel, iteration, agent, lane), so draws are independent of
 evaluation order, and the draws of later iterations can be computed
@@ -79,13 +86,8 @@ __all__ = [
     "make_rand_source",
     "SwarmConfig",
     "SwarmBatch",
-    "SwarmState",
     "RunResult",
     "BatchResult",
-    "Neighborhoods",
-    "initialize",
-    "step",
-    "randomized_death",
     "run",
 ]
 
@@ -338,14 +340,10 @@ class Neighborhoods:
 
     def __init__(self, graphs) -> None:
         graphs = tuple(graphs)
-        n = graphs[0].node_count
-        for graph in graphs:
-            if graph.node_count != n:
-                raise ValueError("every graph of a batch needs the same node count")
-        self.node_count, self.rows = n, len(graphs)
+        n = self.node_count = graphs[0].node_count
         full = [graph.is_complete for graph in graphs]
         self._full_rows = np.flatnonzero(full)
-        self._self = np.arange(self.rows * n)
+        self._self = np.arange(len(graphs) * n)
         self._indices = None
         sparse = [row for row, is_full in enumerate(full) if not is_full]
         if sparse:
@@ -435,13 +433,6 @@ def step(
     zero).  Velocities are clamped per component after the update;
     positions are never clamped.  Dead agents do not move.
     """
-    if neighborhoods.node_count != swarm.n_agents:
-        raise ValueError(
-            f"graph has {neighborhoods.node_count} nodes for {swarm.n_agents} agents"
-        )
-    rows = swarm.positions.shape[0]
-    if neighborhoods.rows != rows:
-        raise ValueError(f"{neighborhoods.rows} graphs for {rows} swarms")
     n, d = swarm.n_agents, swarm.dimension
     positions, alive = swarm.positions, swarm.alive
 
@@ -473,16 +464,13 @@ def step(
     return swarm
 
 
-def randomized_death(swarm: SwarmState, probs, rand_fn, iteration: int) -> SwarmState:
+def randomized_death(
+    swarm: SwarmState, probs: np.ndarray, rand_fn, iteration: int
+) -> SwarmState:
     """Independent per-agent deactivation, in place: alive agents of
-    row ``b`` whose draw is below ``probs[b]`` die."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape != swarm.alive.shape[:1]:
-        raise ValueError(
-            f"{probs.size} death probabilities for {swarm.alive.shape[0]} swarms"
-        )
-    if not ((probs >= 0.0) & (probs < 1.0)).all():
-        raise ValueError(f"death probability must be in [0, 1), got {probs.tolist()}")
+    row ``b`` whose draw is below ``probs[b]`` die.  ``probs`` is the
+    float64 ``(B,)`` array that :func:`run` builds once from the rows'
+    validated ``death_prob``."""
     if probs.any():
         draws = rand_fn(CHANNEL_DEATH, iteration, swarm.n_agents)[..., 0]
         swarm.alive &= draws >= probs[:, None]
@@ -528,7 +516,7 @@ def run(
     neighborhoods = Neighborhoods(graphs)
     rand = rand_fn or make_rand_source([c.seed for c in batch.configs])
     swarm = initialize(batch, objective, rand)
-    death = np.array([c.death_prob for c in batch.configs])
+    death = np.array([c.death_prob for c in batch.configs], dtype=np.float64)
     alive, d = swarm.alive, swarm.dimension
 
     def qualified() -> np.ndarray:

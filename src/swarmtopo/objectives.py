@@ -1,10 +1,9 @@
 """Benchmark objective functions.
 
-Five standard landscapes: Shekel (maximized, the 4-D foothill table
-ships in ``data/objective_params.txt``), plus Ackley, Griewank,
-Schwefel and Rastrigin (minimized).  The engine always maximizes a
-score, so :meth:`ObjectiveSpec.score_many` negates the minimization
-objectives.
+Five standard landscapes: Shekel (maximized, its 4-D foothill table a
+literal in this module), plus Ackley, Griewank, Schwefel and Rastrigin
+(minimized).  The engine always maximizes a score, so
+:meth:`ObjectiveSpec.score_many` negates the minimization objectives.
 
 Shekel is computed centres-major: the squared distances form an
 ``(m, N)`` array, one contiguous row of N points per centre, so every
@@ -24,8 +23,7 @@ upgrade that changes it fails there and not silently in a results file.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from importlib import resources
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -38,43 +36,41 @@ __all__ = [
     "default_spec",
 ]
 
-@dataclass(frozen=True, eq=False)
-class ShekelParams:
-    """Shekel foothill centers (m rows of 4 coordinates) and heights."""
+class ShekelParams(NamedTuple):
+    """Shekel foothill centers (m rows of 4 coordinates) and heights
+    (the constant c of each foothill: a smaller c gives a taller peak)."""
 
     centers: np.ndarray
     heights: np.ndarray
 
-    def __post_init__(self) -> None:
-        centers = np.asarray(self.centers, dtype=np.float64)
-        heights = np.asarray(self.heights, dtype=np.float64)
-        if centers.ndim != 2 or centers.shape[0] != heights.shape[0]:
-            raise ValueError("each center row needs one height entry")
-        if (heights <= 0).any():
-            raise ValueError("heights must be positive")
-        centers.setflags(write=False)
-        heights.setflags(write=False)
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "heights", heights)
+
+def _read_only(rows) -> np.ndarray:
+    array = np.array(rows, dtype=np.float64)
+    array.setflags(write=False)
+    return array
 
 
-@lru_cache(maxsize=1)
+# the standard m = 10 foothill table
+_SHEKEL = ShekelParams(
+    centers=_read_only([
+        [4.0, 4.0, 4.0, 4.0],
+        [1.0, 1.0, 1.0, 1.0],
+        [8.0, 8.0, 8.0, 8.0],
+        [6.0, 6.0, 6.0, 6.0],
+        [3.0, 7.0, 3.0, 7.0],
+        [2.0, 9.0, 2.0, 9.0],
+        [5.0, 5.0, 3.0, 3.0],
+        [8.0, 1.0, 8.0, 1.0],
+        [6.0, 2.0, 6.0, 2.0],
+        [7.0, 3.0, 7.0, 3.0],
+    ]),
+    heights=_read_only([0.1, 0.2, 0.2, 0.4, 0.4, 0.6, 0.3, 0.7, 0.5, 0.5]),
+)
+
+
 def shekel_params() -> ShekelParams:
-    """Load the packaged foothill table."""
-    text = (
-        resources.files("swarmtopo").joinpath("data/objective_params.txt").read_text()
-    )
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise ValueError(f"objective_params.txt line {lineno}: expected 5 numbers")
-        rows.append([float(p) for p in parts])
-    table = np.asarray(rows, dtype=np.float64)
-    return ShekelParams(centers=table[:, :4], heights=table[:, 4])
+    """The Shekel foothill table, read-only."""
+    return _SHEKEL
 
 
 def _sum_rows(rows: np.ndarray) -> np.ndarray:

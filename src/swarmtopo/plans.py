@@ -206,8 +206,16 @@ def plan_to_text(plan: ExperimentPlan) -> str:
     """Serialize a plan back to the file format.
 
     Spectrum expansions are written out graph by graph, labels
-    included, so parsing the output reproduces the plan exactly.
+    included, so parsing the output reproduces the plan exactly.  The
+    format names objectives only, so an objective whose dimension is
+    not its name's default is rejected rather than dropped.
     """
+    for objective in plan.objectives:
+        if objective.dimension != default_spec(objective.name).dimension:
+            raise ValueError(
+                f"objective {objective.name!r} has dimension {objective.dimension}; "
+                "a plan file holds only each objective's default dimension"
+            )
     lines = [
         f"version = {PLAN_VERSION}",
         f"base_seed = {plan.base_seed}",

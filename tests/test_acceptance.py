@@ -3,7 +3,7 @@ result line) per criterion.
 
 Every expected value here was produced away from the library code:
 closed-form eigenvalues, a pure-Python Floyd-Warshall, a hand-executed
-update-rule trace, a brute-force reading of the shipped Shekel table,
+update-rule trace, a brute-force sum over the standard Shekel table,
 and hand-evaluated trade-off arithmetic.  The desk-scale sweep checks
 (criteria 6 and 7) are statistical: they run a pinned 20-repetition
 plan and assert trend inequalities, not digits.
@@ -15,7 +15,6 @@ run as 10 batches); everything else is seconds.
 from __future__ import annotations
 
 import math
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -147,19 +146,26 @@ def test_criterion_3_death_model():
 # ---------------------------------------------------------------- 4
 
 
+# the standard m = 10 Shekel foothill table, typed in here: each row is
+# four center coordinates, then the height constant c
+_SHEKEL_TABLE = (
+    (4.0, 4.0, 4.0, 4.0, 0.1),
+    (1.0, 1.0, 1.0, 1.0, 0.2),
+    (8.0, 8.0, 8.0, 8.0, 0.2),
+    (6.0, 6.0, 6.0, 6.0, 0.4),
+    (3.0, 7.0, 3.0, 7.0, 0.4),
+    (2.0, 9.0, 2.0, 9.0, 0.6),
+    (5.0, 5.0, 3.0, 3.0, 0.3),
+    (8.0, 1.0, 8.0, 1.0, 0.7),
+    (6.0, 2.0, 6.0, 2.0, 0.5),
+    (7.0, 3.0, 7.0, 3.0, 0.5),
+)
+
+
 def _shekel_by_hand(x):
-    """Brute-force read of the shipped parameter table."""
-    text = (
-        resources.files("swarmtopo")
-        .joinpath("data/objective_params.txt")
-        .read_text()
-    )
+    """Brute-force sum over the standard table, pure Python floats."""
     total = 0.0
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        *center, height = [float(part) for part in line.split()]
+    for *center, height in _SHEKEL_TABLE:
         total += 1.0 / (height + sum((a - b) ** 2 for a, b in zip(x, center)))
     return total
 

@@ -17,7 +17,7 @@ from swarmtopo.objectives import (
     shekel_params,
 )
 
-# brute-force sum over the shipped parameter table, pure Python floats
+# brute-force sum over the parameter table, pure Python floats
 SHEKEL_AT_4444 = 10.531929251218955
 
 

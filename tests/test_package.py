@@ -48,6 +48,22 @@ def test_public_surface_is_pinned():
     assert sorted(swarmtopo.__all__) == PUBLIC_NAMES
 
 
+# the engine's public names, pinned: its loop parts (SwarmState,
+# Neighborhoods, initialize, step, randomized_death) trust ``run``'s
+# checks and stay module attributes only
+ENGINE_NAMES = [
+    "BatchResult", "CHANNEL_DEATH", "CHANNEL_INIT_POSITION", "CHANNEL_INIT_VELOCITY",
+    "CHANNEL_VELOCITY_PERSONAL", "CHANNEL_VELOCITY_SOCIAL", "RunResult", "SwarmBatch",
+    "SwarmConfig", "make_rand_source", "run",
+]
+
+
+def test_engine_surface_is_pinned():
+    from swarmtopo import engine
+
+    assert sorted(engine.__all__) == ENGINE_NAMES
+
+
 def test_benchmark_wraps_and_restores_its_names(monkeypatch):
     # the traced benchmark run patches swarmtopo names by attribute; a
     # renamed or removed one fails here with an AttributeError

@@ -1,8 +1,11 @@
 """Plan-file parsing, serialization, and the built-in sweep plans."""
 
+from dataclasses import replace
+
 import pytest
 
 from swarmtopo.harness import SuccessCriterion
+from swarmtopo.objectives import default_spec
 from swarmtopo.plans import (
     BUILTIN_PLAN_NAMES,
     builtin_plan_text,
@@ -88,6 +91,14 @@ class TestParsePlan:
         written = plan_to_text(plan)
         assert "edge_prob=0.1234567 " in written and "alpha = 0.123456789\n" in written
         assert parse_plan(written) == plan
+
+    def test_non_default_dimension_is_not_written(self):
+        # the format has no dimension field: writing rastrigin-10 as
+        # "rastrigin" would parse back as rastrigin-2
+        plan = parse_plan(builtin_plan_text("reference-grid"))
+        plan = replace(plan, objectives=(default_spec("rastrigin", 10),))
+        with pytest.raises(ValueError, match="'rastrigin' has dimension 10"):
+            plan_to_text(plan)
 
     def test_success_settings(self):
         text = MINIMAL + "success_mode = value-gap\nsuccess_tolerance = 0.01\n"
