@@ -16,7 +16,9 @@ searching, and gives every other sample one all-pairs search, which
 also rejects the rest.  The dense product wastes work on long, thin
 frontiers (a 1000-node ring runs 500 levels); a sparse or bit-packed
 search for n >= 1000 is not built yet.  Spectra come from dense
-symmetric eigendecomposition, and clustering from one float32 A @ A.
+symmetric eigendecomposition, and clustering from one float32 A @ A;
+the omega ring-lattice baseline's clustering is read off node 0's
+neighbours, with no lattice built.
 All metrics tolerate disconnected graphs: path-based quantities report
 ``None`` instead of infinities.
 """
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .topology import Graph, _as_rng, make_multi_ring
+from .topology import Graph, _as_rng, _circulant
 
 __all__ = [
     "shortest_path_matrix",
@@ -160,6 +162,21 @@ def clustering_coefficient(graph: Graph) -> float:
     return float(local.mean())
 
 
+def _lattice_clustering(node_count: int, levels: int) -> float:
+    # clustering_coefficient(make_multi_ring(node_count, levels)) to the
+    # bit, without building the lattice: every node of a circulant has
+    # node 0's local value.  Node 0's neighbours are +-1..+-levels (mod
+    # n, at least 2 of them), and a pair (j, k) of them closes a walk
+    # when k - j is an offset too, which is the circulant's entry (j, k)
+    lattice = _circulant(node_count, levels)
+    neighbours = np.flatnonzero(lattice[0])
+    closed_walks = int(np.count_nonzero(lattice[neighbours][:, neighbours]))
+    degree = neighbours.size
+    local = closed_walks / (degree * (degree - 1))
+    # the same float64 mean over node_count equal values
+    return float(np.full(node_count, local).mean())
+
+
 def _random_same_size(
     node_count: int,
     edge_count: int,
@@ -203,7 +220,7 @@ def small_world_ness(
     if n < 3 or m == 0 or path_length is None:
         return None
     levels = max(1, min(int(round(m / n)), n // 2))
-    lattice_clustering = clustering_coefficient(make_multi_ring(n, levels))
+    lattice_clustering = _lattice_clustering(n, levels)
     if lattice_clustering <= 0.0:
         return None
     rng = _as_rng(rng)

@@ -24,7 +24,6 @@ import hashlib
 import io
 import json
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
@@ -418,10 +417,18 @@ def run_plan(plan: ExperimentPlan, workers: int = 1, on_trace=None) -> list[Aggr
     run_chunk = partial(_run_chunk, plan, record_trace=on_trace is not None)
     results: list[list[RunResult]] = [[] for _ in cells]
     serial = workers == 1 or len(chunks) == 1
+    if serial:
+        pool_block = nullcontext()
+    else:
+        # imported here: the pool pulls in multiprocessing, socket and
+        # logging, about 1.8 MB and 10 ms that a serial process never uses
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool_block = ProcessPoolExecutor(max_workers=workers)
     # outputs arrive in chunk order.  The map is consumed inside the pool's
     # block and bound to no name, so an error in the loop frees it before
     # the pool shuts down, and freeing it cancels the chunks not started
-    with nullcontext() if serial else ProcessPoolExecutor(max_workers=workers) as pool:
+    with pool_block as pool:
         for chunk, output in zip(
             chunks, map(run_chunk, chunks) if serial else pool.map(run_chunk, chunks)
         ):

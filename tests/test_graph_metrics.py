@@ -265,6 +265,16 @@ class TestClustering:
         assert clustering_coefficient(graph) == float(local.mean())
 
 
+    def test_lattice_baseline_is_the_built_lattice_to_the_bit(self):
+        # omega's ring-lattice clustering, counted on node 0 alone,
+        # against the full computation on the lattice itself
+        for n in range(3, 131):
+            for levels in range(1, n // 2 + 1):
+                expected = clustering_coefficient(make_multi_ring(n, levels))
+                got = graph_metrics._lattice_clustering(n, levels)
+                assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (n, levels)
+
+
 def _omega(graph: Graph, **kwargs) -> float | None:
     # the graph's own L and C, measured by the caller as compute_metrics does
     path_length = average_geodesic(graph) if graph.node_count >= 2 else None

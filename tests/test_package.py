@@ -3,6 +3,8 @@
 import importlib
 from pathlib import Path
 import pkgutil
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -81,3 +83,17 @@ def test_benchmark_wraps_and_restores_its_names(monkeypatch):
         assert vars(owner).keys() == saved.keys()
         for attr, original in saved.items():
             assert vars(owner)[attr] is original, f"{owner.__name__}.{attr}"
+
+
+def test_import_loads_no_process_pool():
+    # the pool's modules load only when run_plan runs with workers > 1
+    source = Path(swarmtopo.__file__).resolve().parents[1]
+    probe = (
+        f"import sys; sys.path.insert(0, {str(source)!r}); import swarmtopo, swarmtopo.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

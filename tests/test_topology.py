@@ -3,6 +3,7 @@
 import itertools
 import re
 import string
+import tracemalloc
 from dataclasses import replace
 
 import networkx as nx
@@ -151,6 +152,117 @@ class TestGraph:
         assert make_ring(5) != make_star(5)
 
 
+def _dense_candidates(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    # the candidate sets from the dense n x n oracle, as first written
+    n = graph.node_count
+    rows, indices = np.nonzero(graph.adjacency | np.eye(n, dtype=bool))
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, indices
+
+
+def _dense_edges(graph: Graph) -> list[tuple[int, int]]:
+    iu, ju = np.nonzero(np.triu(graph.adjacency, k=1))
+    return list(zip(iu.tolist(), ju.tolist()))
+
+
+def _check_against_dense_oracles(graph: Graph) -> None:
+    for got, expected in zip(graph.candidates, _dense_candidates(graph)):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert not got.flags.writeable
+    assert graph.edges() == _dense_edges(graph)
+
+
+def _traced_peak(build) -> int:
+    # bytes allocated at the peak of build(), above what existed before
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGraphCost:
+    """A graph is one n x n bool array; building it holds at most two."""
+
+    N = 2048
+
+    @pytest.mark.parametrize(
+        "build", [lambda n: make_multi_ring(n, 3), make_complete], ids=["multi-ring", "complete"]
+    )
+    def test_view_built_graph_costs_its_copy(self, build):
+        assert _traced_peak(lambda: build(self.N)) <= 1.1 * self.N**2
+
+    def test_graph_of_an_array_costs_its_copy(self):
+        adj = make_multi_ring(self.N, 3).adjacency
+        assert _traced_peak(lambda: Graph(adj)) <= 1.1 * self.N**2
+
+    @pytest.mark.parametrize(
+        "read", [lambda g: g.candidates, Graph.edges], ids=["candidates", "edges"]
+    )
+    def test_candidates_and_edges_make_no_square_temporary(self, read):
+        ring = make_ring(self.N)
+        assert _traced_peak(lambda: read(ring)) <= 0.2 * self.N**2
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda n: make_von_neumann(32, 64), lambda n: make_small_world(n, 6, 0.1, rng=1)],
+        ids=["von-neumann", "small-world"],
+    )
+    def test_array_built_graph_holds_at_most_two(self, build):
+        make_small_world(10, 4, 0.5, rng=0)  # numpy.random's first import is not the graph's
+        assert _traced_peak(lambda: build(self.N)) <= 2.25 * self.N**2
+
+    @pytest.mark.parametrize(
+        "entry", [(255, 256), (256, 255), (0, 514), (514, 0), (511, 512)]
+    )
+    def test_lone_asymmetric_entry_at_a_tile_edge(self, entry):
+        n = 2 * 256 + 3
+        adj = np.array(make_multi_ring(n, 2).adjacency)
+        adj[entry] = not adj[entry]
+        with pytest.raises(ValueError, match="^adjacency must be symmetric$"):
+            Graph(adj)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 600),
+        density=st.sampled_from([0.0, 0.02, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_accepts_exactly_the_symmetric_matrices(self, n, density, seed, data):
+        upper = np.triu(np.random.default_rng(seed).random((n, n)) < density, k=1)
+        adj = upper | upper.T
+        flips = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                   max_size=3))
+        for i, j in flips:
+            if i != j:
+                adj[i, j] = not adj[i, j]
+        try:
+            Graph(adj)
+            accepted = True
+        except ValueError as error:
+            assert str(error) == "adjacency must be symmetric"
+            accepted = False
+        assert accepted == np.array_equal(adj, adj.T)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_graphs_match_the_dense_oracles(self, n, density, seed):
+        upper = np.triu(np.random.default_rng(seed).random((n, n)) < density, k=1)
+        _check_against_dense_oracles(Graph(upper | upper.T))
+
+    def test_complete_is_the_complement_of_the_identity(self):
+        for n in [*range(1, 11), 255, 256, 257]:
+            assert np.array_equal(make_complete(n).adjacency, ~np.eye(n, dtype=bool)), n
+
+
 class TestDeterministicFamilies:
     def test_complete(self):
         g = make_complete(6)
@@ -286,6 +398,7 @@ class TestEveryKind:
             row = indices[indptr[node]:indptr[node + 1]]
             assert row.tolist() == np.flatnonzero(members).tolist()
         assert indptr[-1] == indices.size
+        _check_against_dense_oracles(graph)
         text = edge_list_text(graph)
         assert edge_list_text(parse_edge_list(text)) == text
 
