@@ -13,7 +13,8 @@ N * (1 - p)^t.
 
 import numpy as np
 
-from swarmtopo import CHANNEL_DEATH, death_fraction_to_prob, make_rand_source
+from swarmtopo import death_fraction_to_prob
+from swarmtopo.engine import CHANNEL_DEATH, make_rand_source
 
 AGENTS = 100
 HORIZON = 500

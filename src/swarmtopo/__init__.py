@@ -13,47 +13,27 @@ from types import ModuleType as _ModuleType
 from .topology import (
     Graph,
     TopologySpec,
-    SpectrumPoint,
     TOPOLOGY_KINDS,
     build_topology,
     build_spectrum,
     spectrum_points,
-    make_complete,
-    make_star,
-    make_ring,
-    make_core_periphery,
-    make_ring_core_star,
-    make_multi_ring,
-    make_von_neumann,
-    make_scale_free,
-    make_random,
-    make_small_world,
     parse_edge_list,
     edge_list_text,
 )
 from .graph_metrics import (
     GraphMetrics,
     compute_metrics,
-    shortest_path_matrix,
     average_geodesic,
-    is_connected,
-    graph_spectrum,
     natural_connectivity,
     clustering_coefficient,
     small_world_ness,
 )
-from .objectives import OBJECTIVE_NAMES, ObjectiveSpec, default_spec, shekel_params
+from .objectives import OBJECTIVE_NAMES, ObjectiveSpec, default_spec
 from .engine import (
-    CHANNEL_DEATH,
-    CHANNEL_INIT_POSITION,
-    CHANNEL_INIT_VELOCITY,
-    CHANNEL_VELOCITY_PERSONAL,
-    CHANNEL_VELOCITY_SOCIAL,
     SwarmConfig,
     SwarmBatch,
     RunResult,
     BatchResult,
-    make_rand_source,
     run,
 )
 from .harness import (

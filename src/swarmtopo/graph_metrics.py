@@ -28,19 +28,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .topology import Graph, _as_rng, _circulant
+from .topology import Graph, _circulant
 
 __all__ = [
-    "shortest_path_matrix",
     "average_geodesic",
-    "is_connected",
-    "graph_spectrum",
     "natural_connectivity",
     "clustering_coefficient",
     "small_world_ness",
     "GraphMetrics",
     "compute_metrics",
 ]
+# shortest_path_matrix, is_connected and graph_spectrum stay module
+# attributes only: the benchmark wraps them by name
+
+
+def _as_rng(rng) -> np.random.Generator:
+    return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
 
 def _bfs_levels(adjacency: np.ndarray, sources: np.ndarray | list[int]):
@@ -163,7 +166,7 @@ def clustering_coefficient(graph: Graph) -> float:
 
 
 def _lattice_clustering(node_count: int, levels: int) -> float:
-    # clustering_coefficient(make_multi_ring(node_count, levels)) to the
+    # clustering_coefficient of the multi-ring (node_count, levels) to the
     # bit, without building the lattice: every node of a circulant has
     # node 0's local value.  Node 0's neighbours are +-1..+-levels (mod
     # n, at least 2 of them), and a pair (j, k) of them closes a walk

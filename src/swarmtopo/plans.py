@@ -15,7 +15,8 @@ Scalar keys appear once; ``topology`` repeats, one graph per line (a
 line's kinds, keys and value types come from the kind table in
 :mod:`swarmtopo.topology`; ``label=`` sets the spec's label, which is
 its topology id.  Blank lines and ``#`` comments are ignored.  Unknown
-keys and missing required keys are rejected by name.
+keys and missing required keys are rejected by name, and an error in a
+line's key or value names the line.
 
 :func:`plan_to_text` writes every graph on its own line, labels
 included, and floats in their shortest exact text, so parsing its
@@ -102,13 +103,17 @@ def parse_topology_line(text: str) -> list[TopologySpec]:
         raise ValueError(
             f"unknown topology kind {kind!r}; expected one of {TOPOLOGY_KINDS + ('spectrum',)}"
         )
-    return [TopologySpec(kind=kind, **_parse_params(parts[1:], context, _TOPOLOGY_KEYS))]
+    params = _parse_params(parts[1:], context, _TOPOLOGY_KEYS)
+    try:
+        return [TopologySpec(kind=kind, **params)]
+    except ValueError as error:
+        raise ValueError(f"{context}: {error}") from None
 
 
 def parse_plan(text: str) -> ExperimentPlan:
     """Parse plan text into a validated :class:`ExperimentPlan`."""
     scalars: dict[str, str] = {}
-    topology_lines: list[str] = []
+    topology_lines: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -119,7 +124,7 @@ def parse_plan(text: str) -> ExperimentPlan:
         key = key.strip()
         value = value.strip()
         if key == "topology":
-            topology_lines.append(value)
+            topology_lines.append((lineno, value))
             continue
         if key not in _SCALAR_KEYS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
@@ -146,8 +151,11 @@ def parse_plan(text: str) -> ExperimentPlan:
         raise ValueError(f"unsupported plan version {version}; expected {PLAN_VERSION}")
 
     topologies: list[TopologySpec] = []
-    for line in topology_lines:
-        topologies.extend(parse_topology_line(line))
+    for lineno, line in topology_lines:
+        try:
+            topologies.extend(parse_topology_line(line))
+        except ValueError as error:
+            raise ValueError(f"line {lineno}: {error}") from None
 
     objectives = []
     for name in (part.strip() for part in scalars["objectives"].split(",")):

@@ -18,15 +18,20 @@ over the window view, :class:`Graph`'s copy and its symmetry check.
 
 Graphs are immutable wrappers around a boolean adjacency matrix.  The
 circulants and the complete graph are views of one 2n row, so
-:class:`Graph`'s copy is their only n x n array.  Every constructor
-validates its arguments and raises ``ValueError`` with a specific
-message on bad input.
+:class:`Graph`'s copy is their only n x n array.
+
+A graph is built from its :class:`TopologySpec` by
+:func:`build_topology`.  The spec checks every field once, when it is
+made, against its kind's row of :data:`KINDS`, and raises ``ValueError``
+with a specific message on bad input; the private builders the rows
+call check nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+import numbers
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -34,16 +39,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Graph",
-    "make_complete",
-    "make_star",
-    "make_ring",
-    "make_core_periphery",
-    "make_ring_core_star",
-    "make_multi_ring",
-    "make_von_neumann",
-    "make_scale_free",
-    "make_random",
-    "make_small_world",
     "PARAMETERS",
     "KINDS",
     "TOPOLOGY_KINDS",
@@ -172,7 +167,8 @@ def _is_symmetric(adj: np.ndarray) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# deterministic families: circulants and cores with round-robin leaves
+# the builders behind the kind table: each takes its kind's spec fields
+# in the row's order and checks nothing, since the spec has checked them
 
 
 def _circulant(node_count: int, levels: int) -> np.ndarray:
@@ -197,119 +193,49 @@ def _core_with_leaves(node_count: int, core: np.ndarray) -> Graph:
     return Graph(adj)
 
 
-def make_complete(node_count: int) -> Graph:
-    """Every pair of distinct nodes is connected.
-
-    Parameters
-    ----------
-    node_count : int
-        Number of nodes, at least 1.
-    """
-    if node_count < 1:
-        raise ValueError("node_count must be >= 1")
+def _complete(node_count: int) -> Graph:
+    """Every pair of distinct nodes is connected."""
     return Graph(_circulant(node_count, node_count // 2))
 
 
-def make_star(node_count: int) -> Graph:
-    """Node 0 is the hub; every other node connects only to it."""
-    if node_count < 2:
-        raise ValueError("a star needs at least 2 nodes")
-    return make_core_periphery(node_count, 1)
-
-
-def make_ring(node_count: int) -> Graph:
-    """Single cycle 0-1-...-(n-1)-0."""
-    if node_count < 3:
-        raise ValueError("a ring needs at least 3 nodes")
-    return make_multi_ring(node_count, 1)
-
-
-def make_core_periphery(node_count: int, core_size: int) -> Graph:
+def _core_periphery(node_count: int, core_size: int) -> Graph:
     """Fully connected core plus single-edge periphery nodes.
 
     Nodes ``0..core_size-1`` form a complete subgraph.  Each remaining
     node ``k`` attaches by one edge to core node ``k % core_size``, so
     periphery attachments cycle round-robin through the core.
     ``core_size == node_count`` gives the complete graph;
-    ``core_size == 1`` gives the star.
-
-    Parameters
-    ----------
-    node_count : int
-        Total number of nodes.
-    core_size : int
-        Number of core nodes, between 1 and ``node_count``.
+    ``core_size == 1`` gives the star, node 0 its hub.
     """
-    if node_count < 1:
-        raise ValueError("node_count must be >= 1")
-    if not 1 <= core_size <= node_count:
-        raise ValueError(
-            f"core_size must be in [1, {node_count}], got {core_size}"
-        )
     return _core_with_leaves(node_count, ~np.eye(core_size, dtype=bool))
 
 
-def make_ring_core_star(node_count: int, hub_count: int) -> Graph:
+def _ring_core_star(node_count: int, hub_count: int) -> Graph:
     """Hubs on a ring, leaves distributed round-robin across the hubs.
 
     Nodes ``0..hub_count-1`` form a cycle (a single edge when there
     are exactly two hubs, no core edges for one hub).  Each remaining
     node ``k`` attaches to hub ``k % hub_count``.  ``hub_count == 1``
     gives the star; ``hub_count == node_count`` gives the ring.
-
-    Parameters
-    ----------
-    node_count : int
-        Total number of nodes.
-    hub_count : int
-        Number of ring hubs, between 1 and ``node_count``.
     """
-    if node_count < 1:
-        raise ValueError("node_count must be >= 1")
-    if not 1 <= hub_count <= node_count:
-        raise ValueError(
-            f"hub_count must be in [1, {node_count}], got {hub_count}"
-        )
     return _core_with_leaves(node_count, _circulant(hub_count, 1))
 
 
-def make_multi_ring(node_count: int, ring_levels: int) -> Graph:
+def _multi_ring(node_count: int, ring_levels: int) -> Graph:
     """Circulant graph: each node links to its ``ring_levels`` nearest
     neighbors on both sides of the cycle.
 
-    ``ring_levels == 1`` is the plain ring; ``ring_levels ==
+    ``ring_levels == 1`` is the ring 0-1-...-(n-1)-0; ``ring_levels ==
     node_count // 2`` is the complete graph.
-
-    Parameters
-    ----------
-    node_count : int
-        Number of nodes, at least 3.
-    ring_levels : int
-        Neighborhood radius along the cycle, between 1 and
-        ``node_count // 2``.
     """
-    if node_count < 3:
-        raise ValueError("a multi-ring needs at least 3 nodes")
-    if not 1 <= ring_levels <= node_count // 2:
-        raise ValueError(
-            f"ring_levels must be in [1, {node_count // 2}], got {ring_levels}"
-        )
     return Graph(_circulant(node_count, ring_levels))
 
 
-def make_von_neumann(rows: int, cols: int) -> Graph:
+def _von_neumann(rows: int, cols: int) -> Graph:
     """4-regular torus grid: wrap-around up/down/left/right neighbors.
 
     Node ``r * cols + c`` sits at grid cell ``(r, c)``.
-
-    Parameters
-    ----------
-    rows, cols : int
-        Grid dimensions, each at least 3 so that wrap-around edges
-        stay distinct.
     """
-    if rows < 3 or cols < 3:
-        raise ValueError("torus grid needs rows >= 3 and cols >= 3")
     cell = np.arange(rows * cols).reshape(rows, cols)
     adj = np.zeros((rows * cols, rows * cols), dtype=bool)
     for axis in (1, 0):  # right, then down
@@ -318,15 +244,7 @@ def make_von_neumann(rows: int, cols: int) -> Graph:
     return Graph(adj)
 
 
-# ---------------------------------------------------------------------------
-# randomized families
-
-
-def _as_rng(rng) -> np.random.Generator:
-    return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-
-
-def make_scale_free(node_count: int, attach_count: int, rng=None) -> Graph:
+def _scale_free(node_count: int, attach_count: int, seed: int) -> Graph:
     """Preferential-attachment graph.
 
     Starts from ``attach_count`` isolated seed nodes; every subsequent
@@ -334,23 +252,8 @@ def make_scale_free(node_count: int, attach_count: int, rng=None) -> Graph:
     with probability proportional to current degree (the first
     arrival connects to all seeds).  Produces exactly
     ``attach_count * (node_count - attach_count)`` edges.
-
-    Parameters
-    ----------
-    node_count : int
-        Total number of nodes.
-    attach_count : int
-        Edges added per arriving node, in ``[1, node_count - 1]``.
-    rng : int, numpy.random.Generator, or None
-        Randomness source; an int is used as a seed.
     """
-    if node_count < 2:
-        raise ValueError("node_count must be >= 2")
-    if not 1 <= attach_count < node_count:
-        raise ValueError(
-            f"attach_count must be in [1, {node_count - 1}], got {attach_count}"
-        )
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(seed)
     adj = np.zeros((node_count, node_count), dtype=bool)
     # flat endpoint list: picking uniformly from it is degree-weighted
     endpoint_pool: list[int] = []
@@ -371,25 +274,12 @@ def make_scale_free(node_count: int, attach_count: int, rng=None) -> Graph:
     return Graph(adj)
 
 
-def make_random(node_count: int, edge_prob: float, rng=None) -> Graph:
+def _random(node_count: int, edge_prob: float, seed: int) -> Graph:
     """Bernoulli random graph: each pair is an edge with ``edge_prob``.
 
     May be disconnected; downstream metrics account for that.
-
-    Parameters
-    ----------
-    node_count : int
-        Number of nodes, at least 1.
-    edge_prob : float
-        Per-pair edge probability in ``[0, 1]``.
-    rng : int, numpy.random.Generator, or None
-        Randomness source; an int is used as a seed.
     """
-    if node_count < 1:
-        raise ValueError("node_count must be >= 1")
-    if not 0.0 <= edge_prob <= 1.0:
-        raise ValueError(f"edge_prob must be in [0, 1], got {edge_prob}")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(seed)
     adj = np.zeros((node_count, node_count), dtype=bool)
     iu, ju = np.triu_indices(node_count, k=1)
     mask = rng.random(iu.size) < edge_prob
@@ -397,36 +287,15 @@ def make_random(node_count: int, edge_prob: float, rng=None) -> Graph:
     return Graph(adj | adj.T)
 
 
-def make_small_world(node_count: int, degree: int, rewire_prob: float, rng=None) -> Graph:
+def _small_world(node_count: int, degree: int, rewire_prob: float, seed: int) -> Graph:
     """Rewired ring lattice.
 
     Starts from the multi-ring with ``degree // 2`` levels; each
     lattice edge ``(i, i+d)``, walked level by level, has its far
     endpoint rewired to a uniformly random non-neighbor with
     probability ``rewire_prob``.  The edge count never changes.
-
-    Parameters
-    ----------
-    node_count : int
-        Number of nodes, at least 3.
-    degree : int
-        Even lattice degree in ``[2, node_count - 1]``.
-    rewire_prob : float
-        Per-edge rewiring probability in ``[0, 1]``.
-    rng : int, numpy.random.Generator, or None
-        Randomness source; an int is used as a seed.
     """
-    if node_count < 3:
-        raise ValueError("node_count must be >= 3")
-    if degree % 2 != 0:
-        raise ValueError(f"degree must be even, got {degree}")
-    if not 2 <= degree < node_count:
-        raise ValueError(
-            f"degree must be in [2, {node_count - 1}], got {degree}"
-        )
-    if not 0.0 <= rewire_prob <= 1.0:
-        raise ValueError(f"rewire_prob must be in [0, 1], got {rewire_prob}")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(seed)
     adj = np.array(_circulant(node_count, degree // 2))
     for d in range(1, degree // 2 + 1):
         for i in range(node_count):
@@ -458,11 +327,17 @@ class Parameter(NamedTuple):
 
 
 class Kind(NamedTuple):
-    """A topology kind: its constructor and the spec fields it takes,
-    in constructor argument order."""
+    """A topology kind: its builder, the spec fields it takes in builder
+    argument order, and its range rules.
+
+    ``rules`` takes the builder's arguments and returns ``(holds,
+    message)`` pairs; a spec raises ``ValueError(message)`` for the
+    first pair that does not hold.
+    """
 
     builder: Callable[..., Graph]
     parameters: tuple[str, ...]
+    rules: Callable[..., tuple[tuple[bool, str], ...]]
 
 
 PARAMETERS = {
@@ -479,20 +354,54 @@ PARAMETERS = {
     "seed": Parameter(int, "-s", "seed"),
 }
 
-# adding a kind is one row here plus its make_* function; the
-# randomized builders take the seed as their rng argument
+
+def _in_range(name: str, value: int | float, low: int, high: int) -> tuple[bool, str]:
+    return low <= value <= high, f"{name} must be in [{low}, {high}], got {value}"
+
+
+# adding a kind is one row here; the randomized builders take the seed last
 KINDS = {
-    "complete": Kind(make_complete, ("node_count",)),
-    "star": Kind(make_star, ("node_count",)),
-    "ring": Kind(make_ring, ("node_count",)),
-    "core-periphery": Kind(make_core_periphery, ("node_count", "core_size")),
-    "ring-core-star": Kind(make_ring_core_star, ("node_count", "hub_count")),
-    "multi-ring": Kind(make_multi_ring, ("node_count", "ring_levels")),
-    "von-neumann": Kind(make_von_neumann, ("rows", "cols")),
-    "scale-free": Kind(make_scale_free, ("node_count", "attach_count", "seed")),
-    "random": Kind(make_random, ("node_count", "edge_prob", "seed")),
+    "complete": Kind(_complete, ("node_count",), lambda n: (
+        (n >= 1, "node_count must be >= 1"),
+    )),
+    "star": Kind(partial(_core_periphery, core_size=1), ("node_count",), lambda n: (
+        (n >= 2, "a star needs at least 2 nodes"),
+    )),
+    "ring": Kind(partial(_multi_ring, ring_levels=1), ("node_count",), lambda n: (
+        (n >= 3, "a ring needs at least 3 nodes"),
+    )),
+    "core-periphery": Kind(_core_periphery, ("node_count", "core_size"), lambda n, c: (
+        (n >= 1, "node_count must be >= 1"),
+        _in_range("core_size", c, 1, n),
+    )),
+    "ring-core-star": Kind(_ring_core_star, ("node_count", "hub_count"), lambda n, h: (
+        (n >= 1, "node_count must be >= 1"),
+        _in_range("hub_count", h, 1, n),
+    )),
+    "multi-ring": Kind(_multi_ring, ("node_count", "ring_levels"), lambda n, r: (
+        (n >= 3, "a multi-ring needs at least 3 nodes"),
+        _in_range("ring_levels", r, 1, n // 2),
+    )),
+    "von-neumann": Kind(_von_neumann, ("rows", "cols"), lambda rows, cols: (
+        (rows >= 3 and cols >= 3, "torus grid needs rows >= 3 and cols >= 3"),
+    )),
+    "scale-free": Kind(
+        _scale_free, ("node_count", "attach_count", "seed"), lambda n, m, seed: (
+            (n >= 2, "node_count must be >= 2"),
+            _in_range("attach_count", m, 1, n - 1),
+        )
+    ),
+    "random": Kind(_random, ("node_count", "edge_prob", "seed"), lambda n, p, seed: (
+        (n >= 1, "node_count must be >= 1"),
+        _in_range("edge_prob", p, 0, 1),
+    )),
     "small-world": Kind(
-        make_small_world, ("node_count", "degree", "rewire_prob", "seed")
+        _small_world, ("node_count", "degree", "rewire_prob", "seed"), lambda n, k, p, seed: (
+            (n >= 3, "node_count must be >= 3"),
+            (k % 2 == 0, f"degree must be even, got {k}"),
+            _in_range("degree", k, 2, n - 1),
+            _in_range("rewire_prob", p, 0, 1),
+        )
     ),
 }
 
@@ -516,12 +425,15 @@ class TopologySpec:
     """Declarative description of one topology, buildable and hashable.
 
     Only the fields that apply to ``kind`` may be set; the rest must
-    stay ``None``.  Randomized kinds require an explicit ``seed`` so
-    experiment plans stay reproducible.  A ``label``, when set, is the
-    topology id; it must be non-empty ASCII, free of whitespace and of
-    path separators.  A spec checks all of this when it is built (by
+    stay ``None``.  An integer field holds an integer and a float field
+    a number, neither a bool; ``seed`` is at least 0, and every other
+    field lies in its kind's range (the ``rules`` of its :data:`KINDS`
+    row).  Randomized kinds require an explicit ``seed`` so experiment
+    plans stay reproducible.  A ``label``, when set, is the topology
+    id; it must be non-empty ASCII, free of whitespace and of path
+    separators.  A spec checks all of this when it is built (by
     ``dataclasses.replace`` too) and raises ``ValueError``, so every
-    existing spec is valid.
+    existing spec builds.
     """
 
     kind: str
@@ -543,13 +455,26 @@ class TopologySpec:
             raise ValueError(
                 f"unknown topology kind {self.kind!r}; expected one of {TOPOLOGY_KINDS}"
             )
-        needed = KINDS[self.kind].parameters
+        kind = KINDS[self.kind]
         for name in PARAMETERS:
             value = getattr(self, name)
-            if name in needed and value is None:
+            if name in kind.parameters and value is None:
                 raise ValueError(f"{self.kind} requires {name}")
-            if name not in needed and value is not None:
+            if name not in kind.parameters and value is not None:
                 raise ValueError(f"{self.kind} does not take {name}")
+        values = [getattr(self, name) for name in kind.parameters]
+        for name, value in zip(kind.parameters, values):
+            integer = PARAMETERS[name].type is int
+            if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral if integer else numbers.Real
+            ):
+                expected = "an integer" if integer else "a number"
+                raise ValueError(f"{name} must be {expected}, got {value!r}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for holds, message in kind.rules(*values):
+            if not holds:
+                raise ValueError(message)
         if self.label is not None:
             if self.label.split() != [self.label]:
                 raise ValueError(

@@ -1,8 +1,13 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and graph helpers shared by the test modules."""
 
 from hypothesis import strategies as st
 
-from swarmtopo.topology import TOPOLOGY_KINDS, TopologySpec
+from swarmtopo.topology import TOPOLOGY_KINDS, Graph, TopologySpec, build_topology
+
+
+def graph_of(kind: str, **fields) -> Graph:
+    """The graph of ``TopologySpec(kind, **fields)``."""
+    return build_topology(TopologySpec(kind, **fields))
 
 
 @st.composite

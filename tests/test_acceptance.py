@@ -45,13 +45,9 @@ from swarmtopo.harness import (
 )
 from swarmtopo.objectives import default_spec
 from swarmtopo.plans import parse_plan
-from swarmtopo.topology import (
-    build_spectrum,
-    make_complete,
-    make_random,
-    make_ring,
-    make_star,
-)
+from swarmtopo.topology import build_spectrum
+
+from strategies import graph_of
 
 
 # ---------------------------------------------------------------- 1
@@ -60,9 +56,9 @@ from swarmtopo.topology import (
 def test_criterion_1_five_node_spectra_and_connectivity():
     golden = 2.0 * math.cos(2.0 * math.pi / 5.0)  # 0.618...
     cases = [
-        (make_complete(5), [4, -1, -1, -1, -1], 2.42),
-        (make_star(5), [2, 0, 0, 0, -2], 0.74),
-        (make_ring(5), [2, golden, golden, -golden - 1, -golden - 1], 0.83),
+        (graph_of("complete", node_count=5), [4, -1, -1, -1, -1], 2.42),
+        (graph_of("star", node_count=5), [2, 0, 0, 0, -2], 0.74),
+        (graph_of("ring", node_count=5), [2, golden, golden, -golden - 1, -golden - 1], 0.83),
     ]
     for graph, eigenvalues, connectivity in cases:
         spectrum = graph_spectrum(graph)
@@ -102,9 +98,9 @@ def _floyd_warshall(graph):
 
 
 def test_criterion_2_geodesic_oracle():
-    assert average_geodesic(make_complete(100)) == 1.0
-    assert abs(average_geodesic(make_star(100)) - 1.98) <= 1e-9
-    assert abs(average_geodesic(make_ring(100)) - 2500.0 / 99.0) <= 1e-9
+    assert average_geodesic(graph_of("complete", node_count=100)) == 1.0
+    assert abs(average_geodesic(graph_of("star", node_count=100)) - 1.98) <= 1e-9
+    assert abs(average_geodesic(graph_of("ring", node_count=100)) - 2500.0 / 99.0) <= 1e-9
 
     # every spectrum graph small enough to brute-force, matched exactly
     for node_count in range(3, 13):
@@ -219,7 +215,7 @@ def _trace_rand(channel, iteration, agent_count, lanes=1):
 
 def test_criterion_5_update_rule_trace_and_clamp():
     config = SwarmConfig(chi=0.5, phi1=1.0, phi2=2.0, n_agents=2, max_iters=3)
-    graph = Neighborhoods((make_complete(2),))
+    graph = Neighborhoods((graph_of("complete", node_count=2),))
     objective = _Parabola()
     # one swarm is a batch of one: every state array has a leading row axis
     positions = np.array([[[1.0], [-2.0]]])
@@ -250,7 +246,7 @@ def test_criterion_5_update_rule_trace_and_clamp():
     config = SwarmConfig(n_agents=1000, max_iters=100, seed=9)
     rand = make_rand_source([config.seed])
     objective = default_spec("rastrigin")
-    graph = Neighborhoods((make_random(1000, edge_prob=0.01, rng=3),))
+    graph = Neighborhoods((graph_of("random", node_count=1000, edge_prob=0.01, seed=3),))
     swarm = initialize(SwarmBatch([config]), objective, rand)
     for iteration in range(1, 101):
         step(swarm, graph, objective, config, rand, iteration)

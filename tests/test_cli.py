@@ -11,9 +11,10 @@ from swarmtopo.topology import (
     TopologySpec,
     build_topology,
     edge_list_text,
-    make_ring,
     parse_edge_list,
 )
+
+from strategies import graph_of
 
 TINY_PLAN = """\
 version = 1
@@ -45,7 +46,7 @@ class TestGenTopology:
     def test_single_graph(self, tmp_path):
         out = tmp_path / "ring.txt"
         assert _invoke(["gen-topology", "--kind", "ring", "--n", "12", "--out", str(out)]) == 0
-        assert parse_edge_list(out.read_text(encoding="ascii")) == make_ring(12)
+        assert parse_edge_list(out.read_text(encoding="ascii")) == graph_of("ring", node_count=12)
 
     def test_seeded_kind(self, tmp_path):
         out = tmp_path / "sf.txt"
@@ -88,6 +89,12 @@ class TestGenTopology:
         assert _invoke(["gen-topology", "--kind", "random", "--n", "10",
                         "--edge-prob", "0.2", "--out", str(tmp_path / "y.txt")]) == 1
 
+    def test_out_of_range_value_exits_1_without_a_file(self, tmp_path, capsys):
+        out = tmp_path / "ring.txt"
+        assert _invoke(["gen-topology", "--kind", "ring", "--n", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: topology 'ring': a ring needs at least 3 nodes\n"
+        assert not out.exists()
+
 
 class TestMetrics:
     def test_csv_to_stdout(self, tmp_path, capsys):
@@ -119,7 +126,8 @@ class TestMetrics:
         good = tmp_path / "good.txt"
         _invoke(["gen-topology", "--kind", "ring", "--n", "5", "--out", str(good)])
         bad = tmp_path / "bad.txt"
-        bad.write_text(edge_list_text(make_ring(5)).replace("0 1", "1 x"), encoding="ascii")
+        text = edge_list_text(graph_of("ring", node_count=5))
+        bad.write_text(text.replace("0 1", "1 x"), encoding="ascii")
         capsys.readouterr()
         assert _invoke(["metrics", str(good), str(bad)]) == 1
         err = capsys.readouterr().err
@@ -226,6 +234,13 @@ class TestRunAndSweep:
                         "--trace-dir", str(traces)])
         assert code == 1
         assert not (tmp_path / "t.csv").exists()
+
+    def test_out_of_range_topology_exits_1_naming_its_line(self, tmp_path, capsys, no_run):
+        plan = tmp_path / "small.plan"
+        plan.write_text(TINY_PLAN.replace("ring n=10", "ring n=2"), encoding="ascii")
+        assert _invoke(["run", str(plan), "--out-prefix", str(tmp_path / "t")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: line 8: topology 'ring': a ring needs at least 3 nodes\n"
 
     def test_non_ascii_label_exits_1_naming_it(self, tmp_path, capsys):
         plan = tmp_path / "accent.plan"

@@ -1,10 +1,14 @@
-"""Smoke test: every demo script runs to completion.
+"""Smoke tests: every demo script runs to completion, and the README's
+quick start prints what the README says it prints.
 
 Each demo is copied into a temporary directory and run there, since a
 demo may write output next to its own file.
 """
 
+import contextlib
+import io
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,7 +18,8 @@ import pytest
 
 import swarmtopo
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():
@@ -37,3 +42,16 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_quick_start_prints_its_comments():
+    # the first python block of the README; each print line ends in a
+    # comment holding the line it prints
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
+    expected = re.findall(r"^print\(.*\)\s+# (.+)$", block, re.MULTILINE)
+    assert expected == ["87", "100 100"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == expected

@@ -45,12 +45,9 @@ from swarmtopo.topology import (
     Graph,
     TopologySpec,
     build_topology,
-    make_complete,
-    make_ring,
-    make_star,
 )
 
-from strategies import topology_specs
+from strategies import graph_of, topology_specs
 
 
 def neighborhood_best(agent: int, graph: Graph, swarm: SwarmState) -> np.ndarray:
@@ -365,7 +362,7 @@ class TestDrawBlocks:
 class TestHandTrace:
     def test_three_steps_match_hand_computation(self):
         config = SwarmConfig(chi=0.5, phi1=1.0, phi2=2.0, n_agents=2, max_iters=3)
-        graph = _hoods(make_complete(2))
+        graph = _hoods(graph_of("complete", node_count=2))
         objective = _Parabola()
         swarm = _fresh_trace_swarm()
 
@@ -411,7 +408,7 @@ class TestHandTrace:
             best_scores=Plane().score_many(positions),
             alive=np.ones(2, dtype=bool),
         )
-        step(swarm, _hoods(make_complete(2)), Plane(), config, fixed_rand, 1)
+        step(swarm, _hoods(graph_of("complete", node_count=2)), Plane(), config, fixed_rand, 1)
         # agent 1 moves toward agent 0's best: v = 1.0*(0 + 2*0.5*(0-x))
         assert np.allclose(swarm.velocities[0, 1], [-3.0, 6.0], atol=1e-15)
 
@@ -421,7 +418,7 @@ class TestStepInvariants:
         objective = default_spec("rastrigin")
         config = SwarmConfig(n_agents=1000, max_iters=1)
         rand = make_rand_source([99])
-        graph = _hoods(make_ring(1000))
+        graph = _hoods(graph_of("ring", node_count=1000))
         rng = np.random.default_rng(1)
         swarm = _one_row(
             positions=rng.uniform(-500, 500, size=(1000, 2)),
@@ -450,7 +447,7 @@ class TestStepInvariants:
             best_scores=objective.score_many(positions),
             alive=np.ones(2, dtype=bool),
         )
-        step(swarm, _hoods(make_complete(2)), objective, config, push, 1)
+        step(swarm, _hoods(graph_of("complete", node_count=2)), objective, config, push, 1)
         # agent 0 sails past the objective's box; nothing pulls it back
         assert swarm.positions.max() > 5.0
 
@@ -462,7 +459,7 @@ class TestStepInvariants:
         frozen_pos = swarm.positions[0, 2].copy()
         frozen_best = swarm.best_scores[0, 2]
         swarm.alive[0, 2] = False
-        step(swarm, _hoods(make_complete(4)), objective, config, rand, 1)
+        step(swarm, _hoods(graph_of("complete", node_count=4)), objective, config, rand, 1)
         assert np.array_equal(swarm.positions[0, 2], frozen_pos)
         assert swarm.best_scores[0, 2] == frozen_best
 
@@ -484,7 +481,7 @@ class TestStepInvariants:
             best_scores=Line().score_many(positions),
             alive=np.ones(2, dtype=bool),
         )
-        step(swarm, _hoods(make_complete(2)), Line(), config, rand, 1)
+        step(swarm, _hoods(graph_of("complete", node_count=2)), Line(), config, rand, 1)
         # agent 0 moved to 1.0 (a better best), but agent 1 must have
         # targeted the snapshot best 2.0: v = 0.5*(2-10) = -4
         assert swarm.positions[0, 0, 0] == 1.0
@@ -495,7 +492,7 @@ class TestStepInvariants:
         config = SwarmConfig(n_agents=30, max_iters=1)
         rand = make_rand_source([17])
         swarm = initialize(SwarmBatch([config_with(n_agents=30)]), objective, rand)
-        graph = _hoods(make_ring(30))
+        graph = _hoods(graph_of("ring", node_count=30))
         previous = swarm.best_scores.copy()
         for iteration in range(1, 40):
             step(swarm, graph, objective, config, rand, iteration)
@@ -521,7 +518,7 @@ class TestNeighborhoodBest:
 
     def test_includes_self_by_default(self):
         swarm = self._swarm_with_scores([5.0, 1.0, 0.0, 0.0, 0.0])
-        graph = make_star(5)  # node 0 is the hub
+        graph = graph_of("star", node_count=5)  # node 0 is the hub
         # leaf 1's candidates are {0, 1}; its own best loses to the hub
         assert neighborhood_best(1, graph, swarm)[0] == 0.0
         # hub's own score wins over every leaf
@@ -529,13 +526,13 @@ class TestNeighborhoodBest:
 
     def test_ties_break_to_lowest_index(self):
         swarm = self._swarm_with_scores([1.0, 1.0, 1.0])
-        got = neighborhood_best(2, make_complete(3), swarm)
+        got = neighborhood_best(2, graph_of("complete", node_count=3), swarm)
         assert got[0] == 0.0
 
     def test_dead_candidates_excluded(self):
         swarm = self._swarm_with_scores([9.0, 1.0, 0.5])
         swarm.alive[0, 0] = False
-        got = neighborhood_best(2, make_complete(3), swarm)
+        got = neighborhood_best(2, graph_of("complete", node_count=3), swarm)
         assert got[0] == 1.0
 
     def test_all_candidates_dead_falls_back_to_self(self):
@@ -543,7 +540,7 @@ class TestNeighborhoodBest:
         # leaf 1, alive and best, is not among them
         swarm = self._swarm_with_scores([9.0, 1.0, 0.5])
         swarm.alive[0, [0, 2]] = False
-        graph = make_star(3)
+        graph = graph_of("star", node_count=3)
         assert neighborhood_best(2, graph, swarm)[0] == 2.0
         assert _leaders(graph, swarm.best_scores, swarm.alive)[2] == 2
 
@@ -553,7 +550,7 @@ class TestNeighborhoodBest:
         rand = make_rand_source([23])
         swarm = initialize(SwarmBatch([config_with(n_agents=12)]), objective, rand)
         swarm.alive[0, [3, 7]] = False
-        graph = make_ring(12)
+        graph = graph_of("ring", node_count=12)
         expected = np.stack(
             [neighborhood_best(i, graph, swarm) for i in range(12)]
         )
@@ -599,11 +596,11 @@ class TestLeaderTable:
 
     @pytest.mark.parametrize("alive", [True, False])
     def test_single_agent_leads_itself(self, alive):
-        leaders = _leaders(make_complete(1), np.array([3.0]), np.array([alive]))
+        leaders = _leaders(graph_of("complete", node_count=1), np.array([3.0]), np.array([alive]))
         assert leaders.tolist() == [0]
 
     def test_table_layout(self):
-        star = make_star(4)
+        star = graph_of("star", node_count=4)
         indptr, indices = star.candidates
         assert indptr.tolist() == [0, 4, 6, 8, 10]
         assert indices.tolist() == [0, 1, 2, 3, 0, 1, 0, 2, 0, 3]
@@ -617,7 +614,7 @@ class TestLeaderTable:
         # a core-periphery graph whose core is everything is complete
         spec = TopologySpec("core-periphery", node_count=6, core_size=6)
         graph = build_topology(spec)
-        assert graph.is_complete and not make_star(6).is_complete
+        assert graph.is_complete and not graph_of("star", node_count=6).is_complete
         scores = np.array([1.0, 5.0, 5.0, 2.0, 0.0, 4.0])
         alive = np.array([True, False, True, True, True, True])
         assert _leaders(graph, scores, alive).tolist() == [2] * 6
@@ -665,7 +662,7 @@ class TestDeathAndRun:
     def test_run_deterministic(self):
         config = SwarmConfig(n_agents=30, max_iters=60, seed=5, death_prob=0.001)
         objective = default_spec("shekel")
-        graph = make_ring(30)
+        graph = graph_of("ring", node_count=30)
         a = run(config, graph, objective)
         b = run(config, graph, objective)
         assert a == b
@@ -679,7 +676,7 @@ class TestDeathAndRun:
         def everyone(best_positions, best_scores):
             return np.ones(len(best_scores), dtype=bool)
 
-        result = run(config, make_complete(20), objective, success_fn=everyone)
+        result = run(config, graph_of("complete", node_count=20), objective, success_fn=everyone)
         assert result.converged
         assert result.convergence_iteration == 1
         assert result.iterations_executed == 30
@@ -693,7 +690,7 @@ class TestDeathAndRun:
         def everyone(best_positions, best_scores):
             return np.ones(len(best_scores), dtype=bool)
 
-        result = run(config, make_complete(40), objective, success_fn=everyone)
+        result = run(config, graph_of("complete", node_count=40), objective, success_fn=everyone)
         assert result.winners == 40
         assert result.survivors < 40
 
@@ -713,7 +710,7 @@ class TestDeathAndRun:
             return np.array([True, False])
 
         objective = default_spec("shekel")
-        graph = make_complete(2)
+        graph = graph_of("complete", node_count=2)
         calm = run(SwarmConfig(n_agents=2, max_iters=5), graph, objective,
                    first_only, rand_fn=self._death_draws([0.9, 0.9]))
         assert not calm.converged and calm.convergence_iteration is None
@@ -728,7 +725,7 @@ class TestDeathAndRun:
             return np.ones(len(best_scores), dtype=bool)
 
         config = SwarmConfig(n_agents=3, max_iters=5, death_prob=0.5)
-        result = run(config, make_complete(3), default_spec("shekel"), everyone,
+        result = run(config, graph_of("complete", node_count=3), default_spec("shekel"), everyone,
                      rand_fn=self._death_draws([0.0, 0.0, 0.0]))
         assert not result.converged and result.convergence_iteration is None
         assert result.iterations_executed == 1
@@ -737,13 +734,14 @@ class TestDeathAndRun:
 
     def test_run_stops_when_swarm_dies(self):
         config = SwarmConfig(n_agents=10, max_iters=500, seed=4, death_prob=0.5)
-        result = run(config, make_complete(10), default_spec("ackley"))
+        result = run(config, graph_of("complete", node_count=10), default_spec("ackley"))
         assert result.survivors == 0
         assert result.iterations_executed < 500
 
     def test_run_trace(self):
         config = SwarmConfig(n_agents=15, max_iters=20, seed=6)
-        result = run(config, make_ring(15), default_spec("griewank"), record_trace=True)
+        graph = graph_of("ring", node_count=15)
+        result = run(config, graph, default_spec("griewank"), record_trace=True)
         alive_counts, scores = result.trace
         # iteration k at index k - 1, for iterations 1..20
         assert len(alive_counts) == len(scores) == result.iterations_executed == 20
@@ -754,7 +752,7 @@ class TestDeathAndRun:
 
     def test_run_graph_size_mismatch(self):
         with pytest.raises(ValueError):
-            run(SwarmConfig(n_agents=5), make_ring(6), default_spec("ackley"))
+            run(SwarmConfig(n_agents=5), graph_of("ring", node_count=6), default_spec("ackley"))
 
 
 class TestConfigValidation:
@@ -798,7 +796,7 @@ class TestPersonalTerm:
     def test_personal_draw_only_when_phi1_is_nonzero(self, phi1, personal_draws):
         rand, calls = self._counting_source(4)
         config = SwarmConfig(n_agents=10, max_iters=12, phi1=phi1)
-        run(config, make_ring(10), default_spec("shekel"), rand_fn=rand)
+        run(config, graph_of("ring", node_count=10), default_spec("shekel"), rand_fn=rand)
         assert calls[CHANNEL_VELOCITY_PERSONAL] == personal_draws
         assert calls[CHANNEL_VELOCITY_SOCIAL] == 12
 
@@ -889,9 +887,9 @@ class TestBatch:
         batch = SwarmBatch([SwarmConfig(n_agents=6), SwarmConfig(n_agents=6, seed=1)])
         objective = default_spec("ackley")
         with pytest.raises(ValueError, match="1 graphs for 2 rows"):
-            run(batch, [make_ring(6)], objective)
+            run(batch, [graph_of("ring", node_count=6)], objective)
         with pytest.raises(ValueError, match="7 nodes for 6 agents"):
-            run(batch, [make_ring(6), make_ring(7)], objective)
+            run(batch, [graph_of("ring", node_count=6), graph_of("ring", node_count=7)], objective)
 
     def test_death_takes_one_probability_per_row(self):
         batch = SwarmBatch([SwarmConfig(n_agents=50), SwarmConfig(n_agents=50, seed=1)])
@@ -920,7 +918,7 @@ class TestStateLayout:
 
     def _batch(self, name, phi1):
         n = 30
-        graphs = [make_ring(n), make_star(n), make_complete(n)]
+        graphs = [graph_of(kind, node_count=n) for kind in ("ring", "star", "complete")]
         configs = [
             SwarmConfig(n_agents=n, phi1=phi1, seed=seed, death_prob=0.01)
             for seed in range(len(graphs))

@@ -62,6 +62,7 @@ from swarmtopo.topology import (
     TopologySpec,
     build_spectrum,
     build_topology,
+    edge_list_text,
     spectrum_points,
 )
 
@@ -156,6 +157,39 @@ METRICS_EXTRA_SPECS = (
 METRICS_CSV_SHA256 = "1b0edfbac56dd88a9ec943c1bc4e468febb4f49d119e101cc9116864f43d7b66"
 
 
+# every kind, with each range's edge cases: the smallest graphs, core and
+# hub counts of 1 and n, the multi-ring at n // 2 levels (the complete
+# graph), and each randomized kind at three seeds, random at p = 0, 0.1
+# and 1, small-world at rewire 0, 0.2 and 1 (one lattice complete, so no
+# edge can move); the digest was taken from the public make_* builders
+# the kind table's private ones replaced, so it pins their draws in order
+EDGE_LIST_SPECS = (
+    TopologySpec("complete", node_count=1),
+    TopologySpec("complete", node_count=2),
+    TopologySpec("complete", node_count=9),
+    TopologySpec("star", node_count=2),
+    TopologySpec("star", node_count=9),
+    TopologySpec("ring", node_count=3),
+    TopologySpec("ring", node_count=9),
+    *(TopologySpec("core-periphery", node_count=n, core_size=c)
+      for n, c in ((1, 1), (9, 1), (9, 4), (9, 9))),
+    *(TopologySpec("ring-core-star", node_count=n, hub_count=h)
+      for n, h in ((1, 1), (9, 1), (9, 2), (9, 4), (9, 9))),
+    *(TopologySpec("multi-ring", node_count=n, ring_levels=r)
+      for n, r in ((3, 1), (9, 2), (9, 4), (10, 5))),
+    TopologySpec("von-neumann", rows=3, cols=3),
+    TopologySpec("von-neumann", rows=3, cols=5),
+    *(TopologySpec("scale-free", node_count=n, attach_count=m, seed=seed)
+      for n, m in ((2, 1), (20, 2), (12, 11)) for seed in (0, 1, 7)),
+    *(TopologySpec("random", node_count=20, edge_prob=p, seed=seed)
+      for p in (0.0, 0.1, 1.0) for seed in (0, 1, 7)),
+    *(TopologySpec("small-world", node_count=n, degree=k, rewire_prob=p, seed=seed)
+      for n, k in ((20, 4), (9, 8)) for p in (0.0, 0.2, 1.0) for seed in (0, 1, 7)),
+)
+
+EDGE_LIST_SHA256 = "b7a22eb4f63a2d443f1f01a0674878f283eaadd0740e18ed735d5cdd54bc54c1"
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
@@ -245,8 +279,21 @@ def metrics_csv_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+def edge_lists_text() -> str:
+    """Each spec's id, then its graph's edge list."""
+    return "".join(
+        f"{spec.topology_id()}\n{edge_list_text(build_topology(spec))}"
+        for spec in EDGE_LIST_SPECS
+    )
+
+
 def test_grid_covers_every_kind():
     assert {spec.kind for spec in GRID_SPECS} == set(TOPOLOGY_KINDS)
+    assert {spec.kind for spec in EDGE_LIST_SPECS} == set(TOPOLOGY_KINDS)
+
+
+def test_edge_list_digest():
+    assert _sha256(edge_lists_text()) == EDGE_LIST_SHA256
 
 
 def test_engine_grid_digest():

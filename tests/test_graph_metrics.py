@@ -28,16 +28,9 @@ from swarmtopo.topology import (
     Graph,
     build_spectrum,
     build_topology,
-    make_complete,
-    make_multi_ring,
-    make_random,
-    make_ring,
-    make_small_world,
-    make_star,
-    make_von_neumann,
 )
 
-from strategies import topology_specs
+from strategies import graph_of, topology_specs
 
 
 def _floyd_warshall(graph: Graph) -> np.ndarray:
@@ -97,7 +90,7 @@ class TestShortestPaths:
 
     def test_matches_floyd_warshall_on_random(self):
         for seed in range(6):
-            g = make_random(11, 0.25, rng=seed)
+            g = graph_of("random", node_count=11, edge_prob=0.25, seed=seed)
             assert np.array_equal(shortest_path_matrix(g), _floyd_warshall(g))
 
     def test_unreachable_marked(self):
@@ -105,19 +98,19 @@ class TestShortestPaths:
         assert d[0, 3] == -1 and d[0, 1] == 1 and d[0, 2] == 2
 
     def test_average_geodesic_pinned(self):
-        assert average_geodesic(make_complete(100)) == 1.0
-        assert abs(average_geodesic(make_star(100)) - 1.98) < 1e-9
-        assert abs(average_geodesic(make_ring(100)) - 2500 / 99) < 1e-9
+        assert average_geodesic(graph_of("complete", node_count=100)) == 1.0
+        assert abs(average_geodesic(graph_of("star", node_count=100)) - 1.98) < 1e-9
+        assert abs(average_geodesic(graph_of("ring", node_count=100)) - 2500 / 99) < 1e-9
 
     def test_average_geodesic_disconnected(self):
         assert average_geodesic(_two_components()) is None
 
     def test_average_geodesic_rejects_single_node(self):
         with pytest.raises(ValueError):
-            average_geodesic(make_complete(1))
+            average_geodesic(graph_of("complete", node_count=1))
 
     def test_is_connected(self):
-        assert is_connected(make_ring(9))
+        assert is_connected(graph_of("ring", node_count=9))
         assert not is_connected(_two_components())
 
     @settings(max_examples=200, deadline=None)
@@ -146,7 +139,8 @@ class TestShortestPaths:
 
     def test_matches_networkx_at_depth_and_size(self):
         # the spectrum's deepest BFS (ring: 50 levels) and densest graphs
-        for g in build_spectrum(100, 6) + [make_small_world(300, 6, 0.05, rng=2)]:
+        wide = graph_of("small-world", node_count=300, degree=6, rewire_prob=0.05, seed=2)
+        for g in build_spectrum(100, 6) + [wide]:
             assert np.array_equal(shortest_path_matrix(g), _networkx_distances(g))
             assert is_connected(g) == nx.is_connected(_to_networkx(g))
 
@@ -159,8 +153,8 @@ class TestBfsLevels:
         "one-node": Graph.from_edges(1, []),
         "edgeless": Graph.from_edges(5, []),
         "two-component": _two_components(),
-        "ring": make_ring(9),
-        "small-world": make_small_world(30, 4, 0.1, rng=1),
+        "ring": graph_of("ring", node_count=9),
+        "small-world": graph_of("small-world", node_count=30, degree=4, rewire_prob=0.1, seed=1),
     }
     SOURCES = {
         "one": lambda n: [n - 1],
@@ -199,9 +193,9 @@ class TestSpectra:
     def test_complete_star_ring_eigenvalues(self):
         golden = 2 * np.cos(2 * np.pi / 5)  # 0.618...
         cases = [
-            (make_complete(5), [4, -1, -1, -1, -1]),
-            (make_star(5), [2, 0, 0, 0, -2]),
-            (make_ring(5), [2, golden, golden, -golden - 1, -golden - 1]),
+            (graph_of("complete", node_count=5), [4, -1, -1, -1, -1]),
+            (graph_of("star", node_count=5), [2, 0, 0, 0, -2]),
+            (graph_of("ring", node_count=5), [2, golden, golden, -golden - 1, -golden - 1]),
         ]
         for graph, expected in cases:
             spectrum = graph_spectrum(graph)
@@ -210,34 +204,35 @@ class TestSpectra:
 
     def test_spectrum_sums_to_zero(self):
         for seed in range(4):
-            g = make_random(15, 0.3, rng=seed)
+            g = graph_of("random", node_count=15, edge_prob=0.3, seed=seed)
             assert abs(graph_spectrum(g).sum()) < 1e-9
 
     def test_natural_connectivity_pinned(self):
-        assert abs(natural_connectivity(make_complete(5)) - 2.417157) < 1e-6
-        assert abs(natural_connectivity(make_star(5)) - 0.744258) < 1e-6
-        assert abs(natural_connectivity(make_ring(5)) - 0.832577) < 1e-6
+        assert abs(natural_connectivity(graph_of("complete", node_count=5)) - 2.417157) < 1e-6
+        assert abs(natural_connectivity(graph_of("star", node_count=5)) - 0.744258) < 1e-6
+        assert abs(natural_connectivity(graph_of("ring", node_count=5)) - 0.832577) < 1e-6
 
     def test_natural_connectivity_definition(self):
         # log of the mean exponentiated eigenvalue, computed naively
-        g = make_von_neumann(4, 5)
+        g = graph_of("von-neumann", rows=4, cols=5)
         lam = np.linalg.eigvalsh(g.adjacency.astype(float))
         naive = float(np.log(np.exp(lam).mean()))
         assert abs(natural_connectivity(g) - naive) < 1e-12
 
     def test_natural_connectivity_overflow_safe(self):
         # complete graph eigenvalue n-1 overflows exp() beyond ~710
-        value = natural_connectivity(make_complete(800))
+        value = natural_connectivity(graph_of("complete", node_count=800))
         assert np.isfinite(value)
         assert abs(value - (799 - np.log(800))) < 1e-6
 
 
 class TestClustering:
     def test_pinned_values(self):
-        assert clustering_coefficient(make_complete(8)) == 1.0
-        assert clustering_coefficient(make_ring(8)) == 0.0
-        assert clustering_coefficient(make_star(8)) == 0.0
-        assert abs(clustering_coefficient(make_multi_ring(10, 2)) - 0.5) < 1e-12
+        assert clustering_coefficient(graph_of("complete", node_count=8)) == 1.0
+        assert clustering_coefficient(graph_of("ring", node_count=8)) == 0.0
+        assert clustering_coefficient(graph_of("star", node_count=8)) == 0.0
+        lattice = graph_of("multi-ring", node_count=10, ring_levels=2)
+        assert abs(clustering_coefficient(lattice) - 0.5) < 1e-12
 
     def test_degree_one_nodes_count_zero(self):
         # path graph: ends have degree 1, middle has no triangle
@@ -251,7 +246,11 @@ class TestClustering:
         assert abs(clustering_coefficient(g) - expected) < 1e-12
 
     @pytest.mark.parametrize(
-        "build", [lambda: make_complete(300), lambda: make_random(400, 0.6, rng=3)]
+        "build",
+        [
+            lambda: graph_of("complete", node_count=300),
+            lambda: graph_of("random", node_count=400, edge_prob=0.6, seed=3),
+        ],
     )
     def test_bit_equal_to_float64_formula(self, build):
         # the float64 formula is the oracle: its A @ A is exact in float64,
@@ -270,7 +269,8 @@ class TestClustering:
         # against the full computation on the lattice itself
         for n in range(3, 131):
             for levels in range(1, n // 2 + 1):
-                expected = clustering_coefficient(make_multi_ring(n, levels))
+                lattice = graph_of("multi-ring", node_count=n, ring_levels=levels)
+                expected = clustering_coefficient(lattice)
                 got = graph_metrics._lattice_clustering(n, levels)
                 assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (n, levels)
 
@@ -287,16 +287,16 @@ class TestSmallWorldNess:
 
     def test_triangle_free_lattice_is_none(self):
         # ring baseline has zero clustering, so omega is undefined
-        assert _omega(make_ring(20), rng=0) is None
+        assert _omega(graph_of("ring", node_count=20), rng=0) is None
 
     def test_small_world_graph_near_zero(self):
-        g = make_small_world(100, 10, 0.1, rng=3)
+        g = graph_of("small-world", node_count=100, degree=10, rewire_prob=0.1, seed=3)
         omega = _omega(g, rng=0)
         assert omega is not None
         assert abs(omega) < 0.5
 
     def test_deterministic_given_seed(self):
-        g = make_small_world(60, 6, 0.2, rng=5)
+        g = graph_of("small-world", node_count=60, degree=6, rewire_prob=0.2, seed=5)
         assert _omega(g, rng=11) == _omega(g, rng=11)
 
     @pytest.mark.parametrize("rng", [0, 1, 2])
@@ -310,10 +310,10 @@ class TestSmallWorldNess:
         assert g.edge_count == 9
         assert average_geodesic(g) == pytest.approx(1.1, abs=1e-12)
         assert clustering_coefficient(g) == pytest.approx(0.9, abs=1e-12)
-        assert clustering_coefficient(make_multi_ring(5, 2)) == 1.0
+        assert clustering_coefficient(graph_of("multi-ring", node_count=5, ring_levels=2)) == 1.0
         assert _omega(g, rng=rng) == pytest.approx(0.1, abs=1e-12)
         # K5 is its own lattice baseline and its own random graph
-        assert _omega(make_complete(5), rng=rng) == pytest.approx(0.0, abs=1e-12)
+        assert _omega(graph_of("complete", node_count=5), rng=rng) == pytest.approx(0.0, abs=1e-12)
 
 
 def _sparse_ring(n: int) -> Graph:
@@ -333,7 +333,9 @@ def _reference_omega(graph: Graph, rng: np.random.Generator, sample_count: int):
     one, whether it has an isolated node.  A triangle-free lattice
     baseline leaves omega undefined before any draw."""
     n, m = graph.node_count, graph.edge_count
-    lattice = clustering_coefficient(make_multi_ring(n, round(m / n)))
+    lattice = clustering_coefficient(
+        graph_of("multi-ring", node_count=n, ring_levels=round(m / n))
+    )
     if lattice == 0.0:
         return None, 0, []
     pairs = np.triu_indices(n, k=1)
@@ -422,7 +424,7 @@ class TestSparseOmega:
 
 class TestComputeMetrics:
     def test_bundle_fields(self):
-        g = make_small_world(50, 6, 0.1, rng=1)
+        g = graph_of("small-world", node_count=50, degree=6, rewire_prob=0.1, seed=1)
         m = compute_metrics(g, rng=0)
         assert isinstance(m, GraphMetrics)
         assert m.node_count == 50

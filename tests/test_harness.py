@@ -27,7 +27,9 @@ from swarmtopo.harness import (
 )
 from swarmtopo.graph_metrics import natural_connectivity
 from swarmtopo.objectives import ObjectiveSpec, default_spec
-from swarmtopo.topology import TOPOLOGY_KINDS, TopologySpec, make_complete
+from swarmtopo.topology import TOPOLOGY_KINDS, TopologySpec
+
+from strategies import graph_of
 
 
 def _mask_at(points, objective, criterion=SuccessCriterion()):
@@ -382,7 +384,7 @@ class TestRunCellAndPlan:
         rows = run_plan(plan)
         assert [r.avg_path_length for r in rows] == [None, None]
         assert [r.natural_connectivity for r in rows] == [
-            natural_connectivity(make_complete(1))
+            natural_connectivity(graph_of("complete", node_count=1))
         ] * 2
         assert run_plan(plan, workers=2) == rows
 

@@ -1,5 +1,6 @@
 """Plan-file parsing, serialization, and the built-in sweep plans."""
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -122,6 +123,21 @@ class TestParsePlan:
             )
         with pytest.raises(ValueError, match="objective"):
             parse_plan(MINIMAL.replace("shekel", "banana"))
+
+    def test_bad_topology_line_names_its_line(self):
+        # line 6 of MINIMAL, counting its leading blank line; the spec
+        # rejects the value before any graph is built
+        for line, message in (
+            ("ring n=2", "topology 'ring': a ring needs at least 3 nodes"),
+            ("ring n=2.5", "topology 'ring': n must be an integer, got '2.5'"),
+            (
+                "small-world n=10 degree=4 rewire_prob=0.1 seed=-1",
+                "topology 'small-world': seed must be >= 0, got -1",
+            ),
+            ("spectrum n=2 per_segment=3", "spectrum needs node_count >= 3"),
+        ):
+            with pytest.raises(ValueError, match=f"^line 6: {re.escape(message)}$"):
+                parse_plan(MINIMAL.replace("ring n=100", line))
 
     def test_non_finite_success_tolerance_rejected(self):
         # an infinite tolerance would count every run converged at iteration 1

@@ -14,42 +14,17 @@ from hypothesis import given, settings, strategies as st
 from swarmtopo.plans import _topology_line, parse_topology_line
 from swarmtopo.topology import (
     KINDS,
+    TOPOLOGY_KINDS,
     Graph,
     TopologySpec,
     build_spectrum,
     build_topology,
     edge_list_text,
-    make_complete,
-    make_core_periphery,
-    make_multi_ring,
-    make_random,
-    make_ring,
-    make_ring_core_star,
-    make_scale_free,
-    make_small_world,
-    make_star,
-    make_von_neumann,
     parse_edge_list,
     spectrum_points,
 )
 
-from strategies import topology_specs
-
-# each kind built by hand, the oracle for the kind table
-DIRECT_BUILDERS = {
-    "complete": lambda s: make_complete(s.node_count),
-    "star": lambda s: make_star(s.node_count),
-    "ring": lambda s: make_ring(s.node_count),
-    "core-periphery": lambda s: make_core_periphery(s.node_count, s.core_size),
-    "ring-core-star": lambda s: make_ring_core_star(s.node_count, s.hub_count),
-    "multi-ring": lambda s: make_multi_ring(s.node_count, s.ring_levels),
-    "von-neumann": lambda s: make_von_neumann(s.rows, s.cols),
-    "scale-free": lambda s: make_scale_free(s.node_count, s.attach_count, rng=s.seed),
-    "random": lambda s: make_random(s.node_count, s.edge_prob, rng=s.seed),
-    "small-world": lambda s: make_small_world(
-        s.node_count, s.degree, s.rewire_prob, rng=s.seed
-    ),
-}
+from strategies import graph_of, topology_specs
 
 
 # the deterministic kinds built edge by edge in plain Python: an oracle
@@ -131,7 +106,7 @@ class TestGraph:
             Graph(np.zeros((2, 3), dtype=bool))
 
     def test_adjacency_read_only(self):
-        g = make_ring(4)
+        g = graph_of("ring", node_count=4)
         with pytest.raises(ValueError):
             g.adjacency[0, 1] = False
 
@@ -148,8 +123,8 @@ class TestGraph:
         assert g.edges() == [(0, 1), (1, 2), (2, 3)]
 
     def test_equality_is_structural(self):
-        assert make_ring(5) == make_ring(5)
-        assert make_ring(5) != make_star(5)
+        assert graph_of("ring", node_count=5) == graph_of("ring", node_count=5)
+        assert graph_of("ring", node_count=5) != graph_of("star", node_count=5)
 
 
 def _dense_candidates(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -190,29 +165,38 @@ class TestGraphCost:
     N = 2048
 
     @pytest.mark.parametrize(
-        "build", [lambda n: make_multi_ring(n, 3), make_complete], ids=["multi-ring", "complete"]
+        "build",
+        [
+            lambda n: graph_of("multi-ring", node_count=n, ring_levels=3),
+            lambda n: graph_of("complete", node_count=n),
+        ],
+        ids=["multi-ring", "complete"],
     )
     def test_view_built_graph_costs_its_copy(self, build):
         assert _traced_peak(lambda: build(self.N)) <= 1.1 * self.N**2
 
     def test_graph_of_an_array_costs_its_copy(self):
-        adj = make_multi_ring(self.N, 3).adjacency
+        adj = graph_of("multi-ring", node_count=self.N, ring_levels=3).adjacency
         assert _traced_peak(lambda: Graph(adj)) <= 1.1 * self.N**2
 
     @pytest.mark.parametrize(
         "read", [lambda g: g.candidates, Graph.edges], ids=["candidates", "edges"]
     )
     def test_candidates_and_edges_make_no_square_temporary(self, read):
-        ring = make_ring(self.N)
+        ring = graph_of("ring", node_count=self.N)
         assert _traced_peak(lambda: read(ring)) <= 0.2 * self.N**2
 
     @pytest.mark.parametrize(
         "build",
-        [lambda n: make_von_neumann(32, 64), lambda n: make_small_world(n, 6, 0.1, rng=1)],
+        [
+            lambda n: graph_of("von-neumann", rows=32, cols=64),
+            lambda n: graph_of("small-world", node_count=n, degree=6, rewire_prob=0.1, seed=1),
+        ],
         ids=["von-neumann", "small-world"],
     )
     def test_array_built_graph_holds_at_most_two(self, build):
-        make_small_world(10, 4, 0.5, rng=0)  # numpy.random's first import is not the graph's
+        # numpy.random's first import is not the graph's
+        graph_of("small-world", node_count=10, degree=4, rewire_prob=0.5, seed=0)
         assert _traced_peak(lambda: build(self.N)) <= 2.25 * self.N**2
 
     @pytest.mark.parametrize(
@@ -220,7 +204,7 @@ class TestGraphCost:
     )
     def test_lone_asymmetric_entry_at_a_tile_edge(self, entry):
         n = 2 * 256 + 3
-        adj = np.array(make_multi_ring(n, 2).adjacency)
+        adj = np.array(graph_of("multi-ring", node_count=n, ring_levels=2).adjacency)
         adj[entry] = not adj[entry]
         with pytest.raises(ValueError, match="^adjacency must be symmetric$"):
             Graph(adj)
@@ -260,47 +244,49 @@ class TestGraphCost:
 
     def test_complete_is_the_complement_of_the_identity(self):
         for n in [*range(1, 11), 255, 256, 257]:
-            assert np.array_equal(make_complete(n).adjacency, ~np.eye(n, dtype=bool)), n
+            complete = graph_of("complete", node_count=n)
+            assert np.array_equal(complete.adjacency, ~np.eye(n, dtype=bool)), n
 
 
 class TestDeterministicFamilies:
     def test_complete(self):
-        g = make_complete(6)
+        g = graph_of("complete", node_count=6)
         _check_invariants(g)
         assert g.edge_count == 15
         assert (g.adjacency.sum(axis=1) == 5).all()
 
     def test_complete_single_node(self):
-        g = make_complete(1)
+        g = graph_of("complete", node_count=1)
         assert g.node_count == 1 and g.edge_count == 0
 
     def test_star(self):
-        g = make_star(7)
+        g = graph_of("star", node_count=7)
         _check_invariants(g)
         assert g.edge_count == 6
         assert g.adjacency.sum(axis=1)[0] == 6
         assert (g.adjacency.sum(axis=1)[1:] == 1).all()
 
     def test_star_needs_two_nodes(self):
-        with pytest.raises(ValueError):
-            make_star(1)
+        with pytest.raises(ValueError, match="^a star needs at least 2 nodes$"):
+            TopologySpec("star", node_count=1)
 
     def test_ring(self):
-        g = make_ring(8)
+        g = graph_of("ring", node_count=8)
         _check_invariants(g)
         assert g.edge_count == 8
         assert (g.adjacency.sum(axis=1) == 2).all()
 
     def test_ring_needs_three_nodes(self):
-        with pytest.raises(ValueError):
-            make_ring(2)
+        with pytest.raises(ValueError, match="^a ring needs at least 3 nodes$"):
+            TopologySpec("ring", node_count=2)
 
     def test_core_periphery_endpoints(self):
-        assert make_core_periphery(9, 9) == make_complete(9)
-        assert make_core_periphery(9, 1) == make_star(9)
+        for core, endpoint in ((9, "complete"), (1, "star")):
+            graph = graph_of("core-periphery", node_count=9, core_size=core)
+            assert graph == graph_of(endpoint, node_count=9)
 
     def test_core_periphery_structure(self):
-        g = make_core_periphery(5, 3)
+        g = graph_of("core-periphery", node_count=5, core_size=3)
         _check_invariants(g)
         # complete core of 3 plus two leaves attached round-robin
         assert g.edge_count == 5
@@ -309,41 +295,42 @@ class TestDeterministicFamilies:
         assert core.sum() == 6
 
     def test_core_periphery_rejects_bad_core(self):
-        with pytest.raises(ValueError):
-            make_core_periphery(5, 0)
-        with pytest.raises(ValueError):
-            make_core_periphery(5, 6)
+        for core in (0, 6):
+            message = f"core_size must be in [1, 5], got {core}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                TopologySpec("core-periphery", node_count=5, core_size=core)
 
     def test_ring_core_star_endpoints(self):
-        assert make_ring_core_star(9, 1) == make_star(9)
-        assert make_ring_core_star(9, 9) == make_ring(9)
+        for hubs, endpoint in ((1, "star"), (9, "ring")):
+            graph = graph_of("ring-core-star", node_count=9, hub_count=hubs)
+            assert graph == graph_of(endpoint, node_count=9)
 
     def test_ring_core_star_edge_count(self):
         # h hubs on a ring, n-h leaves
-        g = make_ring_core_star(10, 4)
+        g = graph_of("ring-core-star", node_count=10, hub_count=4)
         _check_invariants(g)
         assert g.edge_count == 4 + 6
-        g2 = make_ring_core_star(10, 2)
+        g2 = graph_of("ring-core-star", node_count=10, hub_count=2)
         assert g2.edge_count == 1 + 8
 
     def test_multi_ring_endpoints(self):
-        assert make_multi_ring(10, 1) == make_ring(10)
-        assert make_multi_ring(10, 5) == make_complete(10)
-        assert make_multi_ring(100, 50) == make_complete(100)
+        for n, levels, endpoint in ((10, 1, "ring"), (10, 5, "complete"), (100, 50, "complete")):
+            graph = graph_of("multi-ring", node_count=n, ring_levels=levels)
+            assert graph == graph_of(endpoint, node_count=n)
 
     def test_multi_ring_regular(self):
-        g = make_multi_ring(12, 3)
+        g = graph_of("multi-ring", node_count=12, ring_levels=3)
         _check_invariants(g)
         assert (g.adjacency.sum(axis=1) == 6).all()
         assert g.edge_count == 36
 
     def test_multi_ring_level_bounds(self):
         with pytest.raises(ValueError, match="^a multi-ring needs at least 3 nodes$"):
-            make_multi_ring(2, 1)
+            TopologySpec("multi-ring", node_count=2, ring_levels=1)
         for levels in (0, 6):
             message = f"ring_levels must be in [1, 5], got {levels}"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                make_multi_ring(10, levels)
+                TopologySpec("multi-ring", node_count=10, ring_levels=levels)
 
     def test_multi_ring_matches_networkx_circulant(self):
         for n in range(3, 61):
@@ -351,22 +338,21 @@ class TestDeterministicFamilies:
                 circulant = nx.circulant_graph(n, range(1, levels + 1))
                 expected = nx.to_numpy_array(circulant, nodelist=range(n)) > 0
                 assert np.array_equal(
-                    make_multi_ring(n, levels).adjacency, expected
+                    graph_of("multi-ring", node_count=n, ring_levels=levels).adjacency, expected
                 ), (n, levels)
 
     def test_von_neumann_counts(self):
-        g = make_von_neumann(10, 10)
+        g = graph_of("von-neumann", rows=10, cols=10)
         _check_invariants(g)
         assert g.node_count == 100
         assert g.edge_count == 200
         assert (g.adjacency.sum(axis=1) == 4).all()
-        assert make_von_neumann(3, 3).edge_count == 18
+        assert graph_of("von-neumann", rows=3, cols=3).edge_count == 18
 
     def test_von_neumann_rejects_small_grid(self):
-        with pytest.raises(ValueError):
-            make_von_neumann(2, 5)
-        with pytest.raises(ValueError):
-            make_von_neumann(5, 2)
+        for rows, cols in ((2, 5), (5, 2)):
+            with pytest.raises(ValueError, match="^torus grid needs rows >= 3 and cols >= 3$"):
+                TopologySpec("von-neumann", rows=rows, cols=cols)
 
 
 class TestEveryKind:
@@ -406,68 +392,76 @@ class TestEveryKind:
 class TestRandomizedFamilies:
     def test_scale_free_edge_count(self):
         for seed in (0, 1, 2):
-            g = make_scale_free(100, 2, rng=seed)
+            g = graph_of("scale-free", node_count=100, attach_count=2, seed=seed)
             _check_invariants(g)
             assert g.edge_count == 2 * (100 - 2)
 
     def test_scale_free_tree(self):
-        g = make_scale_free(5, 1, rng=3)
+        g = graph_of("scale-free", node_count=5, attach_count=1, seed=3)
         assert g.edge_count == 4
 
     def test_scale_free_deterministic(self):
-        assert make_scale_free(60, 2, rng=9) == make_scale_free(60, 2, rng=9)
-        assert make_scale_free(60, 2, rng=9) != make_scale_free(60, 2, rng=10)
+        def scale_free(seed):
+            return graph_of("scale-free", node_count=60, attach_count=2, seed=seed)
+
+        assert scale_free(9) == scale_free(9)
+        assert scale_free(9) != scale_free(10)
 
     def test_scale_free_rejects_bad_attach(self):
-        with pytest.raises(ValueError):
-            make_scale_free(5, 0, rng=0)
-        with pytest.raises(ValueError):
-            make_scale_free(5, 5, rng=0)
+        for attach in (0, 5):
+            message = f"attach_count must be in [1, 4], got {attach}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                TopologySpec("scale-free", node_count=5, attach_count=attach, seed=0)
 
     def test_random_extremes(self):
-        assert make_random(30, 0.0, rng=1).edge_count == 0
-        assert make_random(30, 1.0, rng=1) == make_complete(30)
+        assert graph_of("random", node_count=30, edge_prob=0.0, seed=1).edge_count == 0
+        full = graph_of("random", node_count=30, edge_prob=1.0, seed=1)
+        assert full == graph_of("complete", node_count=30)
 
     def test_random_mean_edge_count(self):
         # binomial(4950, 0.1): mean 495, sd ~21.1
-        counts = [make_random(100, 0.1, rng=s).edge_count for s in range(300)]
+        counts = [
+            graph_of("random", node_count=100, edge_prob=0.1, seed=s).edge_count
+            for s in range(300)
+        ]
         sd = np.sqrt(4950 * 0.1 * 0.9)
         assert abs(np.mean(counts) - 495.0) < 3 * sd / np.sqrt(len(counts))
 
     def test_random_rejects_bad_prob(self):
-        with pytest.raises(ValueError):
-            make_random(5, -0.1, rng=0)
-        with pytest.raises(ValueError):
-            make_random(5, 1.5, rng=0)
+        for prob in (-0.1, 1.5):
+            message = f"edge_prob must be in [0, 1], got {prob}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                TopologySpec("random", node_count=5, edge_prob=prob, seed=0)
 
     def test_small_world_no_rewire_is_lattice(self):
-        assert make_small_world(100, 10, 0.0, rng=4) == make_multi_ring(100, 5)
+        lattice = graph_of("small-world", node_count=100, degree=10, rewire_prob=0.0, seed=4)
+        assert lattice == graph_of("multi-ring", node_count=100, ring_levels=5)
 
     def test_small_world_preserves_edge_count(self):
         for seed in (0, 5, 11):
-            g = make_small_world(100, 10, 0.1, rng=seed)
+            g = graph_of("small-world", node_count=100, degree=10, rewire_prob=0.1, seed=seed)
             _check_invariants(g)
             assert g.edge_count == 500
 
     def test_small_world_deterministic(self):
-        a = make_small_world(50, 6, 0.2, rng=7)
-        b = make_small_world(50, 6, 0.2, rng=7)
+        a = graph_of("small-world", node_count=50, degree=6, rewire_prob=0.2, seed=7)
+        b = graph_of("small-world", node_count=50, degree=6, rewire_prob=0.2, seed=7)
         assert a == b
 
     def test_small_world_rejects_odd_degree(self):
-        with pytest.raises(ValueError):
-            make_small_world(20, 3, 0.1, rng=0)
+        with pytest.raises(ValueError, match="^degree must be even, got 3$"):
+            TopologySpec("small-world", node_count=20, degree=3, rewire_prob=0.1, seed=0)
 
 
 class TestSpectrum:
     def test_full_spectrum_shape_and_endpoints(self):
         graphs = build_spectrum(100, 80)
         assert len(graphs) == 240
-        assert graphs[0] == make_complete(100)
-        assert graphs[79] == make_star(100)
-        assert graphs[80] == make_star(100)
-        assert graphs[160] == make_ring(100)
-        assert graphs[239] == make_complete(100)
+        assert graphs[0] == graph_of("complete", node_count=100)
+        assert graphs[79] == graph_of("star", node_count=100)
+        assert graphs[80] == graph_of("star", node_count=100)
+        assert graphs[160] == graph_of("ring", node_count=100)
+        assert graphs[239] == graph_of("complete", node_count=100)
 
     def test_hub_counts_nondecreasing(self):
         pts = spectrum_points(100, 80)
@@ -500,10 +494,90 @@ class TestSpectrum:
             spectrum_points(100, 1)
 
 
+# each kind's fields and documented ranges, written out here rather than
+# read from the kind table: the oracle for which values a spec accepts
+DOCUMENTED_RANGES = {
+    "complete": (("node_count",), lambda n: n >= 1),
+    "star": (("node_count",), lambda n: n >= 2),
+    "ring": (("node_count",), lambda n: n >= 3),
+    "core-periphery": (("node_count", "core_size"), lambda n, c: 1 <= c <= n),
+    "ring-core-star": (("node_count", "hub_count"), lambda n, h: 1 <= h <= n),
+    "multi-ring": (("node_count", "ring_levels"), lambda n, r: n >= 3 and 1 <= r <= n // 2),
+    "von-neumann": (("rows", "cols"), lambda rows, cols: rows >= 3 and cols >= 3),
+    "scale-free": (
+        ("node_count", "attach_count", "seed"), lambda n, m, seed: 1 <= m < n and seed >= 0
+    ),
+    "random": (
+        ("node_count", "edge_prob", "seed"),
+        lambda n, p, seed: n >= 1 and 0 <= p <= 1 and seed >= 0,
+    ),
+    "small-world": (
+        ("node_count", "degree", "rewire_prob", "seed"),
+        lambda n, k, p, seed: n >= 3 and k % 2 == 0 and 2 <= k < n and 0 <= p <= 1 and seed >= 0,
+    ),
+}
+FLOAT_FIELDS = {"edge_prob", "rewire_prob"}
+# values straddling every bound, and values of a type the field refuses
+INTEGERS = st.integers(-2, 13)
+NUMBERS = st.floats(-0.5, 1.5) | st.sampled_from([0, 1, float("nan"), float("inf")])
+WRONG_TYPE = {
+    int: st.sampled_from([2.5, 3.0, True, False, "3"]),
+    float: st.sampled_from([True, "0.5"]),
+}
+
+
 class TestTopologySpec:
+    @settings(max_examples=1000, deadline=None)
+    @given(data=st.data())
+    def test_constructs_exactly_the_documented_ranges(self, data):
+        kind = data.draw(st.sampled_from(TOPOLOGY_KINDS))
+        fields, in_range = DOCUMENTED_RANGES[kind]
+        assert set(fields) == set(KINDS[kind].parameters)
+        values = {
+            name: data.draw(NUMBERS if name in FLOAT_FIELDS else INTEGERS) for name in fields
+        }
+        wrong = data.draw(st.none() | st.sampled_from(fields))
+        if wrong is not None:
+            values[wrong] = data.draw(WRONG_TYPE[float if wrong in FLOAT_FIELDS else int])
+        accepted = wrong is None and in_range(*(values[name] for name in fields))
+        try:
+            spec = TopologySpec(kind, **values)
+        except ValueError:
+            assert not accepted, values
+            return
+        assert accepted, values
+        n = values["rows"] * values["cols"] if kind == "von-neumann" else values["node_count"]
+        assert build_topology(spec).node_count == n
+
+    @pytest.mark.parametrize("kind, fields, message", [
+        ("complete", {"node_count": 0}, "node_count must be >= 1"),
+        ("core-periphery", {"node_count": 0, "core_size": 1}, "node_count must be >= 1"),
+        ("ring-core-star", {"node_count": 9, "hub_count": 10},
+         "hub_count must be in [1, 9], got 10"),
+        ("scale-free", {"node_count": 1, "attach_count": 1, "seed": 0}, "node_count must be >= 2"),
+        ("small-world", {"node_count": 2, "degree": 2, "rewire_prob": 0.1, "seed": 0},
+         "node_count must be >= 3"),
+        ("small-world", {"node_count": 20, "degree": 20, "rewire_prob": 0.1, "seed": 0},
+         "degree must be in [2, 19], got 20"),
+        ("small-world", {"node_count": 20, "degree": 4, "rewire_prob": 1.5, "seed": 0},
+         "rewire_prob must be in [0, 1], got 1.5"),
+        # types and seeds, checked by field name before the kind's ranges
+        ("ring", {"node_count": 2.5}, "node_count must be an integer, got 2.5"),
+        ("ring", {"node_count": True}, "node_count must be an integer, got True"),
+        ("random", {"node_count": 5, "edge_prob": True, "seed": 0},
+         "edge_prob must be a number, got True"),
+        ("random", {"node_count": 5, "edge_prob": 0.5, "seed": 1.0},
+         "seed must be an integer, got 1.0"),
+        ("small-world", {"node_count": 20, "degree": 4, "rewire_prob": 0.1, "seed": -1},
+         "seed must be >= 0, got -1"),
+    ])
+    def test_rejection_messages(self, kind, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TopologySpec(kind, **fields)
+
     def test_build_matches_constructor(self):
         spec = TopologySpec(kind="multi-ring", node_count=12, ring_levels=3)
-        assert build_topology(spec) == make_multi_ring(12, 3)
+        assert build_topology(spec) == _reference_multi_ring(12, 3)
 
     def test_randomized_kind_requires_seed(self):
         with pytest.raises(ValueError, match="random requires seed"):
@@ -559,7 +633,6 @@ class TestTopologySpec:
         (parsed,) = parse_topology_line(_topology_line(spec))
         assert parsed == spec
         assert parsed.topology_id() == spec.topology_id()
-        assert build_topology(spec) == DIRECT_BUILDERS[spec.kind](spec)
 
     def test_float_ids_are_exact(self):
         def ids(*probs):
@@ -589,7 +662,7 @@ class TestTopologySpec:
 
 class TestEdgeLists:
     def test_text_round_trip(self):
-        g = make_ring_core_star(9, 4)
+        g = graph_of("ring-core-star", node_count=9, hub_count=4)
         assert parse_edge_list(edge_list_text(g)) == g
 
     def test_text_format(self):
@@ -597,7 +670,7 @@ class TestEdgeLists:
         assert edge_list_text(g) == "n 3\n0 1\n0 2\n"
 
     def test_file_round_trip(self, tmp_path):
-        g = make_small_world(40, 6, 0.3, rng=2)
+        g = graph_of("small-world", node_count=40, degree=6, rewire_prob=0.3, seed=2)
         path = tmp_path / "g.txt"
         path.write_text(edge_list_text(g), encoding="ascii")
         assert parse_edge_list(path.read_text(encoding="ascii")) == g
