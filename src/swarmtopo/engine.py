@@ -3,15 +3,19 @@ random agent deactivation.
 
 Agents maximize a score (minimization objectives are negated by the
 objective layer).  Each iteration applies a synchronous constriction
-update followed by an independent per-agent death draw.  Dead agents
-keep their state forever: they stop moving, stop dying, and drop out
+update followed by an independent per-agent death draw.  The update is
+fixed, the social-only constriction step of Clerc & Kennedy (2002):
+``v' = clip(chi * (v + phi * r * (g - x)), -10, 10)``, ``x' = x + v'``
+with chi 0.7298438 and phi 2.05, where ``g`` is the best position of the
+agent's neighbourhood leader and ``r`` one uniform draw per agent.  Dead
+agents keep their state forever: they stop moving, stop dying, and drop out
 of every neighborhood candidate set, but their recorded bests still
 count when final winners are tallied.
 
 The engine has one array shape: every state array carries a leading
 row axis of B swarms, ``(B, N, d)`` and ``(B, N)``.  The rows of a
-:class:`SwarmBatch` share the agent count N, the objective and the
-hyperparameters; each row has its own seed, death probability and
+:class:`SwarmBatch` share the agent count N, the iteration budget and
+the objective; each row has its own seed, death probability and
 graph, and its own convergence, winners, survivors, iteration count
 and trace.  A single run is a batch of one: ``run`` wraps a lone
 :class:`SwarmConfig` and its graph into a one-row batch at entry and
@@ -74,13 +78,14 @@ with no transposing copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import numpy as np
+
+from .topology import _check_type
 
 __all__ = [
     "CHANNEL_INIT_POSITION",
     "CHANNEL_INIT_VELOCITY",
-    "CHANNEL_VELOCITY_PERSONAL",
     "CHANNEL_VELOCITY_SOCIAL",
     "CHANNEL_DEATH",
     "make_rand_source",
@@ -91,12 +96,16 @@ __all__ = [
     "run",
 ]
 
-# draw channels; one per independent use of randomness
+# draw channels, one per independent use of randomness; a channel's
+# number keys its draws, so the numbers never change (3 is unused)
 CHANNEL_INIT_POSITION = 1
 CHANNEL_INIT_VELOCITY = 2
-CHANNEL_VELOCITY_PERSONAL = 3
 CHANNEL_VELOCITY_SOCIAL = 4
 CHANNEL_DEATH = 5
+
+# the fixed update: constriction factor, social coefficient, velocity clamp
+_CHI, _PHI = 0.7298438, 2.05
+_V_MIN, _V_MAX = -10.0, 10.0
 
 _U64_MASK = (1 << 64) - 1
 # splitmix64 constants: the increment and the two finalizer multipliers
@@ -220,43 +229,36 @@ def make_rand_source(seeds):
 
 @dataclass(frozen=True)
 class SwarmConfig:
-    """Engine hyperparameters.
+    """One run's settings; the update itself is fixed.
 
-    Defaults follow the constriction setup: chi 0.7298438, no
-    personal term (phi1 0), social coefficient 2.05, velocities
-    clamped per component to [-10, 10], 100 agents, 1000 iterations.
+    When built, a config checks that ``n_agents``, ``max_iters`` and
+    ``seed`` are integers and ``death_prob`` a number (no bool is
+    either), that ``n_agents, max_iters >= 1`` and ``0 <= death_prob <
+    1``, and raises ``ValueError`` otherwise.
     """
 
-    chi: float = 0.7298438
-    phi1: float = 0.0
-    phi2: float = 2.05
-    v_min: float = -10.0
-    v_max: float = 10.0
     n_agents: int = 100
     max_iters: int = 1000
     death_prob: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_agents", "max_iters", "death_prob", "seed"):
+            _check_type(name, getattr(self, name), integer=name != "death_prob")
         if self.n_agents < 1:
             raise ValueError("n_agents must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.v_min < self.v_max:
-            raise ValueError("need v_min < v_max")
         if not 0.0 <= self.death_prob < 1.0:
             raise ValueError(f"death_prob must be in [0, 1), got {self.death_prob}")
-        for name in ("chi", "phi1", "phi2", "v_min", "v_max"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
 class SwarmBatch:
     """B runs at once, one :class:`SwarmConfig` per row.
 
-    The rows share every setting but ``seed`` and ``death_prob``, which
-    each row has its own of.
+    The rows share ``n_agents`` and ``max_iters``; each has its own
+    ``seed`` and ``death_prob``.
     """
 
     configs: tuple[SwarmConfig, ...]
@@ -266,10 +268,9 @@ class SwarmBatch:
         object.__setattr__(self, "configs", configs)
         if not configs:
             raise ValueError("a batch needs at least one row")
-        shared = replace(configs[0], seed=0, death_prob=0.0)
-        for config in configs:
-            if replace(config, seed=0, death_prob=0.0) != shared:
-                raise ValueError("batch rows may differ only in seed and death_prob")
+        shared = (configs[0].n_agents, configs[0].max_iters)
+        if any((config.n_agents, config.max_iters) != shared for config in configs):
+            raise ValueError("batch rows may differ only in seed and death_prob")
 
     @property
     def n_agents(self) -> int:
@@ -398,14 +399,13 @@ def initialize(batch: SwarmBatch, objective, rand_fn) -> SwarmState:
     velocities uniform in the clamp interval, bests at the starting
     positions, everyone alive; the ``(B, N, d)`` arrays coordinate-major.
     ``rand_fn`` draws like :func:`make_rand_source` of the batch's seeds."""
-    config = batch.configs[0]
-    n, d = config.n_agents, objective.dimension
+    n, d = batch.n_agents, objective.dimension
     u_pos = rand_fn(CHANNEL_INIT_POSITION, 0, n, d)
     u_vel = rand_fn(CHANNEL_INIT_VELOCITY, 0, n, d)
     positions = _coordinate_major(
         objective.lower + u_pos * (objective.upper - objective.lower)
     )
-    velocities = _coordinate_major(config.v_min + u_vel * (config.v_max - config.v_min))
+    velocities = _coordinate_major(_V_MIN + u_vel * (_V_MAX - _V_MIN))
     return SwarmState(
         positions=positions,
         velocities=velocities,
@@ -419,7 +419,6 @@ def step(
     swarm: SwarmState,
     neighborhoods: Neighborhoods,
     objective,
-    config: SwarmConfig,
     rand_fn,
     iteration: int,
 ) -> SwarmState:
@@ -427,11 +426,10 @@ def step(
 
     ``neighborhoods`` holds one graph per row.  Neighborhood bests come
     from the pre-step state, so update order cannot leak information
-    within an iteration.  The uniform draws are scalars per agent per
-    term, multiplying whole difference vectors; the personal term and
-    its draw are skipped when ``phi1`` is 0 (it would add exactly
-    zero).  Velocities are clamped per component after the update;
-    positions are never clamped.  Dead agents do not move.
+    within an iteration.  The uniform draw is one scalar per agent,
+    multiplying the whole difference vector.  Velocities are clamped
+    per component after the update; positions are never clamped.  Dead
+    agents do not move.
     """
     n, d = swarm.n_agents, swarm.dimension
     positions, alive = swarm.positions, swarm.alive
@@ -443,16 +441,10 @@ def step(
     targets = np.take(swarm.best_positions.reshape(-1, d).T, leaders, axis=1)
     velocity = targets.T.reshape(positions.shape)
     velocity -= positions
-    velocity *= config.phi2 * rand_fn(CHANNEL_VELOCITY_SOCIAL, iteration, n)
-    if config.phi1:
-        personal = swarm.best_positions - positions
-        personal *= config.phi1 * rand_fn(CHANNEL_VELOCITY_PERSONAL, iteration, n)
-        personal += swarm.velocities
-        velocity += personal
-    else:
-        velocity += swarm.velocities
-    velocity *= config.chi
-    np.clip(velocity, config.v_min, config.v_max, out=velocity)
+    velocity *= _PHI * rand_fn(CHANNEL_VELOCITY_SOCIAL, iteration, n)
+    velocity += swarm.velocities
+    velocity *= _CHI
+    np.clip(velocity, _V_MIN, _V_MAX, out=velocity)
     moved = positions + velocity
 
     new_scores = objective.score_many(moved.reshape(-1, d)).reshape(alive.shape)
@@ -481,7 +473,7 @@ def run(
     config: SwarmConfig | SwarmBatch,
     graph,
     objective,
-    success_fn=None,
+    success_fn,
     rand_fn=None,
     record_trace: bool = False,
 ) -> RunResult | BatchResult:
@@ -532,21 +524,16 @@ def run(
         if not live.any():
             break
         executed[live] = iteration
-        step(swarm, neighborhoods, objective, shared, rand, iteration)
+        step(swarm, neighborhoods, objective, rand, iteration)
         randomized_death(swarm, death, rand, iteration)
-        if success_fn is not None:
-            pending = (converged_at == 0) & alive.any(axis=1)
-            if pending.any():
-                done = pending & (qualified() | ~alive).all(axis=1)
-                converged_at[done] = iteration
+        pending = (converged_at == 0) & alive.any(axis=1)
+        if pending.any():
+            done = pending & (qualified() | ~alive).all(axis=1)
+            converged_at[done] = iteration
         if record_trace:
             alive_counts.append(np.count_nonzero(alive, axis=1))
             best_scores.append(swarm.best_scores.max(axis=1))
-    winners = (
-        np.count_nonzero(qualified(), axis=1)
-        if success_fn is not None
-        else np.zeros(len(graphs), dtype=np.int64)
-    )
+    winners = np.count_nonzero(qualified(), axis=1)
     survivors = np.count_nonzero(alive, axis=1)
     alive_counts, best_scores = np.array(alive_counts), np.array(best_scores)
 

@@ -199,7 +199,7 @@ def _random_same_size(
 
 
 def small_world_ness(
-    graph: Graph, path_length: float | None, clustering: float, rng=None, sample_count: int = 10
+    graph: Graph, path_length: float | None, clustering: float, rng=0, sample_count: int = 10
 ) -> float | None:
     """Path-vs-clustering balance score.
 
@@ -210,7 +210,8 @@ def small_world_ness(
     node and edge counts, and ``C_lattice`` is the clustering of the
     ring lattice whose level count is the rounded half mean degree.
     Near 0 for small-world graphs, negative for lattices, positive for
-    random graphs.
+    random graphs.  ``rng``, a seed (0 by default) or a Generator,
+    draws the random graphs.
 
     Returns ``None`` when undefined: disconnected input, a
     triangle-free lattice baseline, or no connected random sample
@@ -258,7 +259,7 @@ class GraphMetrics:
     small_world_ness: float | None
 
 
-def compute_metrics(graph: Graph, rng=None, omega_samples: int = 10) -> GraphMetrics:
+def compute_metrics(graph: Graph, rng=0, omega_samples: int = 10) -> GraphMetrics:
     """Evaluate every metric for one graph, measuring its L and C once.
 
     The all-pairs search behind L also settles connectivity: a graph is

@@ -420,6 +420,16 @@ def format_number(value: int | float) -> str:
     return str(value)
 
 
+def _check_type(name: str, value, integer: bool) -> None:
+    """``ValueError`` unless ``value`` is an integer, or if not
+    ``integer`` a real number; a bool is neither."""
+    if isinstance(value, bool) or not isinstance(
+        value, numbers.Integral if integer else numbers.Real
+    ):
+        expected = "an integer" if integer else "a number"
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TopologySpec:
     """Declarative description of one topology, buildable and hashable.
@@ -464,12 +474,7 @@ class TopologySpec:
                 raise ValueError(f"{self.kind} does not take {name}")
         values = [getattr(self, name) for name in kind.parameters]
         for name, value in zip(kind.parameters, values):
-            integer = PARAMETERS[name].type is int
-            if isinstance(value, bool) or not isinstance(
-                value, numbers.Integral if integer else numbers.Real
-            ):
-                expected = "an integer" if integer else "a number"
-                raise ValueError(f"{name} must be {expected}, got {value!r}")
+            _check_type(name, value, integer=PARAMETERS[name].type is int)
         if self.seed is not None and self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for holds, message in kind.rules(*values):
@@ -538,10 +543,12 @@ def spectrum_points(node_count: int, per_segment: int) -> list[SpectrumPoint]:
     Parameters
     ----------
     node_count : int
-        Nodes in every graph, at least 3.
+        Nodes in every graph, an integer of at least 3.
     per_segment : int
-        Graphs per segment, at least 2.
+        Graphs per segment, an integer of at least 2.
     """
+    _check_type("node_count", node_count, integer=True)
+    _check_type("per_segment", per_segment, integer=True)
     if node_count < 3:
         raise ValueError("spectrum needs node_count >= 3")
     if per_segment < 2:

@@ -21,12 +21,9 @@ import pytest
 
 from swarmtopo.engine import (
     CHANNEL_DEATH,
-    CHANNEL_VELOCITY_PERSONAL,
-    CHANNEL_VELOCITY_SOCIAL,
     Neighborhoods,
     SwarmBatch,
     SwarmConfig,
-    SwarmState,
     initialize,
     make_rand_source,
     step,
@@ -47,6 +44,7 @@ from swarmtopo.objectives import default_spec
 from swarmtopo.plans import parse_plan
 from swarmtopo.topology import build_spectrum
 
+from hand_trace import TRACE, V_MAX, Parabola, trace_rand, trace_start
 from strategies import graph_of
 
 
@@ -189,55 +187,12 @@ def test_criterion_4_objective_optima():
 # ---------------------------------------------------------------- 5
 
 
-class _Parabola:
-    """Maximize -x^2 on a line; exact arithmetic for the hand trace."""
-
-    dimension = 1
-    lower = -5.0
-    upper = 5.0
-
-    def score_many(self, points):
-        return -(np.asarray(points)[:, 0] ** 2)
-
-
-TRACE_R1 = [[0.25, 0.5], [0.6, 0.3], [0.45, 0.05]]
-TRACE_R2 = [[0.75, 0.1], [0.2, 0.9], [0.35, 0.65]]
-
-
-def _trace_rand(channel, iteration, agent_count, lanes=1):
-    table = {
-        CHANNEL_VELOCITY_PERSONAL: TRACE_R1,
-        CHANNEL_VELOCITY_SOCIAL: TRACE_R2,
-    }
-    assert agent_count == 2 and lanes == 1
-    return np.array(table[channel][iteration - 1]).reshape(1, 2, 1)
-
-
 def test_criterion_5_update_rule_trace_and_clamp():
-    config = SwarmConfig(chi=0.5, phi1=1.0, phi2=2.0, n_agents=2, max_iters=3)
     graph = Neighborhoods((graph_of("complete", node_count=2),))
-    objective = _Parabola()
-    # one swarm is a batch of one: every state array has a leading row axis
-    positions = np.array([[[1.0], [-2.0]]])
-    swarm = SwarmState(
-        positions=positions.copy(),
-        velocities=np.array([[[0.5], [0.25]]]),
-        best_positions=positions.copy(),
-        best_scores=objective.score_many(positions[0])[None],
-        alive=np.ones((1, 2), dtype=bool),
-    )
-    expected = [
-        # hand-executed: (positions, velocities, best positions)
-        ([1.25, -1.575], [0.25, 0.425], [1.0, -1.575]),
-        ([1.25, 0.9550000000000003], [0.0, 2.53], [1.0, 0.9550000000000003]),
-        (
-            [1.0905, 2.2200000000000006],
-            [-0.1594999999999999, 1.265],
-            [1.0, 0.9550000000000003],
-        ),
-    ]
-    for iteration, (pos, vel, best) in enumerate(expected, start=1):
-        step(swarm, graph, objective, config, _trace_rand, iteration)
+    objective = Parabola()
+    swarm = trace_start()
+    for iteration, (pos, vel, best) in enumerate(TRACE, start=1):
+        step(swarm, graph, objective, trace_rand, iteration)
         assert np.allclose(swarm.positions[0, :, 0], pos, rtol=0.0, atol=1e-12)
         assert np.allclose(swarm.velocities[0, :, 0], vel, rtol=0.0, atol=1e-12)
         assert np.allclose(swarm.best_positions[0, :, 0], best, rtol=0.0, atol=1e-12)
@@ -249,8 +204,8 @@ def test_criterion_5_update_rule_trace_and_clamp():
     graph = Neighborhoods((graph_of("random", node_count=1000, edge_prob=0.01, seed=3),))
     swarm = initialize(SwarmBatch([config]), objective, rand)
     for iteration in range(1, 101):
-        step(swarm, graph, objective, config, rand, iteration)
-        assert (np.abs(swarm.velocities) <= config.v_max).all()
+        step(swarm, graph, objective, rand, iteration)
+        assert (np.abs(swarm.velocities) <= V_MAX).all()
 
 
 # ------------------------------------------------------------- 6, 7

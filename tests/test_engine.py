@@ -1,9 +1,9 @@
 """Engine oracle tests.
 
-The three-step trace was computed by hand: two agents on a line, score
--x^2, chi=0.5, phi1=1.0, phi2=2.0, with pinned uniform draws.  Agent 1
-improves first, agent 0's velocity cancels to exactly zero at step 2,
-and the leader switches to agent 1 at step 3.
+The three-step trace in ``hand_trace`` was computed by hand at the fixed
+update's constants, with pinned draws: agent 1 hits the velocity clamp
+at step 1 and takes the lead from agent 0 at step 2.  The other step
+tests' expected values are hand arithmetic at the same constants.
 
 The uniform source is checked against ``reference_draw``, a splitmix64
 written on Python ints one draw at a time, and a fixed block of its
@@ -23,7 +23,7 @@ from swarmtopo import engine
 from swarmtopo.engine import (
     CHANNEL_DEATH,
     CHANNEL_INIT_POSITION,
-    CHANNEL_VELOCITY_PERSONAL,
+    CHANNEL_INIT_VELOCITY,
     CHANNEL_VELOCITY_SOCIAL,
     BatchResult,
     Neighborhoods,
@@ -47,6 +47,7 @@ from swarmtopo.topology import (
     build_topology,
 )
 
+from hand_trace import CHI, PHI, TRACE, V_MAX, Parabola, trace_rand, trace_start
 from strategies import graph_of, topology_specs
 
 
@@ -92,40 +93,6 @@ def _one_row(positions, velocities, best_positions, best_scores, alive) -> Swarm
     """A one-row swarm from per-agent arrays."""
     arrays = (positions, velocities, best_positions, best_scores, alive)
     return SwarmState(*(np.asarray(array)[None] for array in arrays))
-
-
-class _Parabola:
-    """Maximize -x^2 on a line; exact arithmetic for the hand trace."""
-
-    dimension = 1
-    lower = -5.0
-    upper = 5.0
-
-    def score_many(self, points):
-        return -(np.asarray(points)[:, 0] ** 2)
-
-
-# per-iteration scalar draws for the hand trace (rows: iterations 1..3)
-TRACE_R1 = [[0.25, 0.5], [0.6, 0.3], [0.45, 0.05]]
-TRACE_R2 = [[0.75, 0.1], [0.2, 0.9], [0.35, 0.65]]
-
-
-def _trace_rand(channel, iteration, agent_count, lanes=1):
-    table = {CHANNEL_VELOCITY_PERSONAL: TRACE_R1, CHANNEL_VELOCITY_SOCIAL: TRACE_R2}
-    column = np.array(table[channel][iteration - 1], dtype=np.float64)
-    assert agent_count == 2 and lanes == 1
-    return column.reshape(1, 2, 1)
-
-
-def _fresh_trace_swarm():
-    positions = np.array([[1.0], [-2.0]])
-    return _one_row(
-        positions=positions.copy(),
-        velocities=np.array([[0.5], [0.25]]),
-        best_positions=positions.copy(),
-        best_scores=_Parabola().score_many(positions),
-        alive=np.ones(2, dtype=bool),
-    )
 
 
 MASK64 = (1 << 64) - 1
@@ -234,10 +201,10 @@ class TestRandSource:
 
     def test_channels_iterations_seeds_decorrelated(self):
         rand = make_rand_source([0])
-        a = rand(CHANNEL_VELOCITY_PERSONAL, 1, 100)
-        assert not np.array_equal(a, rand(CHANNEL_VELOCITY_SOCIAL, 1, 100))
-        assert not np.array_equal(a, rand(CHANNEL_VELOCITY_PERSONAL, 2, 100))
-        assert not np.array_equal(a, make_rand_source([1])(CHANNEL_VELOCITY_PERSONAL, 1, 100))
+        a = rand(CHANNEL_VELOCITY_SOCIAL, 1, 100)
+        assert not np.array_equal(a, rand(CHANNEL_DEATH, 1, 100))
+        assert not np.array_equal(a, rand(CHANNEL_VELOCITY_SOCIAL, 2, 100))
+        assert not np.array_equal(a, make_rand_source([1])(CHANNEL_VELOCITY_SOCIAL, 1, 100))
 
     def test_roughly_uniform(self):
         rand = make_rand_source([3])
@@ -361,32 +328,19 @@ class TestDrawBlocks:
 
 class TestHandTrace:
     def test_three_steps_match_hand_computation(self):
-        config = SwarmConfig(chi=0.5, phi1=1.0, phi2=2.0, n_agents=2, max_iters=3)
         graph = _hoods(graph_of("complete", node_count=2))
-        objective = _Parabola()
-        swarm = _fresh_trace_swarm()
-
-        expected = [
-            # (positions, velocities, best_positions)
-            ([1.25, -1.575], [0.25, 0.425], [1.0, -1.575]),
-            ([1.25, 0.9550000000000003], [0.0, 2.53], [1.0, 0.9550000000000003]),
-            (
-                [1.0905, 2.2200000000000006],
-                [-0.1594999999999999, 1.265],
-                [1.0, 0.9550000000000003],
-            ),
-        ]
-        for iteration, (pos, vel, best) in enumerate(expected, start=1):
-            step(swarm, graph, objective, config, _trace_rand, iteration)
+        objective = Parabola()
+        swarm = trace_start()
+        for iteration, (pos, vel, best) in enumerate(TRACE, start=1):
+            step(swarm, graph, objective, trace_rand, iteration)
             assert np.allclose(swarm.positions[0, :, 0], pos, rtol=0.0, atol=1e-12)
             assert np.allclose(swarm.velocities[0, :, 0], vel, rtol=0.0, atol=1e-12)
             assert np.allclose(swarm.best_positions[0, :, 0], best, rtol=0.0, atol=1e-12)
-
-        # chi times a cancelling sum: exactly zero, not merely small
-        swarm = _fresh_trace_swarm()
-        step(swarm, graph, objective, SwarmConfig(chi=0.5, phi1=1.0, phi2=2.0, n_agents=2), _trace_rand, 1)
-        step(swarm, graph, objective, SwarmConfig(chi=0.5, phi1=1.0, phi2=2.0, n_agents=2), _trace_rand, 2)
-        assert swarm.velocities[0, 0, 0] == 0.0
+            if iteration == 1:
+                # the clamp gives the bound itself, and the leader's own
+                # social term is exactly zero
+                assert swarm.velocities[0, 1, 0] == V_MAX
+                assert swarm.velocities[0, 0, 0] == CHI * 0.5
 
     def test_scalar_draw_multiplies_whole_vector(self):
         # 2-D: one scalar per term scales both components identically
@@ -399,7 +353,6 @@ class TestHandTrace:
         def fixed_rand(channel, iteration, agent_count, lanes=1):
             return np.full((1, agent_count, lanes), 0.5)
 
-        config = SwarmConfig(chi=1.0, phi1=0.0, phi2=2.0, n_agents=2, v_max=100.0, v_min=-100.0)
         positions = np.array([[0.0, 0.0], [3.0, -6.0]])
         swarm = _one_row(
             positions=positions.copy(),
@@ -408,15 +361,15 @@ class TestHandTrace:
             best_scores=Plane().score_many(positions),
             alive=np.ones(2, dtype=bool),
         )
-        step(swarm, _hoods(graph_of("complete", node_count=2)), Plane(), config, fixed_rand, 1)
-        # agent 1 moves toward agent 0's best: v = 1.0*(0 + 2*0.5*(0-x))
-        assert np.allclose(swarm.velocities[0, 1], [-3.0, 6.0], atol=1e-15)
+        step(swarm, _hoods(graph_of("complete", node_count=2)), Plane(), fixed_rand, 1)
+        # agent 1 moves toward agent 0's best: v = CHI * 2.05 * 0.5 * (0 - x)
+        # = 0.748089895 * (-3, 6)
+        assert np.allclose(swarm.velocities[0, 1], [-2.244269685, 4.48853937], rtol=0.0, atol=1e-12)
 
 
 class TestStepInvariants:
     def test_velocity_clamp_on_randomized_steps(self):
         objective = default_spec("rastrigin")
-        config = SwarmConfig(n_agents=1000, max_iters=1)
         rand = make_rand_source([99])
         graph = _hoods(graph_of("ring", node_count=1000))
         rng = np.random.default_rng(1)
@@ -429,12 +382,11 @@ class TestStepInvariants:
         )
         swarm.best_scores = objective.score_many(swarm.best_positions[0])[None]
         for iteration in range(1, 101):  # 10^5 agent-steps
-            step(swarm, graph, objective, config, rand, iteration)
-            assert (np.abs(swarm.velocities) <= config.v_max).all()
+            step(swarm, graph, objective, rand, iteration)
+            assert (np.abs(swarm.velocities) <= V_MAX).all()
 
     def test_positions_not_clamped(self):
-        objective = _Parabola()
-        config = SwarmConfig(chi=1.0, phi2=2.0, n_agents=2, v_min=-10, v_max=10)
+        objective = Parabola()
 
         def push(channel, iteration, agent_count, lanes=1):
             return np.full((1, agent_count, lanes), 0.999)
@@ -447,61 +399,68 @@ class TestStepInvariants:
             best_scores=objective.score_many(positions),
             alive=np.ones(2, dtype=bool),
         )
-        step(swarm, _hoods(graph_of("complete", node_count=2)), objective, config, push, 1)
-        # agent 0 sails past the objective's box; nothing pulls it back
-        assert swarm.positions.max() > 5.0
+        step(swarm, _hoods(graph_of("complete", node_count=2)), objective, push, 1)
+        # agent 0 leads (a tie goes to the lower index), so it keeps only
+        # its own momentum: v = CHI * 9 = 6.5685942; agent 1 is pulled
+        # across: v = CHI * (-9 + 2.05 * 0.999 * 9.8) = 8.079305180058.
+        # Agent 0 sails past the objective's box; nothing pulls it back
+        assert np.allclose(swarm.positions[0, :, 0], [11.4685942, 3.179305180058],
+                           rtol=0.0, atol=1e-12)
 
     def test_dead_agents_do_not_move_but_keep_bests(self):
         objective = default_spec("rastrigin")
-        config = SwarmConfig(n_agents=4, max_iters=1)
         rand = make_rand_source([5])
         swarm = initialize(SwarmBatch([config_with(n_agents=4)]), objective, rand)
         frozen_pos = swarm.positions[0, 2].copy()
         frozen_best = swarm.best_scores[0, 2]
         swarm.alive[0, 2] = False
-        step(swarm, _hoods(graph_of("complete", node_count=4)), objective, config, rand, 1)
+        step(swarm, _hoods(graph_of("complete", node_count=4)), objective, rand, 1)
         assert np.array_equal(swarm.positions[0, 2], frozen_pos)
         assert swarm.best_scores[0, 2] == frozen_best
 
     def test_synchronous_update_uses_snapshot(self):
         # if updates leaked within the iteration, agent 1 would chase
         # agent 0's *new* best; the snapshot keeps it on the old one
-        class Line(_Parabola):
-            pass
-
         def rand(channel, iteration, agent_count, lanes=1):
             return np.ones((1, agent_count, lanes)) * 0.5
 
-        config = SwarmConfig(chi=1.0, phi1=0.0, phi2=1.0, n_agents=2, v_min=-100, v_max=100)
         positions = np.array([[2.0], [10.0]])
         swarm = _one_row(
             positions=positions.copy(),
             velocities=np.array([[-1.0], [0.0]]),
             best_positions=positions.copy(),
-            best_scores=Line().score_many(positions),
+            best_scores=Parabola().score_many(positions),
             alive=np.ones(2, dtype=bool),
         )
-        step(swarm, _hoods(graph_of("complete", node_count=2)), Line(), config, rand, 1)
-        # agent 0 moved to 1.0 (a better best), but agent 1 must have
-        # targeted the snapshot best 2.0: v = 0.5*(2-10) = -4
-        assert swarm.positions[0, 0, 0] == 1.0
-        assert swarm.velocities[0, 1, 0] == -4.0
+        step(swarm, _hoods(graph_of("complete", node_count=2)), Parabola(), rand, 1)
+        # agent 0 moved to 2 + CHI * -1 = 1.2701562 (a better best), but
+        # agent 1 must have targeted the snapshot best 2.0:
+        # v = CHI * 2.05 * 0.5 * (2 - 10) = -5.98471916, not the
+        # -6.5307079317084 that the new best would give
+        assert np.allclose(swarm.positions[0, :, 0], [1.2701562, 10.0 - 5.98471916],
+                           rtol=0.0, atol=1e-12)
+        assert np.allclose(swarm.velocities[0, 1, 0], -5.98471916, rtol=0.0, atol=1e-12)
+        assert swarm.best_positions[0, 0, 0] == swarm.positions[0, 0, 0]
 
     def test_personal_bests_monotone(self):
         objective = default_spec("ackley")
-        config = SwarmConfig(n_agents=30, max_iters=1)
         rand = make_rand_source([17])
         swarm = initialize(SwarmBatch([config_with(n_agents=30)]), objective, rand)
         graph = _hoods(graph_of("ring", node_count=30))
         previous = swarm.best_scores.copy()
         for iteration in range(1, 40):
-            step(swarm, graph, objective, config, rand, iteration)
+            step(swarm, graph, objective, rand, iteration)
             assert (swarm.best_scores >= previous).all()
             previous = swarm.best_scores.copy()
 
 
 def config_with(**kwargs):
     return SwarmConfig(**kwargs)
+
+
+def _everyone(best_positions, best_scores):
+    """A success predicate every agent meets."""
+    return np.ones(len(best_scores), dtype=bool)
 
 
 class TestNeighborhoodBest:
@@ -546,31 +505,29 @@ class TestNeighborhoodBest:
 
     def test_matches_step_leader_choice(self):
         objective = default_spec("griewank")
-        config = SwarmConfig(n_agents=12, max_iters=1)
         rand = make_rand_source([23])
         swarm = initialize(SwarmBatch([config_with(n_agents=12)]), objective, rand)
-        swarm.alive[0, [3, 7]] = False
-        graph = graph_of("ring", node_count=12)
-        expected = np.stack(
-            [neighborhood_best(i, graph, swarm) for i in range(12)]
-        )
-        # zero draws isolate the social target: x' = x + chi*phi2*0*(...)
-        # so instead compare against a chi=1, phi2=1, r=1 step
-        def ones(channel, iteration, agent_count, lanes=1):
-            return np.ones((1, agent_count, lanes))
-
+        # every agent at the origin, at rest, with its best shrunk into
+        # [-3, 3]: with r = 1 a step moves an alive agent to
+        # CHI * PHI * social_target, at most 4.5 from the origin, under the clamp
         probe = SwarmState(
-            positions=swarm.positions.copy(),
+            positions=np.zeros_like(swarm.positions),
             velocities=np.zeros_like(swarm.velocities),
-            best_positions=swarm.best_positions.copy(),
+            best_positions=swarm.best_positions / 200.0,
             best_scores=swarm.best_scores.copy(),
             alive=swarm.alive.copy(),
         )
-        cfg = SwarmConfig(chi=1.0, phi1=0.0, phi2=1.0, n_agents=12, v_min=-1e9, v_max=1e9)
-        step(probe, _hoods(graph), objective, cfg, ones, 1)
-        # x' - x = social_target - x  =>  social_target = x'
-        got = np.where(swarm.alive[0, :, None], probe.positions[0], expected)
-        assert np.allclose(got, expected, atol=1e-12)
+        probe.alive[0, [3, 7]] = False
+        graph = graph_of("ring", node_count=12)
+        expected = np.stack([neighborhood_best(i, graph, probe) for i in range(12)])
+
+        def ones(channel, iteration, agent_count, lanes=1):
+            return np.ones((1, agent_count, lanes))
+
+        step(probe, _hoods(graph), objective, ones, 1)
+        # the dead agents stay at the origin
+        moved = np.where(probe.alive[0, :, None], CHI * PHI * expected, 0.0)
+        assert np.allclose(probe.positions[0], moved, rtol=0.0, atol=1e-12)
 
 
 # a handful of distinct values forces score ties; the domain is finite
@@ -655,7 +612,7 @@ class TestDeathAndRun:
         assert swarm.positions.shape == (1, 300, objective.dimension)
         assert (swarm.positions >= objective.lower).all()
         assert (swarm.positions <= objective.upper).all()
-        assert (np.abs(swarm.velocities) <= config.v_max).all()
+        assert (np.abs(swarm.velocities) <= V_MAX).all()
         assert np.array_equal(swarm.best_positions, swarm.positions)
         assert swarm.alive.all()
 
@@ -663,8 +620,9 @@ class TestDeathAndRun:
         config = SwarmConfig(n_agents=30, max_iters=60, seed=5, death_prob=0.001)
         objective = default_spec("shekel")
         graph = graph_of("ring", node_count=30)
-        a = run(config, graph, objective)
-        b = run(config, graph, objective)
+        qualifies = success_predicate(SuccessCriterion(), objective)
+        a = run(config, graph, objective, qualifies)
+        b = run(config, graph, objective, qualifies)
         assert a == b
 
     def test_run_continues_after_convergence(self):
@@ -672,11 +630,7 @@ class TestDeathAndRun:
         # at iteration 1 yet still executes all max_iters
         config = SwarmConfig(n_agents=20, max_iters=30, seed=2)
         objective = default_spec("shekel")
-
-        def everyone(best_positions, best_scores):
-            return np.ones(len(best_scores), dtype=bool)
-
-        result = run(config, graph_of("complete", node_count=20), objective, success_fn=everyone)
+        result = run(config, graph_of("complete", node_count=20), objective, _everyone)
         assert result.converged
         assert result.convergence_iteration == 1
         assert result.iterations_executed == 30
@@ -686,11 +640,7 @@ class TestDeathAndRun:
     def test_run_counts_dead_winners(self):
         config = SwarmConfig(n_agents=40, max_iters=80, seed=3, death_prob=0.05)
         objective = default_spec("shekel")
-
-        def everyone(best_positions, best_scores):
-            return np.ones(len(best_scores), dtype=bool)
-
-        result = run(config, graph_of("complete", node_count=40), objective, success_fn=everyone)
+        result = run(config, graph_of("complete", node_count=40), objective, _everyone)
         assert result.winners == 40
         assert result.survivors < 40
 
@@ -721,11 +671,8 @@ class TestDeathAndRun:
         assert (hostile.winners, hostile.survivors) == (1, 1)
 
     def test_extinct_swarm_never_converges(self):
-        def everyone(best_positions, best_scores):
-            return np.ones(len(best_scores), dtype=bool)
-
         config = SwarmConfig(n_agents=3, max_iters=5, death_prob=0.5)
-        result = run(config, graph_of("complete", node_count=3), default_spec("shekel"), everyone,
+        result = run(config, graph_of("complete", node_count=3), default_spec("shekel"), _everyone,
                      rand_fn=self._death_draws([0.0, 0.0, 0.0]))
         assert not result.converged and result.convergence_iteration is None
         assert result.iterations_executed == 1
@@ -734,14 +681,14 @@ class TestDeathAndRun:
 
     def test_run_stops_when_swarm_dies(self):
         config = SwarmConfig(n_agents=10, max_iters=500, seed=4, death_prob=0.5)
-        result = run(config, graph_of("complete", node_count=10), default_spec("ackley"))
+        result = run(config, graph_of("complete", node_count=10), default_spec("ackley"), _everyone)
         assert result.survivors == 0
         assert result.iterations_executed < 500
 
     def test_run_trace(self):
         config = SwarmConfig(n_agents=15, max_iters=20, seed=6)
         graph = graph_of("ring", node_count=15)
-        result = run(config, graph, default_spec("griewank"), record_trace=True)
+        result = run(config, graph, default_spec("griewank"), _everyone, record_trace=True)
         alive_counts, scores = result.trace
         # iteration k at index k - 1, for iterations 1..20
         assert len(alive_counts) == len(scores) == result.iterations_executed == 20
@@ -752,53 +699,75 @@ class TestDeathAndRun:
 
     def test_run_graph_size_mismatch(self):
         with pytest.raises(ValueError):
-            run(SwarmConfig(n_agents=5), graph_of("ring", node_count=6), default_spec("ackley"))
+            run(SwarmConfig(n_agents=5), graph_of("ring", node_count=6), default_spec("ackley"),
+                _everyone)
 
 
 class TestConfigValidation:
     def test_defaults_match_constriction_setup(self):
         config = SwarmConfig()
-        assert config.chi == 0.7298438
-        assert config.phi1 == 0.0
-        assert config.phi2 == 2.05
-        assert (config.v_min, config.v_max) == (-10.0, 10.0)
-        assert config.n_agents == 100
-        assert config.max_iters == 1000
+        assert (config.n_agents, config.max_iters) == (100, 1000)
+        assert (config.death_prob, config.seed) == (0.0, 0)
+        # the update's constants are the engine's, not a config's
+        assert (engine._CHI, engine._PHI) == (CHI, PHI)
+        assert (engine._V_MIN, engine._V_MAX) == (-V_MAX, V_MAX)
 
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_agents must be >= 1"):
             SwarmConfig(n_agents=0)
-        with pytest.raises(ValueError):
-            SwarmConfig(v_min=1.0, v_max=-1.0)
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            SwarmConfig(max_iters=0)
         with pytest.raises(ValueError):
             SwarmConfig(death_prob=1.0)
         with pytest.raises(ValueError):
             SwarmConfig(death_prob=1.5)
         with pytest.raises(ValueError):
-            SwarmConfig(chi=float("nan"))
-        with pytest.raises(ValueError):
-            SwarmConfig(phi2=float("inf"))
+            SwarmConfig(death_prob=float("nan"))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("max_iters", 5.0, "max_iters must be an integer, got 5.0"),
+            ("max_iters", True, "max_iters must be an integer, got True"),
+            ("n_agents", 10.0, "n_agents must be an integer, got 10.0"),
+            ("n_agents", "10", "n_agents must be an integer, got '10'"),
+            ("seed", 2.5, "seed must be an integer, got 2.5"),
+            ("seed", False, "seed must be an integer, got False"),
+            ("death_prob", True, "death_prob must be a number, got True"),
+            ("death_prob", "0.1", "death_prob must be a number, got '0.1'"),
+        ],
+        ids=["max_iters-5.0", "max_iters-True", "n_agents-10.0", "n_agents-str", "seed-2.5",
+             "seed-False", "death_prob-True", "death_prob-str"],
+    )
+    def test_rejects_bad_types(self, field, value, message):
+        with pytest.raises(ValueError) as caught:
+            SwarmConfig(**{field: value})
+        assert str(caught.value) == message
+
+    def test_accepts_numpy_scalars(self):
+        config = SwarmConfig(n_agents=np.int64(5), max_iters=np.int64(3),
+                             death_prob=np.float64(0.25), seed=np.int64(7))
+        assert (config.n_agents, config.max_iters, config.seed) == (5, 3, 7)
 
 
-class TestPersonalTerm:
-    @staticmethod
-    def _counting_source(seed):
-        source = make_rand_source([seed])
+class TestDrawChannels:
+    def test_run_draws_once_per_channel_and_iteration(self):
+        source = make_rand_source([4])
         calls = Counter()
 
         def rand(channel, iteration, agent_count, lanes=1):
             calls[channel] += 1
             return source(channel, iteration, agent_count, lanes)
 
-        return rand, calls
-
-    @pytest.mark.parametrize("phi1, personal_draws", [(0.0, 0), (0.5, 12)])
-    def test_personal_draw_only_when_phi1_is_nonzero(self, phi1, personal_draws):
-        rand, calls = self._counting_source(4)
-        config = SwarmConfig(n_agents=10, max_iters=12, phi1=phi1)
-        run(config, graph_of("ring", node_count=10), default_spec("shekel"), rand_fn=rand)
-        assert calls[CHANNEL_VELOCITY_PERSONAL] == personal_draws
-        assert calls[CHANNEL_VELOCITY_SOCIAL] == 12
+        config = SwarmConfig(n_agents=10, max_iters=12, death_prob=0.01)
+        run(config, graph_of("ring", node_count=10), default_spec("shekel"), _everyone,
+            rand_fn=rand)
+        # the start once, then one social and one death draw per iteration;
+        # channel 3 is unused
+        assert calls == {CHANNEL_INIT_POSITION: 1, CHANNEL_INIT_VELOCITY: 1,
+                         CHANNEL_VELOCITY_SOCIAL: 12, CHANNEL_DEATH: 12}
+        assert (CHANNEL_INIT_POSITION, CHANNEL_INIT_VELOCITY,
+                CHANNEL_VELOCITY_SOCIAL, CHANNEL_DEATH) == (1, 2, 4, 5)
 
 
 def _isolated_first(n: int) -> Graph:
@@ -870,8 +839,9 @@ class TestBatch:
 
     def test_rows_may_differ_only_in_seed_and_death(self):
         SwarmBatch([SwarmConfig(seed=1), SwarmConfig(seed=2, death_prob=0.1)])
-        with pytest.raises(ValueError, match="may differ only"):
-            SwarmBatch([SwarmConfig(), SwarmConfig(phi2=2.0)])
+        for other in (SwarmConfig(n_agents=99), SwarmConfig(max_iters=999)):
+            with pytest.raises(ValueError, match="may differ only"):
+                SwarmBatch([SwarmConfig(), other])
         with pytest.raises(ValueError, match="at least one row"):
             SwarmBatch([])
 
@@ -887,9 +857,10 @@ class TestBatch:
         batch = SwarmBatch([SwarmConfig(n_agents=6), SwarmConfig(n_agents=6, seed=1)])
         objective = default_spec("ackley")
         with pytest.raises(ValueError, match="1 graphs for 2 rows"):
-            run(batch, [graph_of("ring", node_count=6)], objective)
+            run(batch, [graph_of("ring", node_count=6)], objective, _everyone)
         with pytest.raises(ValueError, match="7 nodes for 6 agents"):
-            run(batch, [graph_of("ring", node_count=6), graph_of("ring", node_count=7)], objective)
+            run(batch, [graph_of("ring", node_count=6), graph_of("ring", node_count=7)], objective,
+                _everyone)
 
     def test_death_takes_one_probability_per_row(self):
         batch = SwarmBatch([SwarmConfig(n_agents=50), SwarmConfig(n_agents=50, seed=1)])
@@ -916,11 +887,11 @@ class TestStateLayout:
     """The state is stored coordinate-major; ``step`` gives the same bits
     for a state in any memory order."""
 
-    def _batch(self, name, phi1):
+    def _batch(self, name):
         n = 30
         graphs = [graph_of(kind, node_count=n) for kind in ("ring", "star", "complete")]
         configs = [
-            SwarmConfig(n_agents=n, phi1=phi1, seed=seed, death_prob=0.01)
+            SwarmConfig(n_agents=n, seed=seed, death_prob=0.01)
             for seed in range(len(graphs))
         ]
         # Shekel is 4-D only; the separable objectives run at d = 10, where
@@ -930,22 +901,20 @@ class TestStateLayout:
 
     @pytest.mark.parametrize("name", ["shekel", "rastrigin"])
     def test_state_arrays_are_coordinate_major(self, name):
-        batch, graphs, objective = self._batch(name, 0.0)
+        batch, graphs, objective = self._batch(name)
         rand = make_rand_source([c.seed for c in batch.configs])
         swarm = initialize(batch, objective, rand)
         hoods = Neighborhoods(graphs)
         for iteration in range(4):
             if iteration:
-                step(swarm, hoods, objective, batch.configs[0], rand, iteration)
+                step(swarm, hoods, objective, rand, iteration)
             for array in (swarm.positions, swarm.velocities, swarm.best_positions):
                 assert array.shape == (3, 30, objective.dimension)
                 assert _coordinate_major_ok(array)
 
     @pytest.mark.parametrize("name", ["shekel", "rastrigin", "griewank"])
-    @pytest.mark.parametrize("phi1", [0.0, 1.5])
-    def test_step_bits_do_not_depend_on_memory_order(self, name, phi1):
-        batch, graphs, objective = self._batch(name, phi1)
-        config = batch.configs[0]
+    def test_step_bits_do_not_depend_on_memory_order(self, name):
+        batch, graphs, objective = self._batch(name)
         probs = np.array([c.death_prob for c in batch.configs])
         rand = make_rand_source([c.seed for c in batch.configs])
         columns = initialize(batch, objective, rand)
@@ -956,7 +925,7 @@ class TestStateLayout:
         hoods = Neighborhoods(graphs)
         for iteration in range(1, 51):
             for swarm in (columns, rows):
-                step(swarm, hoods, objective, config, rand, iteration)
+                step(swarm, hoods, objective, rand, iteration)
                 randomized_death(swarm, probs, rand, iteration)
             for field in _STATE_FIELDS:
                 # tobytes reads both in C order: equal bytes are equal bits

@@ -476,6 +476,13 @@ class TestComputeMetrics:
         assert len(searches) == 1 + isolated.count(False)
         assert m.small_world_ness == _omega(g, rng=0, sample_count=2)
 
+    def test_default_seed_is_zero(self):
+        g = graph_of("small-world", node_count=40, degree=4, rewire_prob=0.2, seed=1)
+        seeded = compute_metrics(g, rng=0)
+        assert seeded.small_world_ness is not None
+        assert compute_metrics(g) == compute_metrics(g) == seeded
+        assert _omega(g) == seeded.small_world_ness
+
 
 class TestNetworkxOracles:
     """Clustering and spectrum against networkx, on every topology kind

@@ -1,5 +1,6 @@
 """The package's public surface, and the names the benchmark wraps."""
 
+from dataclasses import fields
 import importlib
 from pathlib import Path
 import pkgutil
@@ -51,8 +52,8 @@ def test_public_surface_is_pinned():
 # checks and stay module attributes only
 ENGINE_NAMES = [
     "BatchResult", "CHANNEL_DEATH", "CHANNEL_INIT_POSITION", "CHANNEL_INIT_VELOCITY",
-    "CHANNEL_VELOCITY_PERSONAL", "CHANNEL_VELOCITY_SOCIAL", "RunResult", "SwarmBatch",
-    "SwarmConfig", "make_rand_source", "run",
+    "CHANNEL_VELOCITY_SOCIAL", "RunResult", "SwarmBatch", "SwarmConfig",
+    "make_rand_source", "run",
 ]
 
 
@@ -60,6 +61,14 @@ def test_engine_surface_is_pinned():
     from swarmtopo import engine
 
     assert sorted(engine.__all__) == ENGINE_NAMES
+
+
+def test_swarm_config_holds_only_what_a_plan_sets():
+    # the update's constants are fixed in the engine; a config carries
+    # the agent count, the iteration budget, the death probability and the seed
+    assert [field.name for field in fields(swarmtopo.SwarmConfig)] == [
+        "n_agents", "max_iters", "death_prob", "seed",
+    ]
 
 
 def test_benchmark_wraps_and_restores_its_names(monkeypatch):

@@ -493,6 +493,22 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             spectrum_points(100, 1)
 
+    @pytest.mark.parametrize(
+        "node_count, per_segment, message",
+        [
+            (10, 2.5, "per_segment must be an integer, got 2.5"),
+            (10, True, "per_segment must be an integer, got True"),
+            (10, 3.0, "per_segment must be an integer, got 3.0"),
+            (10.0, 3, "node_count must be an integer, got 10.0"),
+            (True, 3, "node_count must be an integer, got True"),
+        ],
+        ids=["10-2.5", "10-True", "10-3.0", "10.0-3", "True-3"],
+    )
+    def test_rejects_non_integers(self, node_count, per_segment, message):
+        with pytest.raises(ValueError) as caught:
+            spectrum_points(node_count, per_segment)
+        assert str(caught.value) == message
+
 
 # each kind's fields and documented ranges, written out here rather than
 # read from the kind table: the oracle for which values a spec accepts
