@@ -26,8 +26,9 @@ the run its own config gives alone.
 :class:`SwarmBatch` check their values when built, and ``run`` checks
 the graphs against the rows and the agent count once per call.  Its
 loop parts, :func:`initialize`, :class:`Neighborhoods`, :func:`step`
-and :func:`randomized_death` on a :class:`SwarmState`, are not public
-and trust those checks: they check nothing on any iteration.
+and :func:`randomized_death` on a :class:`SwarmState` and its alive
+mask, are not public and trust those checks: they check nothing on any
+iteration.
 
 All randomness flows through a counter-based uniform source keyed by
 (seed, channel, iteration, agent, lane), so draws are independent of
@@ -66,7 +67,10 @@ Cost per iteration, for B rows of N agents in dimension d:
   K * B * N * lanes words of the block.  Consecutive iterations double
   K from 1 up to the ``_BLOCK_WORDS`` budget of 2**12 words (K = 4 at
   B = 10, N = 100), so a draw call is mostly a dictionary lookup that
-  returns a read-only view of one iteration.
+  returns a read-only view of one iteration;
+* a row that has settled (see :func:`run`) costs no stepping: it has
+  left the batch, and only its death draws go on, one per iteration
+  for all settled rows with losses at once, after the loop.
 
 At N=100 one swarm's iteration is mostly fixed per-call numpy
 overhead, which a batch shares among its rows; the coordinate-major
@@ -234,7 +238,8 @@ class SwarmConfig:
     When built, a config checks that ``n_agents``, ``max_iters`` and
     ``seed`` are integers and ``death_prob`` a number (no bool is
     either), that ``n_agents, max_iters >= 1`` and ``0 <= death_prob <
-    1``, and raises ``ValueError`` otherwise.
+    1``, and raises ``ValueError`` otherwise.  It stores the three
+    integers as Python ints, whatever integer type they came as.
     """
 
     n_agents: int = 100
@@ -245,6 +250,9 @@ class SwarmConfig:
     def __post_init__(self) -> None:
         for name in ("n_agents", "max_iters", "death_prob", "seed"):
             _check_type(name, getattr(self, name), integer=name != "death_prob")
+        # a numpy integer would keep its own width in run's arithmetic
+        for name in ("n_agents", "max_iters", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.n_agents < 1:
             raise ValueError("n_agents must be >= 1")
         if self.max_iters < 1:
@@ -457,16 +465,72 @@ def step(
 
 
 def randomized_death(
-    swarm: SwarmState, probs: np.ndarray, rand_fn, iteration: int
-) -> SwarmState:
-    """Independent per-agent deactivation, in place: alive agents of
-    row ``b`` whose draw is below ``probs[b]`` die.  ``probs`` is the
-    float64 ``(B,)`` array that :func:`run` builds once from the rows'
-    validated ``death_prob``."""
+    alive: np.ndarray, probs: np.ndarray, rand_fn, iteration: int
+) -> np.ndarray:
+    """Independent per-agent deactivation of a ``(B, N)`` alive mask,
+    in place: alive agents of row ``b`` whose draw is below ``probs[b]``
+    die.  ``probs`` is the float64 ``(B,)`` array that :func:`run` builds
+    once from the rows' validated ``death_prob``."""
     if probs.any():
-        draws = rand_fn(CHANNEL_DEATH, iteration, swarm.n_agents)[..., 0]
-        swarm.alive &= draws >= probs[:, None]
-    return swarm
+        draws = rand_fn(CHANNEL_DEATH, iteration, alive.shape[1])[..., 0]
+        alive &= draws >= probs[:, None]
+    return alive
+
+
+def _take_rows(swarm: SwarmState, keep: np.ndarray) -> SwarmState:
+    """The rows ``keep`` (a mask) of a state, copied; the ``(B, N, d)``
+    arrays stay coordinate-major."""
+
+    def take(values: np.ndarray) -> np.ndarray:
+        return values.transpose(2, 0, 1)[:, keep].transpose(1, 2, 0)
+
+    return SwarmState(
+        positions=take(swarm.positions),
+        velocities=take(swarm.velocities),
+        best_positions=take(swarm.best_positions),
+        best_scores=swarm.best_scores[keep],
+        alive=swarm.alive[keep],
+    )
+
+
+def _play_deaths(
+    alive: np.ndarray, probs: np.ndarray, rand_fn, left_at: np.ndarray, max_iters: int
+) -> np.ndarray:
+    """The last iteration each row executes, for rows that stopped
+    stepping with agents alive, row ``r`` after iteration ``left_at[r]``:
+    from there to ``max_iters`` or its extinction it draws the death
+    channel alone, in place on ``alive``.  All rows play from the
+    earliest ``left_at`` on, so a row that left later draws again the
+    iterations it stepped through; that kills no one, since a draw
+    depends on its coordinates alone."""
+    executed = left_at.copy()
+    for iteration in range(int(left_at.min()) + 1, max_iters + 1):
+        live = alive.any(axis=1)
+        if not live.any():
+            break
+        executed[live] = iteration
+        randomized_death(alive, probs, rand_fn, iteration)
+    return executed
+
+
+def _results(converged_at, winners, alive, executed, trace=None) -> list[RunResult]:
+    """One :class:`RunResult` per row, from its convergence iteration
+    (0: not converged), winner count, final alive mask, last executed
+    iteration and, when traced, ``trace(row)``."""
+    survivors = np.count_nonzero(alive, axis=1)
+    return [
+        RunResult(
+            converged=at > 0,
+            convergence_iteration=at or None,
+            winners=won,
+            survivors=alive_at_end,
+            iterations_executed=last,
+            trace=None if trace is None else trace(row),
+        )
+        for row, (at, won, alive_at_end, last) in enumerate(zip(
+            converged_at.tolist(), winners.tolist(), survivors.tolist(), executed.tolist()
+        ))
+    ]
 
 
 def run(
@@ -481,16 +545,26 @@ def run(
 
     ``success_fn`` maps (best_positions, best_scores) to a boolean
     qualification mask per agent.  The run converges at the first
-    iteration where every alive agent qualifies, but always continues
-    to ``max_iters`` so late winners still count.  Winners are
+    iteration where every alive agent qualifies, and goes on to
+    ``max_iters`` so late winners still count.  Winners are
     qualifying agents in the final state, dead ones included;
     survivors are agents still alive.  Fully deterministic given
     ``config.seed`` (or an injected ``rand_fn``, which draws
     ``(B, count, lanes)`` arrays like :func:`make_rand_source`).
 
+    A row may stop stepping early, with the same results.  Where
+    ``success_fn`` has a ``settle_score`` attribute that is not ``None``
+    (a certificate that any best score above it qualifies, as
+    :func:`harness.success_predicate` attaches), a row whose every alive
+    agent scores above it has its final winners and convergence
+    iteration: bests never fall and the dead are frozen.  It leaves the
+    batch, and only its death draws go on, one per iteration, for its
+    survivors and iterations executed.  A traced run steps every row to
+    the end, since its best scores keep moving.
+
     A :class:`SwarmBatch` takes one graph per row and gives a
-    :class:`BatchResult`; ``success_fn`` then sees every row's agents
-    at once, as ``(B * N, d)`` and ``(B * N,)`` arrays.  One
+    :class:`BatchResult`; ``success_fn`` then sees the stepped rows'
+    agents at once, as ``(B * N, d)`` and ``(B * N,)`` arrays.  One
     :class:`SwarmConfig` and its graph run as a batch of one and give
     that row's :class:`RunResult`, so each row of a batch is, bit for
     bit, what ``run`` gives that row's config and graph alone.
@@ -510,14 +584,27 @@ def run(
     swarm = initialize(batch, objective, rand)
     death = np.array([c.death_prob for c in batch.configs], dtype=np.float64)
     alive, d = swarm.alive, swarm.dimension
+    settle_score = None if record_trace else getattr(success_fn, "settle_score", None)
 
     def qualified() -> np.ndarray:
         flat = success_fn(swarm.best_positions.reshape(-1, d), swarm.best_scores.ravel())
         return np.asarray(flat).reshape(alive.shape)
 
-    # per row; 0 means not converged
+    def source(rows: np.ndarray):
+        # the draws of the batch rows ``rows``: a row's draws depend on
+        # its own seed alone
+        if rand_fn is None:
+            return make_rand_source([batch.configs[row].seed for row in rows])
+        return lambda *args: rand_fn(*args)[rows]
+
+    # per stepped row: its batch row, its last executed iteration and
+    # its convergence iteration (0: not converged)
+    rows = np.arange(len(graphs))
     executed = np.zeros(len(graphs), dtype=np.int64)
     converged_at = np.zeros(len(graphs), dtype=np.int64)
+    # per leaving: the rows' (batch rows, iteration, convergence
+    # iterations, winners, alive masks, death probabilities)
+    left = []
     alive_counts, best_scores = [], []
     for iteration in range(1, shared.max_iters + 1):
         live = alive.any(axis=1)
@@ -525,7 +612,7 @@ def run(
             break
         executed[live] = iteration
         step(swarm, neighborhoods, objective, rand, iteration)
-        randomized_death(swarm, death, rand, iteration)
+        randomized_death(alive, death, rand, iteration)
         pending = (converged_at == 0) & alive.any(axis=1)
         if pending.any():
             done = pending & (qualified() | ~alive).all(axis=1)
@@ -533,28 +620,54 @@ def run(
         if record_trace:
             alive_counts.append(np.count_nonzero(alive, axis=1))
             best_scores.append(swarm.best_scores.max(axis=1))
-    winners = np.count_nonzero(qualified(), axis=1)
-    survivors = np.count_nonzero(alive, axis=1)
-    alive_counts, best_scores = np.array(alive_counts), np.array(best_scores)
+        if settle_score is not None:
+            settled = ((swarm.best_scores > settle_score) | ~alive).all(axis=1)
+            if settled.any():
+                # settled rows leave with their final winners; the rest
+                # step on, compacted
+                left.append((
+                    rows[settled], np.full(np.count_nonzero(settled), iteration),
+                    converged_at[settled], np.count_nonzero(qualified()[settled], axis=1),
+                    alive[settled], death[settled],
+                ))
+                keep = ~settled
+                rows, executed, converged_at = rows[keep], executed[keep], converged_at[keep]
+                if not rows.size:
+                    break
+                swarm, death = _take_rows(swarm, keep), death[keep]
+                alive = swarm.alive
+                neighborhoods = Neighborhoods([graphs[row] for row in rows])
+                rand = source(rows)
 
-    def result(row: int) -> RunResult:
+    results: dict[int, RunResult] = {}
+    if left:
+        batch_rows, left_at, converged, winners, left_alive, probs = (
+            np.concatenate(part) for part in zip(*left)
+        )
+        # a row that can no longer die stays alive to the end; the others
+        # play their deaths together
+        played = np.where(left_alive.any(axis=1), shared.max_iters, left_at)
+        dying = (probs > 0) & left_alive.any(axis=1)
+        if dying.any():
+            dying_alive = left_alive[dying]
+            played[dying] = _play_deaths(
+                dying_alive, probs[dying], source(batch_rows[dying]), left_at[dying],
+                shared.max_iters,
+            )
+            left_alive[dying] = dying_alive
+        results.update(zip(batch_rows.tolist(), _results(converged, winners, left_alive, played)))
+    if rows.size:
         trace = None
         if record_trace:
-            # a row's trace ends with its last executed iteration
-            span = int(executed[row])
-            trace = (
-                tuple(alive_counts[:span, row].tolist()),
-                tuple(best_scores[:span, row].tolist()),
-            )
-        at = int(converged_at[row])
-        return RunResult(
-            converged=at > 0,
-            convergence_iteration=at or None,
-            winners=int(winners[row]),
-            survivors=int(survivors[row]),
-            iterations_executed=int(executed[row]),
-            trace=trace,
-        )
+            # rows never leave a traced run; a row's trace ends with its
+            # last executed iteration
+            counts, scores = np.array(alive_counts), np.array(best_scores)
 
-    rows = tuple(result(row) for row in range(len(graphs)))
-    return rows[0] if single else BatchResult(rows)
+            def trace(row: int):
+                span = int(executed[row])
+                return tuple(counts[:span, row].tolist()), tuple(scores[:span, row].tolist())
+
+        winners = np.count_nonzero(qualified(), axis=1)
+        results.update(zip(rows.tolist(), _results(converged_at, winners, alive, executed, trace)))
+    ordered = tuple(results[row] for row in range(len(graphs)))
+    return ordered[0] if single else BatchResult(ordered)

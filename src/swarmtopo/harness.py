@@ -26,14 +26,14 @@ import json
 from collections import defaultdict
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from itertools import groupby, product
 from typing import NamedTuple
 import numpy as np
 
 from .engine import RunResult, SwarmBatch, SwarmConfig, run
 from .graph_metrics import average_geodesic, natural_connectivity
-from .objectives import ObjectiveSpec, _sum_rows
+from .objectives import ObjectiveSpec, _shekel_ceiling, _sum_rows
 from .topology import Graph, TopologySpec, build_topology
 
 __all__ = [
@@ -82,6 +82,38 @@ class SuccessCriterion:
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
 
 
+# the relative margin a certified Shekel bound gets: it covers the
+# rounding of the bound and of the kernel, each below 1e-14 relative
+_SETTLE_MARGIN = 1e-9
+
+
+@lru_cache(maxsize=64)
+def _settle_score(objective: ObjectiveSpec, mode: str, eps: float) -> float | None:
+    """A score above which a best always meets (mode, eps), or ``None``.
+
+    Only Shekel has one, from :func:`objectives._shekel_ceiling`.  In
+    ``position-radius`` mode it is the certified ceiling of Shekel outside
+    the ball of radius ``eps``, so a score above it lies inside the ball.
+    In ``value-gap`` mode the ceiling of Shekel everywhere must first be
+    at most the optimum value plus ``eps``; then any score above the
+    optimum value minus ``eps`` qualifies.  Both carry the margin, and
+    both lie below the optimum value.  Computed on the first call for a
+    key, never at import.
+    """
+    if objective.name != "shekel":
+        return None
+    top = objective.optimum_value
+    if mode == MODE_VALUE_GAP:
+        ceiling = _shekel_ceiling(0.0, top + eps)
+        if ceiling is None or ceiling * (1.0 + _SETTLE_MARGIN) > top + eps:
+            return None
+        return top - eps + _SETTLE_MARGIN * top
+    ceiling = _shekel_ceiling(eps, top)
+    if ceiling is None or ceiling * (1.0 + _SETTLE_MARGIN) >= top:
+        return None
+    return ceiling * (1.0 + _SETTLE_MARGIN)
+
+
 def success_predicate(criterion: SuccessCriterion, objective: ObjectiveSpec):
     """Bind criterion and objective into the engine's success callback.
 
@@ -92,6 +124,12 @@ def success_predicate(criterion: SuccessCriterion, objective: ObjectiveSpec):
     coordinate column at a time, in the order ``(gaps *
     gaps).sum(axis=1)`` adds them, so the mask is that formula's bit
     for bit.
+
+    The callback's ``settle_score`` attribute is a certificate for
+    :func:`engine.run`: any best score above it satisfies the criterion,
+    or it is ``None`` where none is known (every objective but Shekel,
+    and tolerances the bound cannot certify).  It is computed once per
+    (objective, mode, tolerance) and cached.
     """
     eps = criterion.tolerance
     if eps is None:
@@ -104,16 +142,19 @@ def success_predicate(criterion: SuccessCriterion, objective: ObjectiveSpec):
             values = best_scores if maximize else -best_scores
             return np.abs(values - optimum_value) <= eps
 
-        return within_gap
-    optimum = objective.optimum_location[:, None]
+        predicate = within_gap
+    else:
+        optimum = objective.optimum_location[:, None]
 
-    def within_radius(best_positions: np.ndarray, best_scores: np.ndarray) -> np.ndarray:
-        gaps = np.array(np.transpose(best_positions), dtype=np.float64, order="C")
-        gaps -= optimum
-        distance = _sum_rows(np.square(gaps, out=gaps))
-        return np.sqrt(distance, out=distance) <= eps
+        def within_radius(best_positions: np.ndarray, best_scores: np.ndarray) -> np.ndarray:
+            gaps = np.array(np.transpose(best_positions), dtype=np.float64, order="C")
+            gaps -= optimum
+            distance = _sum_rows(np.square(gaps, out=gaps))
+            return np.sqrt(distance, out=distance) <= eps
 
-    return within_radius
+        predicate = within_radius
+    predicate.settle_score = _settle_score(objective, criterion.mode, eps)
+    return predicate
 
 
 def death_fraction_to_prob(death_fraction: float, t: int) -> float:

@@ -124,6 +124,80 @@ def _shekel(columns: np.ndarray) -> np.ndarray:
     return _sum_rows(np.divide(1.0, sq, out=sq))
 
 
+# the Shekel ceiling's search: it gives up after this many cubes (its
+# temporaries stay below about 5 MB), and a cube splits while its bound
+# exceeds the best value seen by more than this share of the headroom
+# left below ``top``
+_CEILING_BOXES = 1 << 14
+_CEILING_SHARE = 0.05
+
+
+def _shekel_ceiling(radius: float, top: float) -> float | None:
+    """An upper bound below ``top`` on Shekel over every point of R^4 at
+    distance at least ``radius`` from the optimum location (4, 4, 4, 4),
+    or ``None`` where none is found.
+
+    A branch and bound over cubes covering the search box [0, 10]^4
+    minus the ball.  On a cube, term i is at most 1 / (dist^2 + c_i),
+    with dist the distance from centre a_i to the cube, raised to
+    ``radius - |a_i - a_0|`` where that is larger (the triangle
+    inequality; for a_0, the optimum, it is the radius).  A cube splits
+    into 16 while its bound exceeds L + share * (top - L), L the largest
+    value seen at a point outside the ball; the search gives up once L
+    reaches ``top``, or after ``_CEILING_BOXES`` cubes.
+
+    Positions outside the search box need no cubes: every centre lies
+    in the box, so projecting a point onto the box brings it nearer
+    every centre, and the projection of an outside point is outside the
+    ball, which must lie inside the box (``radius`` below 4).  The bound
+    is computed in floating point; the caller adds a margin for its
+    rounding.
+    """
+    centers, heights = _SHEKEL
+    landscape = _LANDSCAPES["shekel"]
+    centre = np.full(4, landscape.optimum_coordinate)
+    if not radius < min(centre[0] - landscape.lower, landscape.upper - centre[0]):
+        return None
+    floor = np.maximum(radius - np.sqrt(np.square(centers - centre).sum(axis=1)), 0.0)
+    halves = (np.arange(16)[:, None] >> np.arange(4)) & 1
+    size = landscape.upper - landscape.lower
+    lows = np.full((1, 4), landscape.lower)
+    seen, ceiling = -np.inf, -np.inf
+    cubes = 0
+    while len(lows):
+        cubes += len(lows)
+        if cubes > _CEILING_BOXES:
+            return None
+        highs = lows + size
+        # drop the cubes inside the ball, with a relative slack of 1e-12
+        far = np.maximum(np.abs(lows - centre), np.abs(highs - centre))
+        outside = np.square(far).sum(axis=1) >= radius * radius * (1.0 - 1e-12)
+        lows, highs = lows[outside], highs[outside]
+        # squared distances from every cube to every centre, one
+        # coordinate at a time, so that no temporary is 4 times as large
+        distance = np.zeros((len(lows), len(centers)))
+        for low, high, coordinate in zip(lows.T, highs.T, centers.T):
+            gap = np.maximum(low[:, None] - coordinate, coordinate - high[:, None])
+            distance += np.square(np.maximum(gap, 0.0, out=gap), out=gap)
+        np.maximum(distance, np.square(floor), out=distance)
+        bounds = (1.0 / (distance + heights)).sum(axis=1)
+        # each cube's point nearest the optimum, pushed out onto the sphere
+        offsets = np.clip(centre, lows, highs) - centre
+        lengths = np.sqrt(np.square(offsets).sum(axis=1))
+        inner = lengths == 0.0
+        offsets[inner, 0] = lengths[inner] = radius
+        grow = lengths < radius
+        offsets[grow] *= (radius / lengths[grow])[:, None]
+        seen = max(seen, _shekel(np.ascontiguousarray((centre + offsets).T)).max(initial=-np.inf))
+        if seen >= top:
+            return None
+        split = bounds > seen + _CEILING_SHARE * (top - seen)
+        ceiling = max(ceiling, bounds[~split].max(initial=-np.inf))
+        size /= 2.0
+        lows = (lows[split, None] + halves * size).reshape(-1, 4)
+    return ceiling
+
+
 def _ackley(columns: np.ndarray) -> np.ndarray:
     a, b, c = 20.0, 0.2, 2.0 * np.pi
     d = columns.shape[0]

@@ -38,7 +38,7 @@ from swarmtopo.engine import (
     run,
     step,
 )
-from swarmtopo.harness import SuccessCriterion, success_predicate
+from swarmtopo.harness import SUCCESS_MODES, SuccessCriterion, success_predicate
 from swarmtopo.objectives import OBJECTIVE_NAMES, default_spec
 from swarmtopo.topology import (
     TOPOLOGY_KINDS,
@@ -586,21 +586,21 @@ class TestDeathAndRun:
         config = SwarmConfig(n_agents=200, max_iters=1)
         objective = default_spec("rastrigin")
         swarm = initialize(SwarmBatch([config]), objective, rand)
-        randomized_death(swarm, np.array([0.1]), rand, 7)
+        randomized_death(swarm.alive, np.array([0.1]), rand, 7)
         expected = np.flatnonzero(rand(CHANNEL_DEATH, 7, 200)[0, :, 0] < 0.1).tolist()
         assert np.flatnonzero(~swarm.alive[0]).tolist() == expected
 
     def test_death_zero_probability(self):
         rand = make_rand_source([0])
         swarm = initialize(SwarmBatch([SwarmConfig(n_agents=50)]), default_spec("ackley"), rand)
-        randomized_death(swarm, np.array([0.0]), rand, 1)
+        randomized_death(swarm.alive, np.array([0.0]), rand, 1)
         assert swarm.alive.all()
 
     def test_dead_stay_dead(self):
         rand = make_rand_source([13])
         swarm = initialize(SwarmBatch([SwarmConfig(n_agents=100)]), default_spec("ackley"), rand)
         swarm.alive[0, :50] = False
-        randomized_death(swarm, np.array([0.9]), rand, 1)
+        randomized_death(swarm.alive, np.array([0.9]), rand, 1)
         # the dead are not revived; the alive half loses agents of its own
         assert not swarm.alive[0, :50].any()
         assert 0 < np.count_nonzero(swarm.alive[0, 50:]) < 50
@@ -749,6 +749,21 @@ class TestConfigValidation:
                              death_prob=np.float64(0.25), seed=np.int64(7))
         assert (config.n_agents, config.max_iters, config.seed) == (5, 3, 7)
 
+    @pytest.mark.parametrize("kind", [np.uint8, np.uint16, np.int8, np.int16, np.int64])
+    def test_numpy_integers_run_like_ints(self, kind):
+        # a uint8 max_iters of 255 once wrapped range(1, max_iters + 1) to
+        # nothing; the config keeps Python ints, so the run is the plain one
+        config = SwarmConfig(n_agents=kind(5), max_iters=kind(127), death_prob=0.01,
+                             seed=kind(9))
+        assert all(type(value) is int for value in (config.n_agents, config.max_iters, config.seed))
+        graph = graph_of("ring", node_count=5)
+        objective = default_spec("shekel")
+        plain = SwarmConfig(n_agents=5, max_iters=127, death_prob=0.01, seed=9)
+        assert run(config, graph, objective, _everyone) == run(plain, graph, objective, _everyone)
+        if np.iinfo(kind).max >= 255:
+            wide = SwarmConfig(n_agents=5, max_iters=kind(255))
+            assert run(wide, graph, objective, _everyone).iterations_executed == 255
+
 
 class TestDrawChannels:
     def test_run_draws_once_per_channel_and_iteration(self):
@@ -866,9 +881,141 @@ class TestBatch:
         batch = SwarmBatch([SwarmConfig(n_agents=50), SwarmConfig(n_agents=50, seed=1)])
         rand = make_rand_source([0, 1])
         swarm = initialize(batch, default_spec("ackley"), rand)
-        randomized_death(swarm, np.array([0.0, 0.5]), rand, 1)
+        randomized_death(swarm.alive, np.array([0.0, 0.5]), rand, 1)
         # row 0 cannot lose anyone
         assert swarm.alive[0].all() and not swarm.alive[1].all()
+
+
+def _stripped(predicate):
+    """The same predicate without its ``settle_score``: the oracle run
+    steps every row to the end."""
+    return lambda best_positions, best_scores: predicate(best_positions, best_scores)
+
+
+def _recording_step(monkeypatch):
+    """Patch ``engine.step`` to record the row count of every call."""
+    sizes = []
+    original = engine.step
+
+    def recorded(swarm, *args):
+        sizes.append(swarm.best_scores.shape[0])
+        return original(swarm, *args)
+
+    monkeypatch.setattr(engine, "step", recorded)
+    return sizes
+
+
+# success tolerances per mode: certified ones, and ones too small or too
+# large to certify (None is the default, 0.1)
+_TOLERANCES = {
+    "position-radius": (None, 0.5, 1.5, 3.0, 1e-3, 6.0),
+    "value-gap": (None, 0.5, 2.0, 8.0, 1e-5),
+}
+
+
+class TestSettledRows:
+    """A row whose every alive agent scores above the predicate's
+    ``settle_score`` leaves the stepped batch; the oracle is the same
+    run with the certificate stripped, which steps every row."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(mixed=_mixed_graphs(), data=st.data())
+    def test_leaving_changes_no_result(self, mixed, data):
+        n, graphs = mixed
+        objective = default_spec("shekel")
+        mode = data.draw(st.sampled_from(SUCCESS_MODES))
+        tolerance = data.draw(st.sampled_from(_TOLERANCES[mode]))
+        qualifies = success_predicate(SuccessCriterion(mode, tolerance), objective)
+        max_iters = 60
+        configs = [
+            SwarmConfig(
+                n_agents=n,
+                max_iters=max_iters,
+                # loss fractions 0 to 0.3 by the last iteration, and a
+                # fast one that can end a row
+                death_prob=data.draw(st.sampled_from(
+                    (0.0, 1 - 0.9 ** (1 / max_iters), 1 - 0.7 ** (1 / max_iters), 0.1)
+                )),
+                seed=data.draw(st.integers(0, 2**64 - 1)),
+            )
+            for _ in graphs
+        ]
+        batch = SwarmBatch(configs)
+        oracle = run(batch, graphs, objective, _stripped(qualifies))
+        assert run(batch, graphs, objective, qualifies) == oracle
+        # each row alone, and the draws injected
+        for config, graph, row in zip(configs, graphs, oracle.rows):
+            assert run(config, graph, objective, qualifies) == row
+        source = make_rand_source([config.seed for config in configs])
+        injected = run(batch, graphs, objective, qualifies, rand_fn=lambda *a: source(*a))
+        assert injected == oracle
+
+    def test_rows_leave_at_different_iterations(self, monkeypatch):
+        # the complete row leaves after iteration 39 and the small-world
+        # row after 52, while the ring and star rows step to the end
+        objective = default_spec("shekel")
+        qualifies = success_predicate(SuccessCriterion(tolerance=1.0), objective)
+        graphs = [
+            graph_of("complete", node_count=20),
+            graph_of("ring", node_count=20),
+            graph_of("star", node_count=20),
+            graph_of("small-world", node_count=20, degree=4, rewire_prob=0.2, seed=3),
+        ]
+        batch = SwarmBatch([
+            SwarmConfig(n_agents=20, max_iters=150, death_prob=p, seed=k)
+            for k, p in enumerate((0.0, 0.01, 0.0, 0.01))
+        ])
+        sizes = _recording_step(monkeypatch)
+        result = run(batch, graphs, objective, qualifies)
+        assert sizes == [4] * 39 + [3] * 13 + [2] * 98
+        assert result == run(batch, graphs, objective, _stripped(qualifies))
+        # the small-world row lost agents after it left
+        complete, _, _, small_world = result.rows
+        assert (complete.convergence_iteration, complete.iterations_executed) == (28, 150)
+        assert small_world.convergence_iteration == 42
+        assert small_world.survivors < small_world.winners < 20
+
+    def test_a_batch_whose_rows_all_leave(self, monkeypatch):
+        # a value gap of 10 qualifies any score above 0.53: every row
+        # leaves within 18 iterations, and the rows that lose agents play
+        # their deaths to the end or to extinction
+        objective = default_spec("shekel")
+        qualifies = success_predicate(SuccessCriterion("value-gap", 10.0), objective)
+        graphs = [graph_of("complete", node_count=10)] * 3
+        batch = SwarmBatch([
+            SwarmConfig(n_agents=10, max_iters=200, death_prob=p, seed=k)
+            for k, p in enumerate((0.0, 0.005, 0.05))
+        ])
+        sizes = _recording_step(monkeypatch)
+        result = run(batch, graphs, objective, qualifies)
+        assert len(sizes) == 18
+        assert result == run(batch, graphs, objective, _stripped(qualifies))
+        assert [row.iterations_executed for row in result.rows] == [200, 200, 87]
+        assert [row.survivors for row in result.rows] == [10, 3, 0]
+
+    def test_traced_run_steps_every_row(self, monkeypatch):
+        objective = default_spec("shekel")
+        qualifies = success_predicate(SuccessCriterion(tolerance=1.0), objective)
+        config = SwarmConfig(n_agents=20, max_iters=80, seed=0)
+        graph = graph_of("complete", node_count=20)
+        sizes = _recording_step(monkeypatch)
+        traced = run(config, graph, objective, qualifies, record_trace=True)
+        assert len(sizes) == 80
+        assert traced == run(config, graph, objective, _stripped(qualifies), record_trace=True)
+
+    def test_no_certificate_builds_one_source(self, monkeypatch):
+        # rastrigin has no settle score: one source, and no row ever leaves
+        objective = default_spec("rastrigin")
+        qualifies = success_predicate(SuccessCriterion(), objective)
+        assert qualifies.settle_score is None
+        sources = []
+        original = engine.make_rand_source
+        monkeypatch.setattr(engine, "make_rand_source",
+                            lambda seeds: sources.append(seeds) or original(seeds))
+        monkeypatch.setattr(engine, "_take_rows", None)
+        batch = SwarmBatch([SwarmConfig(n_agents=16, max_iters=60, seed=k) for k in range(3)])
+        run(batch, [graph_of("complete", node_count=16)] * 3, objective, qualifies)
+        assert sources == [[0, 1, 2]]
 
 
 def _coordinate_major_ok(array: np.ndarray) -> bool:
@@ -926,7 +1073,7 @@ class TestStateLayout:
         for iteration in range(1, 51):
             for swarm in (columns, rows):
                 step(swarm, hoods, objective, rand, iteration)
-                randomized_death(swarm, probs, rand, iteration)
+                randomized_death(swarm.alive, probs, rand, iteration)
             for field in _STATE_FIELDS:
                 # tobytes reads both in C order: equal bytes are equal bits
                 expected = getattr(columns, field).tobytes()

@@ -157,6 +157,121 @@ class TestSuccessCriterion:
         assert not _mask_at([[0.0, 0.0, 0.0, 0.0]] * 3, objective).any()
 
 
+def _sphere(radius, count, seed):
+    """``count`` points of R^4 at distance ``radius`` from Shekel's
+    optimum; ``radius`` may be one per point."""
+    directions = np.random.default_rng(seed).normal(size=(count, 4))
+    directions /= np.sqrt((directions * directions).sum(axis=1))[:, None]
+    return default_spec("shekel").optimum_location + np.reshape(radius, (-1, 1)) * directions
+
+
+def _shekel_maxima(eps, starts, seed):
+    """Local maxima of Shekel outside the ball of radius ``eps`` about the
+    optimum, by SLSQP from ``starts`` random points of [-2, 12]^4 (scipy
+    is a test-only oracle); only the points that keep the constraint."""
+    from scipy.optimize import minimize
+
+    objective = default_spec("shekel")
+    centre = objective.optimum_location
+    rng = np.random.default_rng(seed)
+    found = []
+    for start in rng.uniform(-2.0, 12.0, size=(starts, 4)):
+        constraints = (
+            [{"type": "ineq", "fun": lambda x: np.sum((x - centre) ** 2) - eps * eps}]
+            if eps > 0 else []
+        )
+        done = minimize(lambda x: -objective.evaluate(x), start, method="SLSQP",
+                        constraints=constraints)
+        if np.sqrt(np.sum((done.x - centre) ** 2)) >= eps:
+            found.append(objective.evaluate(done.x))
+    assert len(found) > starts // 2
+    return np.array(found)
+
+
+class TestSettleScore:
+    """``settle_score``: any best score above it satisfies the criterion.
+
+    The oracles are the kernel on dense samples and scipy's local
+    maximizers; none of them may reach the certified score.
+    """
+
+    shekel = default_spec("shekel")
+
+    def _score(self, mode="position-radius", tolerance=None):
+        return success_predicate(SuccessCriterion(mode, tolerance), self.shekel).settle_score
+
+    @pytest.mark.parametrize("eps", [0.1, 0.03, 0.5, 2.0])
+    def test_radius_score_bounds_shekel_outside_the_ball(self, eps):
+        score = self._score(tolerance=eps)
+        assert score is not None and score < self.shekel.optimum_value
+        rng = np.random.default_rng(7)
+        centre = self.shekel.optimum_location
+        # the sphere itself, a shell outside it, and far points, most of
+        # them outside the search box
+        shell = _sphere(rng.uniform(eps, 1.5 * eps, 50_000), 50_000, 1)
+        far = rng.uniform(-5.0, 15.0, size=(200_000, 4))
+        far = far[np.sqrt(((far - centre) ** 2).sum(axis=1)) >= eps]
+        for points in (_sphere(eps, 200_000, 0), shell, far):
+            assert self.shekel.evaluate_many(points).max() < score
+        assert _shekel_maxima(eps, 40, 3).max() < score
+
+    def test_default_radius_score(self):
+        # 0.1 is 0.5% of the box diagonal; the sphere peaks near 9.646
+        score = self._score()
+        assert score == self._score(tolerance=0.1)
+        sphere_max = self.shekel.evaluate_many(_sphere(0.1, 200_000, 4)).max()
+        assert 9.64 < sphere_max < score < 9.70
+
+    def test_score_above_certificate_qualifies(self):
+        # a best scoring above the score lies inside the ball
+        score = self._score()
+        qualifies = success_predicate(SuccessCriterion(), self.shekel)
+        points = self.shekel.optimum_location + np.random.default_rng(5).uniform(
+            -0.1, 0.1, size=(400_000, 4)
+        )
+        values = self.shekel.evaluate_many(points)
+        above = values > score
+        assert above.any() and not above.all()
+        assert qualifies(points[above], values[above]).all()
+
+    @pytest.mark.parametrize("eps", [0.1, 0.01, 0.005, 5.0])
+    def test_value_gap_score_at_its_boundary(self, eps):
+        optimum = self.shekel.optimum_value
+        score = self._score("value-gap", eps)
+        assert optimum - eps < score < optimum
+        qualifies = success_predicate(SuccessCriterion("value-gap", eps), self.shekel)
+        # from just above the score to the highest value Shekel reaches
+        highest = _shekel_maxima(0.0, 20, 6).max()
+        assert highest <= optimum + eps
+        scores = np.array([np.nextafter(score, np.inf), optimum, highest])
+        assert qualifies(np.zeros((3, 4)), scores).all()
+        # the score is as low as the boundary allows, up to the margin
+        assert score - (optimum - eps) <= 2e-9 * optimum
+
+    @pytest.mark.parametrize("mode, eps", [
+        ("position-radius", 1e-3),   # the ball misses Shekel's true maximizer
+        ("position-radius", 4.0),    # the ball reaches the edge of the box
+        ("position-radius", 10.0),
+        ("value-gap", 1e-5),         # Shekel rises above its value at (4, 4, 4, 4)
+    ])
+    def test_uncertifiable_tolerances_have_no_score(self, mode, eps):
+        assert self._score(mode, eps) is None
+
+    @pytest.mark.parametrize("name", ["ackley", "griewank", "schwefel", "rastrigin"])
+    @pytest.mark.parametrize("mode", ["position-radius", "value-gap"])
+    def test_other_objectives_have_no_score(self, name, mode):
+        criterion = SuccessCriterion(mode)
+        assert success_predicate(criterion, default_spec(name)).settle_score is None
+
+    def test_score_is_computed_once_per_key(self):
+        harness._settle_score.cache_clear()
+        for _ in range(3):
+            self._score()
+            self._score("value-gap", 0.1)
+        info = harness._settle_score.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
+
+
 class TestDeathConversion:
     def test_pinned_inversions(self):
         p15 = death_fraction_to_prob(0.15, 500)

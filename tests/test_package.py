@@ -102,3 +102,22 @@ def test_import_loads_no_process_pool():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_import_and_plan_parsing_compute_no_certificate():
+    # a settle score costs milliseconds; it is computed when a run asks
+    # for its predicate, never at import or while a plan is parsed
+    source = Path(swarmtopo.__file__).resolve().parents[1]
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    probe = (
+        f"import sys; sys.path[:0] = [{str(source)!r}, {str(bench)!r}]; "
+        "import swarmtopo, swarmtopo.cli, workloads; "
+        "from swarmtopo import harness, plans; "
+        "plan = plans.parse_plan(workloads.PaperSweep().plan_text(1)); "
+        "assert plan.objectives[0].name == 'shekel'; "
+        "print(harness._settle_score.cache_info().currsize)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "0"
