@@ -54,13 +54,17 @@ Cost per iteration, for B rows of N agents in dimension d:
   order, and the ``(B, N, 1)`` draws and the alive and improved masks
   broadcast along contiguous rows rather than over rows of d = 2 or 4;
 * leader selection: an agent's candidates are itself and its
-  neighbours.  The scores are gathered through one flat CSR over the
-  rows' candidate sets (:class:`Neighborhoods`), then reduced by one
-  segmented max and the lowest index among each segment's maxima.
-  That is O(sum over rows of N + E), where a row with E edges holds
-  2E + N candidate entries, so a hub costs its own degree and no
-  other row pads to it.  A complete row has one leader, found by an
-  O(N) argmax with no gather;
+  neighbours.  The scores are gathered through one flat CSR of
+  candidate segments (:class:`Neighborhoods`), reduced by one
+  segmented max and the lowest index among each segment's maxima, and
+  each agent reads its segment's leader.  A row with E edges holds
+  2E + N entries, one segment per agent, so a hub costs its own degree
+  and no other row pads to it; a complete row is one segment of its N
+  agents, which they all share.  That is O(sum over rows of N + E) for
+  the other rows and O(N) for a complete one;
+* the success check runs only on iterations where a row not yet
+  converged has every alive agent at or above the predicate's
+  ``floor_score`` (see :func:`run`), and then on every stepped row;
 * the uniform draws are computed ahead, a block of up to K
   iterations per (channel, count, lanes) at a time: three in-place
   vector splitmix64 rounds over the K * B keys, the K * B * N and the
@@ -69,8 +73,10 @@ Cost per iteration, for B rows of N agents in dimension d:
   B = 10, N = 100), so a draw call is mostly a dictionary lookup that
   returns a read-only view of one iteration;
 * a row that has settled (see :func:`run`) costs no stepping: it has
-  left the batch, and only its death draws go on, one per iteration
-  for all settled rows with losses at once, after the loop.
+  left the batch, and only its death draws go on, for all settled rows
+  with losses at once, after the loop.  They are played a block of
+  iterations at a time: each alive agent's first draw below its row's
+  probability in the block is its death.
 
 At N=100 one swarm's iteration is mostly fixed per-call numpy
 overhead, which a batch shares among its rows; the coordinate-major
@@ -340,30 +346,38 @@ class Neighborhoods:
     """The leader-candidate sets of B graphs over N agents, flattened once.
 
     An agent's candidates are itself and its neighbours.  Agent ``i`` of
-    row ``b`` is flat agent ``b * N + i``.  The rows' candidate sets
-    (:attr:`Graph.candidates`) are laid end to end as one CSR whose
-    indices are offset by row, so a hub costs its own degree and no
-    other row pads to it.  A complete graph joins no CSR: its agents
-    share one leader, one argmax over the row.
+    row ``b`` is flat agent ``b * N + i``.  The rows' candidate segments
+    are laid end to end as one CSR whose indices are offset by row, and
+    every agent reads the leader of its own segment.  A row's segments
+    are its nodes' candidate sets (:attr:`Graph.candidates`), so a hub
+    costs its own degree and no other row pads to it; a complete row is
+    one segment of its N agents, which they all share, and never builds
+    the N² entries of its candidate sets.
     """
 
     def __init__(self, graphs) -> None:
         graphs = tuple(graphs)
         n = self.node_count = graphs[0].node_count
-        full = [graph.is_complete for graph in graphs]
-        self._full_rows = np.flatnonzero(full)
         self._self = np.arange(len(graphs) * n)
-        self._indices = None
-        sparse = [row for row, is_full in enumerate(full) if not is_full]
-        if sparse:
-            parts = [graphs[row].candidates for row in sparse]
-            counts = np.concatenate([np.diff(indptr) for indptr, _ in parts])
-            self._owners = (np.array(sparse)[:, None] * n + np.arange(n)).ravel()
-            self._starts = np.cumsum(counts) - counts
-            self._segments = np.repeat(np.arange(counts.size), counts)
-            self._indices = np.concatenate(
-                [indices + row * n for row, (_, indices) in zip(sparse, parts)]
-            )
+        counts, indices, owners = [], [], []
+        first = 0  # the row's first segment
+        for row, graph in enumerate(graphs):
+            if graph.is_complete:
+                counts.append([n])
+                indices.append(self._self[row * n : (row + 1) * n])
+                owners.append(np.full(n, first))
+            else:
+                indptr, local = graph.candidates
+                counts.append(np.diff(indptr))
+                indices.append(local + row * n)
+                owners.append(np.arange(first, first + n))
+            first += len(counts[-1])
+        counts = np.concatenate(counts)
+        self._starts = np.cumsum(counts) - counts
+        self._segments = np.repeat(np.arange(counts.size), counts)
+        self._indices = np.concatenate(indices)
+        # the segment every flat agent reads its leader from
+        self._owners = np.concatenate(owners)
 
     def _gather(self, masked: np.ndarray) -> np.ndarray:
         # the lowest-index best candidate of every CSR segment
@@ -384,14 +398,7 @@ class Neighborhoods:
         """
         alive = alive.ravel()
         masked = np.where(alive, scores.ravel(), -np.inf)
-        # every row is complete or in the CSR, so every entry is written
-        leaders = np.empty_like(self._self)
-        if self._indices is not None:
-            leaders[self._owners] = self._gather(masked)
-        if self._full_rows.size:
-            n, rows = self.node_count, self._full_rows
-            top = masked.reshape(-1, n)[rows].argmax(axis=1) + rows * n
-            leaders.reshape(-1, n)[rows] = top[:, None]
+        leaders = self._gather(masked)[self._owners]
         # a dead leader means every candidate is dead (they all score -inf)
         return np.where(alive[leaders], leaders, self._self)
 
@@ -468,12 +475,11 @@ def randomized_death(
     alive: np.ndarray, probs: np.ndarray, rand_fn, iteration: int
 ) -> np.ndarray:
     """Independent per-agent deactivation of a ``(B, N)`` alive mask,
-    in place: alive agents of row ``b`` whose draw is below ``probs[b]``
-    die.  ``probs`` is the float64 ``(B,)`` array that :func:`run` builds
-    once from the rows' validated ``death_prob``."""
+    in place: alive agents of row ``b`` whose draw is below ``probs[b, 0]``
+    die.  ``probs`` is the float64 ``(B, 1)`` column that :func:`run`
+    builds once from the rows' validated ``death_prob``."""
     if probs.any():
-        draws = rand_fn(CHANNEL_DEATH, iteration, alive.shape[1])[..., 0]
-        alive &= draws >= probs[:, None]
+        alive &= rand_fn(CHANNEL_DEATH, iteration, alive.shape[1])[..., 0] >= probs
     return alive
 
 
@@ -499,17 +505,33 @@ def _play_deaths(
     """The last iteration each row executes, for rows that stopped
     stepping with agents alive, row ``r`` after iteration ``left_at[r]``:
     from there to ``max_iters`` or its extinction it draws the death
-    channel alone, in place on ``alive``.  All rows play from the
-    earliest ``left_at`` on, so a row that left later draws again the
-    iterations it stepped through; that kills no one, since a draw
-    depends on its coordinates alone."""
+    channel alone, in place on ``alive``, with death probabilities the
+    ``(B, 1)`` column ``probs``.
+
+    The iterations are played a block at a time: an alive agent dies at
+    its first draw below its row's probability in the block, and a row
+    executes up to the last iteration that one of its agents starts
+    alive.  All rows play from the earliest ``left_at`` on, so a row that
+    left later draws again the iterations it stepped through; that kills
+    no one, since a draw depends on its coordinates alone, and its
+    ``left_at`` stays its floor."""
     executed = left_at.copy()
-    for iteration in range(int(left_at.min()) + 1, max_iters + 1):
-        live = alive.any(axis=1)
-        if not live.any():
-            break
-        executed[live] = iteration
-        randomized_death(alive, probs, rand_fn, iteration)
+    n = alive.shape[1]
+    span = max(1, _BLOCK_WORDS // alive.size)
+    first = int(left_at.min()) + 1
+    while first <= max_iters and alive.any():
+        stop = min(first + span, max_iters + 1)
+        # (B, N, K): each agent's draws of the block, contiguous
+        dies = np.concatenate(
+            [rand_fn(CHANNEL_DEATH, iteration, n) for iteration in range(first, stop)], axis=2
+        ) < probs[..., None]
+        died = dies.any(axis=2)
+        # the last iteration each alive agent starts alive: its first
+        # draw below the probability, or the block's last iteration
+        last = np.where(died, dies.argmax(axis=2) + first, stop - 1)
+        np.maximum(executed, np.where(alive, last, 0).max(axis=1), out=executed)
+        alive &= ~died
+        first = stop
     return executed
 
 
@@ -552,15 +574,19 @@ def run(
     ``config.seed`` (or an injected ``rand_fn``, which draws
     ``(B, count, lanes)`` arrays like :func:`make_rand_source`).
 
-    A row may stop stepping early, with the same results.  Where
-    ``success_fn`` has a ``settle_score`` attribute that is not ``None``
-    (a certificate that any best score above it qualifies, as
-    :func:`harness.success_predicate` attaches), a row whose every alive
+    ``success_fn`` may carry two certificates, as
+    :func:`harness.success_predicate` attaches; either may be ``None``
+    or absent, and neither changes a result.  Below ``floor_score`` no
+    best score qualifies: for the convergence check, ``success_fn`` is
+    called, on every stepped row, only on iterations where some row not
+    yet converged has every alive agent at or above it.  Above
+    ``settle_score`` every best score qualifies: a row whose every alive
     agent scores above it has its final winners and convergence
-    iteration: bests never fall and the dead are frozen.  It leaves the
-    batch, and only its death draws go on, one per iteration, for its
-    survivors and iterations executed.  A traced run steps every row to
-    the end, since its best scores keep moving.
+    iteration, since bests never fall and the dead are frozen.  It
+    leaves the batch, and only its death draws go on, played a block of
+    iterations at a time, for its survivors and iterations executed.  A
+    traced run steps every row to the end, since its best scores keep
+    moving.
 
     A :class:`SwarmBatch` takes one graph per row and gives a
     :class:`BatchResult`; ``success_fn`` then sees the stepped rows'
@@ -582,9 +608,12 @@ def run(
     neighborhoods = Neighborhoods(graphs)
     rand = rand_fn or make_rand_source([c.seed for c in batch.configs])
     swarm = initialize(batch, objective, rand)
-    death = np.array([c.death_prob for c in batch.configs], dtype=np.float64)
+    # one death probability per row, a column against the (B, N) masks
+    death = np.array([[c.death_prob] for c in batch.configs], dtype=np.float64)
     alive, d = swarm.alive, swarm.dimension
+    floor_score = getattr(success_fn, "floor_score", None)
     settle_score = None if record_trace else getattr(success_fn, "settle_score", None)
+    certified = floor_score is not None or settle_score is not None
 
     def qualified() -> np.ndarray:
         flat = success_fn(swarm.best_positions.reshape(-1, d), swarm.best_scores.ravel())
@@ -597,41 +626,57 @@ def run(
             return make_rand_source([batch.configs[row].seed for row in rows])
         return lambda *args: rand_fn(*args)[rows]
 
-    # per stepped row: its batch row, its last executed iteration and
-    # its convergence iteration (0: not converged)
+    # per stepped row: its batch row, its last executed iteration, its
+    # convergence iteration (0: not converged), whether it has not
+    # converged yet and whether it has agents alive
     rows = np.arange(len(graphs))
     executed = np.zeros(len(graphs), dtype=np.int64)
     converged_at = np.zeros(len(graphs), dtype=np.int64)
+    open_rows = np.ones(len(graphs), dtype=bool)
+    live = np.ones(len(graphs), dtype=bool)
     # per leaving: the rows' (batch rows, iteration, convergence
     # iterations, winners, alive masks, death probabilities)
     left = []
     alive_counts, best_scores = [], []
     for iteration in range(1, shared.max_iters + 1):
-        live = alive.any(axis=1)
         if not live.any():
             break
         executed[live] = iteration
         step(swarm, neighborhoods, objective, rand, iteration)
         randomized_death(alive, death, rand, iteration)
-        pending = (converged_at == 0) & alive.any(axis=1)
+        live = alive.any(axis=1)
+        # each row's lowest best score among its alive agents (inf: none),
+        # which both certificates are checked against
+        if certified:
+            lowest = np.where(alive, swarm.best_scores, np.inf).min(axis=1)
+        # the success mask of this iteration, once asked for
+        mask = None
+        pending = open_rows & live
+        if floor_score is not None:
+            pending &= lowest >= floor_score
         if pending.any():
-            done = pending & (qualified() | ~alive).all(axis=1)
+            mask = qualified()
+            done = pending & (mask | ~alive).all(axis=1)
             converged_at[done] = iteration
+            open_rows[done] = False
         if record_trace:
             alive_counts.append(np.count_nonzero(alive, axis=1))
             best_scores.append(swarm.best_scores.max(axis=1))
         if settle_score is not None:
-            settled = ((swarm.best_scores > settle_score) | ~alive).all(axis=1)
+            settled = lowest > settle_score
             if settled.any():
                 # settled rows leave with their final winners; the rest
                 # step on, compacted
+                if mask is None:
+                    mask = qualified()
                 left.append((
                     rows[settled], np.full(np.count_nonzero(settled), iteration),
-                    converged_at[settled], np.count_nonzero(qualified()[settled], axis=1),
+                    converged_at[settled], np.count_nonzero(mask[settled], axis=1),
                     alive[settled], death[settled],
                 ))
                 keep = ~settled
                 rows, executed, converged_at = rows[keep], executed[keep], converged_at[keep]
+                open_rows, live = open_rows[keep], live[keep]
                 if not rows.size:
                     break
                 swarm, death = _take_rows(swarm, keep), death[keep]
@@ -647,7 +692,7 @@ def run(
         # a row that can no longer die stays alive to the end; the others
         # play their deaths together
         played = np.where(left_alive.any(axis=1), shared.max_iters, left_at)
-        dying = (probs > 0) & left_alive.any(axis=1)
+        dying = (probs[:, 0] > 0) & left_alive.any(axis=1)
         if dying.any():
             dying_alive = left_alive[dying]
             played[dying] = _play_deaths(

@@ -33,7 +33,7 @@ import numpy as np
 
 from .engine import RunResult, SwarmBatch, SwarmConfig, run
 from .graph_metrics import average_geodesic, natural_connectivity
-from .objectives import ObjectiveSpec, _shekel_ceiling, _sum_rows
+from .objectives import ObjectiveSpec, _shekel_ceiling, _sum_rows, shekel_params
 from .topology import Graph, TopologySpec, build_topology
 
 __all__ = [
@@ -83,7 +83,8 @@ class SuccessCriterion:
 
 
 # the relative margin a certified Shekel bound gets: it covers the
-# rounding of the bound and of the kernel, each below 1e-14 relative
+# rounding of the bound, of the kernel and of the success check, each
+# below 1e-14 relative
 _SETTLE_MARGIN = 1e-9
 
 
@@ -114,6 +115,27 @@ def _settle_score(objective: ObjectiveSpec, mode: str, eps: float) -> float | No
     return ceiling * (1.0 + _SETTLE_MARGIN)
 
 
+@lru_cache(maxsize=64)
+def _floor_score(objective: ObjectiveSpec, mode: str, eps: float) -> float | None:
+    """A score below which no best meets (mode, eps), or ``None``.
+
+    Only Shekel has one.  In ``position-radius`` mode a point within
+    ``eps`` of the optimum location x* lies within ``|a_i - x*| + eps``
+    of every centre a_i (the triangle inequality), so Shekel there is at
+    least the sum of 1 / ((|a_i - x*| + eps)^2 + c_i).  In ``value-gap``
+    mode it is the optimum value minus ``eps``.  Both carry the margin,
+    downwards.  Computed on the first call for a key, never at import.
+    """
+    if objective.name != "shekel":
+        return None
+    top = objective.optimum_value
+    if mode == MODE_VALUE_GAP:
+        return top - eps - _SETTLE_MARGIN * top
+    centers, heights = shekel_params()
+    reach = np.sqrt(np.square(centers - objective.optimum_location).sum(axis=1)) + eps
+    return float((1.0 / (reach * reach + heights)).sum()) * (1.0 - _SETTLE_MARGIN)
+
+
 def success_predicate(criterion: SuccessCriterion, objective: ObjectiveSpec):
     """Bind criterion and objective into the engine's success callback.
 
@@ -125,11 +147,12 @@ def success_predicate(criterion: SuccessCriterion, objective: ObjectiveSpec):
     gaps).sum(axis=1)`` adds them, so the mask is that formula's bit
     for bit.
 
-    The callback's ``settle_score`` attribute is a certificate for
-    :func:`engine.run`: any best score above it satisfies the criterion,
-    or it is ``None`` where none is known (every objective but Shekel,
-    and tolerances the bound cannot certify).  It is computed once per
-    (objective, mode, tolerance) and cached.
+    The callback carries two certificates for :func:`engine.run`.  Any
+    best score above its ``settle_score`` satisfies the criterion, and
+    none below its ``floor_score`` does.  Each is ``None`` where none is
+    known: every objective but Shekel has neither, and Shekel has no
+    settle score at tolerances the bound cannot certify.  Each is
+    computed once per (objective, mode, tolerance) and cached.
     """
     eps = criterion.tolerance
     if eps is None:
@@ -147,13 +170,14 @@ def success_predicate(criterion: SuccessCriterion, objective: ObjectiveSpec):
         optimum = objective.optimum_location[:, None]
 
         def within_radius(best_positions: np.ndarray, best_scores: np.ndarray) -> np.ndarray:
-            gaps = np.array(np.transpose(best_positions), dtype=np.float64, order="C")
-            gaps -= optimum
+            # the engine's coordinate-major bests transpose to contiguous rows
+            gaps = np.subtract(np.transpose(best_positions), optimum, dtype=np.float64)
             distance = _sum_rows(np.square(gaps, out=gaps))
             return np.sqrt(distance, out=distance) <= eps
 
         predicate = within_radius
     predicate.settle_score = _settle_score(objective, criterion.mode, eps)
+    predicate.floor_score = _floor_score(objective, criterion.mode, eps)
     return predicate
 
 
@@ -310,9 +334,10 @@ _CHUNK_BYTES = 1 << 20
 def _row_bytes(cell: _Cell) -> int:
     # about ten (N, d) float arrays of state and temporaries, plus the
     # leader gather's values, indices and segment ids per candidate
+    # entry: a complete row is one segment of its N agents
     graph = cell.graph
     n = graph.node_count
-    entries = 0 if graph.is_complete else 2 * graph.edge_count + n
+    entries = n if graph.is_complete else 2 * graph.edge_count + n
     return 8 * (10 * n * cell.objective.dimension + 3 * entries)
 
 

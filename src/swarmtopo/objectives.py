@@ -86,8 +86,8 @@ def _sum_rows(rows: np.ndarray) -> np.ndarray:
     """
     m = rows.shape[0]
     if m < 8:
-        total = rows[0].copy()
-        for row in rows[1:]:
+        total = rows[0] + rows[1] if m > 1 else rows[0].copy()
+        for row in rows[2:]:
             total += row
         return total
     if m > 128:

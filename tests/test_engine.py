@@ -81,6 +81,18 @@ def dense_leaders(graph: Graph, scores: np.ndarray, alive: np.ndarray) -> np.nda
     return np.where(eligible.any(axis=1), leaders, np.arange(n))
 
 
+def brute_force_leader(graph: Graph, scores, alive, agent: int) -> int:
+    """Per-agent oracle on plain Python values: the alive candidate
+    (the agent or a neighbour) with the highest score, the lowest index
+    among equals; the agent itself when no candidate is alive."""
+    best = None
+    for other in range(graph.node_count):
+        if (other == agent or graph.adjacency[agent, other]) and alive[other]:
+            if best is None or scores[other] > scores[best]:
+                best = other
+    return agent if best is None else best
+
+
 def _hoods(graph: Graph) -> Neighborhoods:
     return Neighborhoods((graph,))
 
@@ -567,6 +579,58 @@ class TestLeaderTable:
         assert star.candidates is star.candidates
         assert not any(array.flags.writeable for array in star.candidates)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_batch_matches_per_agent_brute_force(self, data):
+        # complete, star, ring and random rows in one batch, with scores
+        # from a few values (ties), some rows' top scorers killed (dead
+        # leaders) and some rows mostly dead (all-dead neighbourhoods)
+        n = data.draw(st.integers(3, 9))
+        kinds = data.draw(st.lists(
+            st.sampled_from(["complete", "star", "ring", "random"]), min_size=1, max_size=5
+        ))
+        graphs = [
+            graph_of(kind, node_count=n, edge_prob=0.3, seed=data.draw(st.integers(0, 99)))
+            if kind == "random" else graph_of(kind, node_count=n)
+            for kind in kinds
+        ]
+        scores = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 3).map(float), min_size=n, max_size=n),
+            min_size=len(graphs), max_size=len(graphs),
+        )))
+        alive_share = data.draw(st.lists(
+            st.sampled_from([0.0, 0.3, 0.8, 1.0]), min_size=len(graphs), max_size=len(graphs)
+        ))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        alive = rng.random((len(graphs), n)) < np.array(alive_share)[:, None]
+        for row in data.draw(st.sets(st.integers(0, len(graphs) - 1))):
+            alive[row, np.flatnonzero(scores[row] == scores[row].max())] = False
+        leaders = Neighborhoods(graphs).leaders(scores, alive)
+        expected = [
+            row * n + brute_force_leader(graph, scores[row], alive[row], agent)
+            for row, graph in enumerate(graphs)
+            for agent in range(n)
+        ]
+        assert leaders.tolist() == expected
+
+    def test_complete_row_tie_goes_to_the_lower_index(self):
+        # agents 2 and 4 share the top score; in a batch beside a ring row
+        graphs = [graph_of("ring", node_count=5), graph_of("complete", node_count=5)]
+        scores = np.array([[0.0] * 5, [1.0, 0.0, 7.0, 3.0, 7.0]])
+        leaders = Neighborhoods(graphs).leaders(scores, np.ones((2, 5), dtype=bool))
+        assert leaders[5:].tolist() == [5 + 2] * 5
+        # with agent 2 dead, agent 4 leads
+        alive = np.ones((2, 5), dtype=bool)
+        alive[1, 2] = False
+        assert Neighborhoods(graphs).leaders(scores, alive)[5:].tolist() == [5 + 4] * 5
+
+    def test_complete_row_all_dead_leads_itself(self):
+        graphs = [graph_of("complete", node_count=4), graph_of("complete", node_count=4)]
+        scores = np.array([[1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0]])
+        alive = np.array([[True] * 4, [False] * 4])
+        leaders = Neighborhoods(graphs).leaders(scores, alive)
+        assert leaders.tolist() == [3, 3, 3, 3, 4, 5, 6, 7]
+
     def test_complete_path_keyed_on_graph_not_kind(self):
         # a core-periphery graph whose core is everything is complete
         spec = TopologySpec("core-periphery", node_count=6, core_size=6)
@@ -586,21 +650,21 @@ class TestDeathAndRun:
         config = SwarmConfig(n_agents=200, max_iters=1)
         objective = default_spec("rastrigin")
         swarm = initialize(SwarmBatch([config]), objective, rand)
-        randomized_death(swarm.alive, np.array([0.1]), rand, 7)
+        randomized_death(swarm.alive, np.array([[0.1]]), rand, 7)
         expected = np.flatnonzero(rand(CHANNEL_DEATH, 7, 200)[0, :, 0] < 0.1).tolist()
         assert np.flatnonzero(~swarm.alive[0]).tolist() == expected
 
     def test_death_zero_probability(self):
         rand = make_rand_source([0])
         swarm = initialize(SwarmBatch([SwarmConfig(n_agents=50)]), default_spec("ackley"), rand)
-        randomized_death(swarm.alive, np.array([0.0]), rand, 1)
+        randomized_death(swarm.alive, np.array([[0.0]]), rand, 1)
         assert swarm.alive.all()
 
     def test_dead_stay_dead(self):
         rand = make_rand_source([13])
         swarm = initialize(SwarmBatch([SwarmConfig(n_agents=100)]), default_spec("ackley"), rand)
         swarm.alive[0, :50] = False
-        randomized_death(swarm.alive, np.array([0.9]), rand, 1)
+        randomized_death(swarm.alive, np.array([[0.9]]), rand, 1)
         # the dead are not revived; the alive half loses agents of its own
         assert not swarm.alive[0, :50].any()
         assert 0 < np.count_nonzero(swarm.alive[0, 50:]) < 50
@@ -881,15 +945,22 @@ class TestBatch:
         batch = SwarmBatch([SwarmConfig(n_agents=50), SwarmConfig(n_agents=50, seed=1)])
         rand = make_rand_source([0, 1])
         swarm = initialize(batch, default_spec("ackley"), rand)
-        randomized_death(swarm.alive, np.array([0.0, 0.5]), rand, 1)
+        randomized_death(swarm.alive, np.array([[0.0], [0.5]]), rand, 1)
         # row 0 cannot lose anyone
         assert swarm.alive[0].all() and not swarm.alive[1].all()
 
 
-def _stripped(predicate):
-    """The same predicate without its ``settle_score``: the oracle run
-    steps every row to the end."""
-    return lambda best_positions, best_scores: predicate(best_positions, best_scores)
+def _stripped(predicate, *keep):
+    """The same predicate without its certificates, but for the ones
+    named in ``keep``: without either, the oracle run steps every row to
+    the end and checks success on every iteration."""
+
+    def stripped(best_positions, best_scores):
+        return predicate(best_positions, best_scores)
+
+    for name in keep:
+        setattr(stripped, name, getattr(predicate, name))
+    return stripped
 
 
 def _recording_step(monkeypatch):
@@ -943,6 +1014,9 @@ class TestSettledRows:
         batch = SwarmBatch(configs)
         oracle = run(batch, graphs, objective, _stripped(qualifies))
         assert run(batch, graphs, objective, qualifies) == oracle
+        # either certificate alone
+        alone = _stripped(qualifies, data.draw(st.sampled_from(("settle_score", "floor_score"))))
+        assert run(batch, graphs, objective, alone) == oracle
         # each row alone, and the draws injected
         for config, graph, row in zip(configs, graphs, oracle.rows):
             assert run(config, graph, objective, qualifies) == row
@@ -1003,11 +1077,36 @@ class TestSettledRows:
         assert len(sizes) == 80
         assert traced == run(config, graph, objective, _stripped(qualifies), record_trace=True)
 
+    def test_floor_gates_the_success_check(self):
+        # with the floor alone, the predicate runs on every agent, and
+        # only on iterations where a row not yet converged has every
+        # alive agent at or above the floor, and once at the end
+        objective = default_spec("shekel")
+        qualifies = success_predicate(SuccessCriterion(tolerance=1.0), objective)
+        graphs = [graph_of(kind, node_count=20) for kind in ("complete", "ring", "star")]
+        batch = SwarmBatch([
+            SwarmConfig(n_agents=20, max_iters=100, death_prob=0.01, seed=k) for k in range(3)
+        ])
+        calls = []
+
+        def counted(best_positions, best_scores):
+            calls.append(len(best_scores))
+            return qualifies(best_positions, best_scores)
+
+        counted.floor_score = qualifies.floor_score
+        result = run(batch, graphs, objective, counted)
+        assert result == run(batch, graphs, objective, _stripped(qualifies))
+        # 26 calls, against one per iteration and one at the end without
+        # the floor
+        assert len(calls) == 26
+        assert set(calls) == {60}
+        assert qualifies.floor_score is not None
+
     def test_no_certificate_builds_one_source(self, monkeypatch):
         # rastrigin has no settle score: one source, and no row ever leaves
         objective = default_spec("rastrigin")
         qualifies = success_predicate(SuccessCriterion(), objective)
-        assert qualifies.settle_score is None
+        assert qualifies.settle_score is None and qualifies.floor_score is None
         sources = []
         original = engine.make_rand_source
         monkeypatch.setattr(engine, "make_rand_source",
@@ -1016,6 +1115,98 @@ class TestSettledRows:
         batch = SwarmBatch([SwarmConfig(n_agents=16, max_iters=60, seed=k) for k in range(3)])
         run(batch, [graph_of("complete", node_count=16)] * 3, objective, qualifies)
         assert sources == [[0, 1, 2]]
+
+
+def replay_deaths_per_iteration(alive, probs, rand_fn, left_at, max_iters):
+    """Reference death replay, one iteration at a time from the earliest
+    ``left_at``: each row that still has an agent alive executes the
+    iteration, then every alive agent whose draw is below its row's
+    probability dies."""
+    executed = left_at.copy()
+    for iteration in range(int(left_at.min()) + 1, max_iters + 1):
+        live = alive.any(axis=1)
+        if not live.any():
+            break
+        executed[live] = iteration
+        draws = rand_fn(CHANNEL_DEATH, iteration, alive.shape[1])[..., 0]
+        alive &= draws >= probs
+    return executed
+
+
+def _table_source(table):
+    """An injected source that reads the death draws of iteration k from
+    ``table[k]``, a ``(iterations, B, N)`` array."""
+
+    def rand(channel, iteration, agent_count, lanes=1):
+        assert channel == CHANNEL_DEATH and lanes == 1
+        return table[iteration][..., None]
+
+    return rand
+
+
+class TestDeathReplay:
+    """``_play_deaths`` plays blocks of iterations; the reference plays
+    one iteration at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_blocks_match_the_per_iteration_replay(self, data):
+        rows, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+        max_iters = data.draw(st.integers(1, 90))
+        # rows leave at different iterations, p = 0 among the rows, and
+        # fast losses that end a row inside a block
+        left_at = np.array(data.draw(st.lists(
+            st.integers(1, max_iters), min_size=rows, max_size=rows
+        )))
+        probs = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 0.01, 0.1, 0.5]), min_size=rows, max_size=rows
+        )))[:, None]
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        # blocks of 1 to 15 iterations, so max_iters is rarely a multiple
+        words = data.draw(st.integers(1, 15)) * rows * n
+        if data.draw(st.booleans()):
+            rand = _table_source(rng.random((max_iters + 1, rows, n)))
+        else:
+            rand = make_rand_source(range(seed, seed + rows))
+        # each row's alive mask when it left: its draws through left_at
+        # applied, as a run leaves it
+        alive = rng.random((rows, n)) < 0.8
+        for row, last in enumerate(left_at.tolist()):
+            for iteration in range(1, last + 1):
+                alive[row] &= rand(CHANNEL_DEATH, iteration, n)[row, :, 0] >= probs[row]
+        expected_alive = alive.copy()
+        expected = replay_deaths_per_iteration(expected_alive, probs, rand, left_at, max_iters)
+        with mock.patch.object(engine, "_BLOCK_WORDS", words):
+            executed = engine._play_deaths(alive, probs, rand, left_at, max_iters)
+        assert executed.tolist() == expected.tolist()
+        assert np.array_equal(alive, expected_alive)
+
+    def test_extinction_inside_a_block(self):
+        # row 0 dies at iterations 3 and 5, row 1 loses agent 0 at 4 and
+        # keeps agent 1, row 2 (p = 0) loses no one; blocks of 4 iterations
+        table = np.full((11, 3, 2), 0.9)
+        table[3, 0, 0] = table[5, 0, 1] = table[4, 1, 0] = 0.0
+        alive = np.ones((3, 2), dtype=bool)
+        probs = np.array([[0.5], [0.5], [0.0]])
+        with mock.patch.object(engine, "_BLOCK_WORDS", 4 * 6):
+            executed = engine._play_deaths(
+                alive, probs, _table_source(table), np.array([1, 2, 1]), 10
+            )
+        assert executed.tolist() == [5, 10, 10]
+        assert alive.tolist() == [[False, False], [False, True], [True, True]]
+
+    def test_a_row_that_left_later_keeps_its_iteration(self):
+        # row 1 left at 9 after iterations whose draws killed no one; the
+        # replay, from row 0's departure on, draws iterations 2 to 9 again
+        table = np.full((12, 2, 1), 0.9)
+        table[3, 0, 0] = 0.0
+        alive = np.ones((2, 1), dtype=bool)
+        executed = engine._play_deaths(
+            alive, np.array([[0.5], [0.5]]), _table_source(table), np.array([1, 9]), 11
+        )
+        assert executed.tolist() == [3, 11]
+        assert alive.tolist() == [[False], [True]]
 
 
 def _coordinate_major_ok(array: np.ndarray) -> bool:
@@ -1062,7 +1253,7 @@ class TestStateLayout:
     @pytest.mark.parametrize("name", ["shekel", "rastrigin", "griewank"])
     def test_step_bits_do_not_depend_on_memory_order(self, name):
         batch, graphs, objective = self._batch(name)
-        probs = np.array([c.death_prob for c in batch.configs])
+        probs = np.array([[c.death_prob] for c in batch.configs])
         rand = make_rand_source([c.seed for c in batch.configs])
         columns = initialize(batch, objective, rand)
         rows = SwarmState(

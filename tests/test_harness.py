@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swarmtopo import harness
-from swarmtopo.engine import BatchResult, RunResult
+from swarmtopo.engine import BatchResult, Neighborhoods, RunResult
 from swarmtopo.harness import (
     AggregateMetrics,
     ExperimentPlan,
@@ -26,7 +26,7 @@ from swarmtopo.harness import (
     trade_off,
 )
 from swarmtopo.graph_metrics import natural_connectivity
-from swarmtopo.objectives import ObjectiveSpec, default_spec
+from swarmtopo.objectives import ObjectiveSpec, default_spec, shekel_params
 from swarmtopo.topology import TOPOLOGY_KINDS, TopologySpec
 
 from strategies import graph_of
@@ -269,6 +269,82 @@ class TestSettleScore:
             self._score()
             self._score("value-gap", 0.1)
         info = harness._settle_score.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
+
+
+class TestFloorScore:
+    """``floor_score``: no best score below it satisfies the criterion.
+
+    The oracles are the kernel on dense samples of the ball and its
+    sphere, and on points that the success check accepts though exact
+    rational arithmetic puts them outside the ball.
+    """
+
+    shekel = default_spec("shekel")
+
+    def _predicate(self, mode="position-radius", tolerance=None):
+        return success_predicate(SuccessCriterion(mode, tolerance), self.shekel)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.03, 0.5, 2.0])
+    def test_radius_floor_bounds_shekel_inside_the_ball(self, eps):
+        floor = self._predicate(tolerance=eps).floor_score
+        rng = np.random.default_rng(11)
+        # the sphere and the whole ball, uniform in volume
+        ball = _sphere(eps * rng.random(100_000) ** 0.25, 100_000, 2)
+        for points in (_sphere(eps, 100_000, 1), ball):
+            assert self.shekel.evaluate_many(points).min() >= floor
+
+    def test_default_radius_floor(self):
+        # the closed form at 0.1, against the ball's sampled minimum 9.6017
+        floor = self._predicate().floor_score
+        centers, heights = shekel_params()
+        reach = np.sqrt(((centers - 4.0) ** 2).sum(axis=1)) + 0.1
+        assert floor == pytest.approx((1.0 / (reach**2 + heights)).sum(), rel=2e-9)
+        assert 9.5904 < floor < 9.5906
+        sampled = self.shekel.evaluate_many(_sphere(0.1, 200_000, 4)).min()
+        assert floor < sampled < 9.602
+
+    @pytest.mark.parametrize("eps", [0.1, 0.03, 0.5])
+    def test_rounding_outside_the_ball(self, eps):
+        from fractions import Fraction
+
+        qualifies = self._predicate(tolerance=eps)
+        rng = np.random.default_rng(3)
+        # points a few ulps beyond the sphere, in exact arithmetic
+        points = _sphere(eps * (1.0 + rng.uniform(0.0, 4e-16, 8_000)), 8_000, 5)
+        accepted = points[qualifies(points, np.zeros(len(points)))]
+        centre = [Fraction(float(c)) for c in self.shekel.optimum_location]
+        outside = np.array([
+            sum((Fraction(float(x)) - c) ** 2 for x, c in zip(point, centre)) > Fraction(eps) ** 2
+            for point in accepted
+        ], dtype=bool)
+        assert outside.any()
+        assert self.shekel.evaluate_many(accepted[outside]).min() >= qualifies.floor_score
+
+    @pytest.mark.parametrize("eps", [0.1, 0.01, 5.0])
+    def test_value_gap_floor_at_its_boundary(self, eps):
+        optimum = self.shekel.optimum_value
+        qualifies = self._predicate("value-gap", eps)
+        floor = qualifies.floor_score
+        assert floor < optimum - eps
+        assert (optimum - eps) - floor <= 2e-9 * optimum
+        # the lowest qualifying score lies above it, the scores below it fail
+        below = np.array([np.nextafter(floor, -np.inf), floor - 1e-6, 0.0])
+        assert not qualifies(np.zeros((3, 4)), below).any()
+        assert qualifies(np.zeros((1, 4)), np.array([optimum - eps])).all()
+
+    @pytest.mark.parametrize("name", ["ackley", "griewank", "schwefel", "rastrigin"])
+    @pytest.mark.parametrize("mode", ["position-radius", "value-gap"])
+    def test_other_objectives_have_no_floor(self, name, mode):
+        criterion = SuccessCriterion(mode)
+        assert success_predicate(criterion, default_spec(name)).floor_score is None
+
+    def test_floor_is_computed_once_per_key(self):
+        harness._floor_score.cache_clear()
+        for _ in range(3):
+            self._predicate()
+            self._predicate("value-gap", 0.1)
+        info = harness._floor_score.cache_info()
         assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
 
 
@@ -626,6 +702,18 @@ class TestRunCellAndPlan:
                 run_plan(plan, workers, on_trace=failing)
         # the chunks not yet started when the callback failed never run
         assert len(log.read_text("ascii").splitlines()) < 40
+
+    @pytest.mark.parametrize("kind", ["complete", "star", "ring"])
+    def test_row_bytes_count_the_leader_entries(self, kind):
+        # the estimate's leader-CSR entries are the ones the engine builds:
+        # a complete row is one segment of its N agents
+        graph = graph_of(kind, node_count=30)
+        objective = default_spec("shekel")
+        cell = harness._Cell(0, TopologySpec(kind, node_count=30), graph, (None, 0.0),
+                             objective, 0.0)
+        entries = Neighborhoods((graph,))._indices.size
+        assert harness._row_bytes(cell) == 8 * (10 * 30 * 4 + 3 * entries)
+        assert entries == {"complete": 30, "star": 30 + 2 * 29, "ring": 30 * 3}[kind]
 
     def test_chunk_failure_without_a_failing_cell(self, monkeypatch):
         run = harness.run

@@ -105,8 +105,9 @@ def test_import_loads_no_process_pool():
 
 
 def test_import_and_plan_parsing_compute_no_certificate():
-    # a settle score costs milliseconds; it is computed when a run asks
-    # for its predicate, never at import or while a plan is parsed
+    # a settle score costs milliseconds; it and the floor score are
+    # computed when a run asks for its predicate, never at import or
+    # while a plan is parsed
     source = Path(swarmtopo.__file__).resolve().parents[1]
     bench = Path(__file__).resolve().parents[1] / "perfbench"
     probe = (
@@ -115,9 +116,10 @@ def test_import_and_plan_parsing_compute_no_certificate():
         "from swarmtopo import harness, plans; "
         "plan = plans.parse_plan(workloads.PaperSweep().plan_text(1)); "
         "assert plan.objectives[0].name == 'shekel'; "
-        "print(harness._settle_score.cache_info().currsize)"
+        "print(harness._settle_score.cache_info().currsize, "
+        "harness._floor_score.cache_info().currsize)"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "0"
+    assert done.stdout.strip() == "0 0"
