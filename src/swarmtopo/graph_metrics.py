@@ -16,9 +16,13 @@ searching, and gives every other sample one all-pairs search, which
 also rejects the rest.  The dense product wastes work on long, thin
 frontiers (a 1000-node ring runs 500 levels); a sparse or bit-packed
 search for n >= 1000 is not built yet.  Spectra come from dense
-symmetric eigendecomposition, and clustering from one float32 A @ A;
-the omega ring-lattice baseline's clustering is read off node 0's
-neighbours, with no lattice built.
+symmetric eigendecomposition, and clustering from one float32 A @ A.
+A graph keeps no n x n matrix: each dense metric builds the one it
+needs from the graph's neighbour CSR, in its own dtype, once per call
+(:meth:`Graph.dense`).  The omega ring-lattice baseline's clustering is
+read off node 0's offsets, with no lattice built, and the random
+reference graphs pick their edges from ``np.triu_indices(n, k=1)``,
+kept read-only for the last few node counts.
 All metrics tolerate disconnected graphs: path-based quantities report
 ``None`` instead of infinities.
 """
@@ -26,9 +30,11 @@ All metrics tolerate disconnected graphs: path-based quantities report
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+
 import numpy as np
 
-from .topology import Graph, _circulant
+from .topology import Graph
 
 __all__ = [
     "average_geodesic",
@@ -113,7 +119,7 @@ def shortest_path_matrix(graph: Graph) -> np.ndarray:
     n = graph.node_count
     dist = np.full((n, n), -1, dtype=np.int32)
     np.fill_diagonal(dist, 0)
-    for depth, new, _ in _bfs_levels(graph.adjacency.astype(np.float32), np.arange(n)):
+    for depth, new, _ in _bfs_levels(graph.dense(np.float32), np.arange(n)):
         dist[new] = depth
     return dist
 
@@ -128,17 +134,17 @@ def average_geodesic(graph: Graph) -> float | None:
     """
     if graph.node_count < 2:
         raise ValueError("average geodesic needs at least 2 nodes")
-    return _mean_geodesic(graph.adjacency.astype(np.float32))
+    return _mean_geodesic(graph.dense(np.float32))
 
 
 def is_connected(graph: Graph) -> bool:
     """True when every node is reachable from node 0."""
-    return _distance_sum(graph.adjacency.astype(np.float32), [0]) is not None
+    return _distance_sum(graph.dense(np.float32), [0]) is not None
 
 
 def graph_spectrum(graph: Graph) -> np.ndarray:
     """Adjacency eigenvalues, descending."""
-    return np.linalg.eigvalsh(graph.adjacency.astype(np.float64))[::-1]
+    return np.linalg.eigvalsh(graph.dense(np.float64))[::-1]
 
 
 def natural_connectivity(graph: Graph) -> float:
@@ -153,7 +159,7 @@ def natural_connectivity(graph: Graph) -> float:
 
 def clustering_coefficient(graph: Graph) -> float:
     """Mean local clustering; nodes of degree < 2 contribute 0."""
-    a = graph.adjacency.astype(np.float32)
+    a = graph.dense(np.float32)
     deg = a.sum(axis=1, dtype=np.float64)
     # diag of A^3; A @ A is exact in float32, its entries at most n - 1,
     # and the integer row sums are exact in float64
@@ -170,10 +176,13 @@ def _lattice_clustering(node_count: int, levels: int) -> float:
     # bit, without building the lattice: every node of a circulant has
     # node 0's local value.  Node 0's neighbours are +-1..+-levels (mod
     # n, at least 2 of them), and a pair (j, k) of them closes a walk
-    # when k - j is an offset too, which is the circulant's entry (j, k)
-    lattice = _circulant(node_count, levels)
-    neighbours = np.flatnonzero(lattice[0])
-    closed_walks = int(np.count_nonzero(lattice[neighbours][:, neighbours]))
+    # when k - j is an offset too: the circulant's entry (j, k) is entry
+    # (k - j) mod n of node 0's row
+    offsets = np.arange(1, levels + 1)
+    row = np.zeros(node_count, dtype=bool)
+    row[offsets] = row[-offsets] = True
+    neighbours = np.flatnonzero(row)
+    closed_walks = int(np.count_nonzero(row[(neighbours[:, None] - neighbours) % node_count]))
     degree = neighbours.size
     local = closed_walks / (degree * (degree - 1))
     # the same float64 mean over node_count equal values
@@ -188,7 +197,7 @@ def _random_same_size(
 ) -> np.ndarray:
     # symmetric float32 0/1 adjacency of a uniform simple graph with
     # exactly edge_count edges, left unvalidated; pairs is
-    # np.triu_indices(node_count, k=1), built once per caller
+    # np.triu_indices(node_count, k=1), from _upper_pairs
     iu, ju = pairs
     pick = rng.choice(iu.size, size=edge_count, replace=False)
     i, j = iu[pick], ju[pick]
@@ -196,6 +205,16 @@ def _random_same_size(
     adj[i * node_count + j] = 1.0
     adj[j * node_count + i] = 1.0
     return adj.reshape(node_count, node_count)
+
+
+@lru_cache(maxsize=4)
+def _upper_pairs(node_count: int) -> tuple[np.ndarray, np.ndarray]:
+    # np.triu_indices(node_count, k=1), read-only, kept for the last few
+    # node counts: a spectrum's graphs share one
+    pairs = np.triu_indices(node_count, k=1)
+    for array in pairs:
+        array.setflags(write=False)
+    return pairs
 
 
 def small_world_ness(
@@ -228,7 +247,7 @@ def small_world_ness(
     if lattice_clustering <= 0.0:
         return None
     rng = _as_rng(rng)
-    pairs = np.triu_indices(n, k=1)
+    pairs = _upper_pairs(n)
     lengths = []
     attempts = 0
     while len(lengths) < sample_count and attempts < 20 * sample_count:

@@ -8,17 +8,19 @@ three-segment parameterized family that walks from the complete graph
 to the star, from the star to the ring, and from the ring back to the
 complete graph in small structural steps.
 
+A :class:`Graph` stores its sorted neighbour lists (a CSR) and no
+n x n array; a complete graph stores only that it is complete.  Every
+builder emits its edges as two index arrays and hands them to one pair
+constructor, which sorts both directions of each pair into that CSR.
 Each deterministic family but the torus grid is a circulant (the
 multi-ring; the ring is its ``r = 1`` endpoint) or a core with
 round-robin leaves (core-periphery and ring-core-star; the star is
-core-periphery's ``c = 1`` endpoint), built from one array with no
-loop over edges.  The 240-graph spectrum at ``n = 100`` builds in about 10 ms
-on a 2-core Xeon, some 40 us per graph of numpy call overhead spread
-over the window view, :class:`Graph`'s copy and its symmetry check.
-
-Graphs are immutable wrappers around a boolean adjacency matrix.  The
-circulants and the complete graph are views of one 2n row, so
-:class:`Graph`'s copy is their only n x n array.
+core-periphery's ``c = 1`` endpoint), whose pairs come from a few array
+operations with no loop over edges; the randomized builders make the
+same draws in the same order as when they filled a dense matrix.
+Building any kind holds O(n + edges) memory.  The 240-graph spectrum
+at ``n = 100`` builds in about 15 ms on a 2-core Xeon, most of it the
+pair constructor's sort.
 
 A graph is built from its :class:`TopologySpec` by
 :func:`build_topology`.  The spec checks every field once, when it is
@@ -35,7 +37,6 @@ import numbers
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Graph",
@@ -53,64 +54,103 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
 class Graph:
     """An undirected, unweighted graph over agent indices ``0..n-1``.
 
     Parameters
     ----------
     adjacency : numpy.ndarray
-        Square boolean matrix.  Must be symmetric with a zero
-        diagonal.  The stored copy is made read-only.
+        Square boolean matrix with at least one node.  Must be
+        symmetric with a zero diagonal.  It is read, not kept.
 
-    The copy is the one n x n array a graph holds, and building it holds
-    at most two, the input and the copy: the symmetry check runs tile
-    by tile, and :attr:`candidates` and :meth:`edges` read the nonzero
-    entries.
+    A graph stores its sorted neighbour lists in CSR form: node ``i``'s
+    neighbours are ``neighbours[indptr[i]:indptr[i + 1]]``, ascending
+    ``int32`` indices, ``2 * edge_count`` of them in all.  A complete
+    graph stores only that it is complete.  Every builder hands its
+    edges to the one pair constructor :func:`_from_pairs`, as does this
+    constructor its matrix's nonzeros, so no graph keeps an n x n array:
+    :meth:`dense` builds one per call for the dense metrics.  Graphs
+    are immutable and compare by their edges.
     """
 
-    adjacency: np.ndarray
-
-    def __post_init__(self) -> None:
-        adj = np.array(self.adjacency, dtype=bool, copy=True)
+    def __new__(cls, adjacency) -> Graph:
+        adj = np.asarray(adjacency, dtype=bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {adj.shape}")
-        if adj.shape[0] < 1:
+        n = adj.shape[0]
+        if n < 1:
             raise ValueError("graph needs at least one node")
         if adj.diagonal().any():
             raise ValueError("self-loops are not allowed")
-        if not _is_symmetric(adj):
+        # the nonzeros' row-major positions ascend; the matrix is
+        # symmetric when the mirrored positions, sorted, are the same
+        flat = np.flatnonzero(adj)
+        rows, cols = np.divmod(flat, n)
+        if not np.array_equal(np.sort(cols * n + rows), flat):
             raise ValueError("adjacency must be symmetric")
-        adj.setflags(write=False)
-        object.__setattr__(self, "adjacency", adj)
+        upper = rows < cols
+        return _from_pairs(n, rows[upper], cols[upper])
+
+    def __reduce__(self):
+        # the stored form, never a derived array
+        return _stored, (self.node_count, self._neighbours)
 
     @classmethod
-    def from_edges(cls, node_count: int, edges) -> "Graph":
+    def from_edges(cls, node_count: int, edges) -> Graph:
         """Build a graph from an iterable of ``(i, j)`` pairs."""
         if node_count < 1:
             raise ValueError("graph needs at least one node")
-        adj = np.zeros((node_count, node_count), dtype=bool)
+        pairs = []
         for i, j in edges:
             if not (0 <= i < node_count and 0 <= j < node_count):
                 raise ValueError(f"edge ({i}, {j}) out of range for {node_count} nodes")
             if i == j:
                 raise ValueError(f"self-loop ({i}, {j}) is not allowed")
-            adj[i, j] = adj[j, i] = True
-        return cls(adj)
+            pairs.append((i, j))
+        return _from_pairs(node_count, *np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
 
     @property
     def node_count(self) -> int:
-        return self.adjacency.shape[0]
+        return self._node_count
+
+    @property
+    def is_complete(self) -> bool:
+        """Whether every pair of distinct nodes is adjacent."""
+        return self._neighbours is None
 
     @property
     def edge_count(self) -> int:
-        return int(np.count_nonzero(self.adjacency)) // 2
-
-    @cached_property
-    def is_complete(self) -> bool:
-        """Whether every pair of distinct nodes is adjacent."""
         n = self.node_count
-        return self.edge_count == n * (n - 1) // 2
+        if self.is_complete:
+            return n * (n - 1) // 2
+        return int(self._neighbours[0][-1]) // 2
+
+    def _flat(self) -> np.ndarray:
+        # each adjacent ordered pair (i, j) of a graph that is not
+        # complete as its row-major position i * n + j, ascending
+        indptr, neighbours = self._neighbours
+        n = self.node_count
+        return np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + neighbours
+
+    def dense(self, dtype=bool) -> np.ndarray:
+        """The n x n 0/1 adjacency matrix in ``dtype``, built by one flat
+        scatter on every call and not kept."""
+        n = self.node_count
+        if self.is_complete:
+            matrix = np.ones((n, n), dtype=dtype)
+            np.fill_diagonal(matrix, 0)
+            return matrix
+        matrix = np.zeros(n * n, dtype=dtype)
+        matrix[self._flat()] = 1
+        return matrix.reshape(n, n)
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """The boolean n x n adjacency matrix, read-only, built on every
+        read: 100 MB at n = 10 000."""
+        matrix = self.dense(bool)
+        matrix.setflags(write=False)
+        return matrix
 
     @cached_property
     def candidates(self) -> tuple[np.ndarray, np.ndarray]:
@@ -118,84 +158,118 @@ class Graph:
 
         A node's candidates are itself and its neighbours: node ``i``'s
         are ``indices[indptr[i]:indptr[i + 1]]``, in ascending order.
-        The arrays hold ``n + 1`` and ``2 * edges + n`` entries, so a
-        hub costs its degree and no more.  They are built on first use,
-        cached on the graph and read-only.
+        The ``intp`` arrays hold ``n + 1`` and ``2 * edges + n`` entries,
+        so a hub costs its degree and no more.  They are built on first
+        use, cached on the graph and read-only.
         """
         n = self.node_count
-        # flat positions, row-major, so each node's candidates ascend;
-        # the diagonal holds no edge, so inserting it keeps them unique
-        flat = np.flatnonzero(self.adjacency)
-        diagonal = np.arange(n) * (n + 1)
-        flat = np.insert(flat, np.searchsorted(flat, diagonal), diagonal)
-        rows, indices = np.divmod(flat, n)
-        indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        if self.is_complete:
+            indptr, indices = np.arange(n + 1) * n, np.tile(np.arange(n), n)
+        else:
+            # the diagonal holds no edge, so inserting it keeps each
+            # node's positions ascending and unique
+            flat = self._flat()
+            diagonal = np.arange(n) * (n + 1)
+            indices = np.insert(flat, np.searchsorted(flat, diagonal), diagonal) % n
+            indptr = self._neighbours[0] + np.arange(n + 1)
         for array in (indptr, indices):
             array.setflags(write=False)
         return indptr, indices
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as ``(i, j)`` with ``i < j``, lexicographically sorted."""
-        rows, cols = np.nonzero(self.adjacency)
-        upper = rows < cols
-        return list(zip(rows[upper].tolist(), cols[upper].tolist()))
+        if self.is_complete:
+            rows, cols = np.triu_indices(self.node_count, k=1)
+        else:
+            rows, cols = np.divmod(self._flat(), self.node_count)
+            upper = rows < cols
+            rows, cols = rows[upper], cols[upper]
+        return list(zip(rows.tolist(), cols.tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return np.array_equal(self.adjacency, other.adjacency)
+        if self.node_count != other.node_count or self.is_complete != other.is_complete:
+            return False
+        # the stored form is canonical: sorted lists, a complete graph flagged
+        return self.is_complete or all(
+            np.array_equal(mine, theirs)
+            for mine, theirs in zip(self._neighbours, other._neighbours)
+        )
 
     def __repr__(self) -> str:
         return f"Graph(n={self.node_count}, edges={self.edge_count})"
 
 
-# the symmetry check's tile edge: a 256 x 256 bool tile is 64 kB
-_TILE = 256
+def _stored(node_count: int, neighbours: tuple[np.ndarray, np.ndarray] | None) -> Graph:
+    """The graph whose stored form is ``neighbours``, the sorted CSR
+    ``(indptr, neighbour indices)``, or ``None`` when it is complete."""
+    graph = object.__new__(Graph)
+    if neighbours is not None:
+        for array in neighbours:
+            array.setflags(write=False)
+    graph._node_count = node_count
+    graph._neighbours = neighbours
+    return graph
 
 
-def _is_symmetric(adj: np.ndarray) -> bool:
-    # each tile on or above the diagonal against its mirror tile
-    # transposed: no n x n temporary, and the strided reads stay in cache
-    n = adj.shape[0]
-    for lo in range(0, n, _TILE):
-        for lo2 in range(lo, n, _TILE):
-            tile = adj[lo:lo + _TILE, lo2:lo2 + _TILE]
-            if not np.array_equal(tile, adj[lo2:lo2 + _TILE, lo:lo + _TILE].T):
-                return False
-    return True
+def _from_pairs(node_count: int, i: np.ndarray, j: np.ndarray) -> Graph:
+    """The graph on ``node_count`` nodes whose edges are the pairs
+    ``(i[k], j[k])``: distinct nodes, either order, repeats allowed.
+
+    It checks nothing.  Both directions of each pair, as keys ``row <<
+    shift | column`` that sort by row and then column, sorted and made
+    unique, are the neighbour CSR; a graph with every pair is stored as
+    complete.  It costs O(pairs) memory and never an n x n array.
+    """
+    n = node_count
+    shift = max(1, (n - 1).bit_length())  # the bits of a node index
+    # int32 keys sort and mask about twice as fast as int64 ones
+    dtype = np.int32 if shift < 16 else np.int64
+    keys = np.concatenate((i, j), dtype=dtype, casting="same_kind")
+    keys <<= shift
+    keys |= np.concatenate((j, i), dtype=dtype, casting="same_kind")
+    keys.sort()
+    keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
+    if keys.size == n * (n - 1):
+        return _stored(n, None)
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=dtype) << shift)
+    keys &= (1 << shift) - 1
+    return _stored(n, (indptr, keys.astype(np.int32, copy=False)))
 
 
 # ---------------------------------------------------------------------------
 # the builders behind the kind table: each takes its kind's spec fields
-# in the row's order and checks nothing, since the spec has checked them
+# in the row's order, checks nothing, since the spec has checked them,
+# and hands its edges to _from_pairs
 
 
-def _circulant(node_count: int, levels: int) -> np.ndarray:
-    """Read-only adjacency view linking each node to the ``levels``
-    nearest nodes on both sides of the cycle ``0..node_count-1``."""
-    # row i is row 0 rolled by i, read off a doubled row as a window view
-    step = np.arange(node_count)
-    row = np.minimum(step, node_count - step) <= levels
-    row[0] = False
-    doubled = np.concatenate([row, row])
-    return sliding_window_view(doubled, node_count)[node_count:0:-1]
+def _circulant_pairs(node_count: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs linking each node to the ``levels`` nearest nodes on
+    both sides of the cycle ``0..node_count-1``, some twice."""
+    offsets = np.arange(1, min(levels, node_count // 2) + 1)
+    far = np.add.outer(offsets, np.arange(node_count))  # node k's k + d, row d - 1
+    near = far - offsets[:, None]
+    far[far >= node_count] -= node_count
+    return near.ravel(), far.ravel()
 
 
-def _core_with_leaves(node_count: int, core: np.ndarray) -> Graph:
-    """``core`` (c x c) on nodes ``0..c-1``; node ``k >= c`` is a leaf
-    of core node ``k % c``."""
-    c = core.shape[0]
-    adj = np.zeros((node_count, node_count), dtype=bool)
-    adj[:c, :c] = core
-    leaves = np.arange(c, node_count)
-    adj[leaves % c, leaves] = adj[leaves, leaves % c] = True
-    return Graph(adj)
+def _core_with_leaves(
+    node_count: int, core_size: int, core: tuple[np.ndarray, np.ndarray]
+) -> Graph:
+    """The ``core`` pairs on nodes ``0..core_size-1``; node ``k >=
+    core_size`` is a leaf of core node ``k % core_size``."""
+    leaves = np.arange(core_size, node_count)
+    return _from_pairs(
+        node_count,
+        np.concatenate((core[0], leaves % core_size)),
+        np.concatenate((core[1], leaves)),
+    )
 
 
 def _complete(node_count: int) -> Graph:
     """Every pair of distinct nodes is connected."""
-    return Graph(_circulant(node_count, node_count // 2))
+    return _stored(node_count, None)
 
 
 def _core_periphery(node_count: int, core_size: int) -> Graph:
@@ -207,7 +281,8 @@ def _core_periphery(node_count: int, core_size: int) -> Graph:
     ``core_size == node_count`` gives the complete graph;
     ``core_size == 1`` gives the star, node 0 its hub.
     """
-    return _core_with_leaves(node_count, ~np.eye(core_size, dtype=bool))
+    # the complete core is the circulant with every level
+    return _core_with_leaves(node_count, core_size, _circulant_pairs(core_size, core_size // 2))
 
 
 def _ring_core_star(node_count: int, hub_count: int) -> Graph:
@@ -218,7 +293,7 @@ def _ring_core_star(node_count: int, hub_count: int) -> Graph:
     node ``k`` attaches to hub ``k % hub_count``.  ``hub_count == 1``
     gives the star; ``hub_count == node_count`` gives the ring.
     """
-    return _core_with_leaves(node_count, _circulant(hub_count, 1))
+    return _core_with_leaves(node_count, hub_count, _circulant_pairs(hub_count, 1))
 
 
 def _multi_ring(node_count: int, ring_levels: int) -> Graph:
@@ -228,7 +303,7 @@ def _multi_ring(node_count: int, ring_levels: int) -> Graph:
     ``ring_levels == 1`` is the ring 0-1-...-(n-1)-0; ``ring_levels ==
     node_count // 2`` is the complete graph.
     """
-    return Graph(_circulant(node_count, ring_levels))
+    return _from_pairs(node_count, *_circulant_pairs(node_count, ring_levels))
 
 
 def _von_neumann(rows: int, cols: int) -> Graph:
@@ -237,11 +312,9 @@ def _von_neumann(rows: int, cols: int) -> Graph:
     Node ``r * cols + c`` sits at grid cell ``(r, c)``.
     """
     cell = np.arange(rows * cols).reshape(rows, cols)
-    adj = np.zeros((rows * cols, rows * cols), dtype=bool)
-    for axis in (1, 0):  # right, then down
-        neighbor = np.roll(cell, -1, axis=axis)
-        adj[cell, neighbor] = adj[neighbor, cell] = True
-    return Graph(adj)
+    right, down = np.roll(cell, -1, axis=1), np.roll(cell, -1, axis=0)
+    near = np.concatenate((cell, cell), axis=None)
+    return _from_pairs(rows * cols, near, np.concatenate((right, down), axis=None))
 
 
 def _scale_free(node_count: int, attach_count: int, seed: int) -> Graph:
@@ -254,13 +327,11 @@ def _scale_free(node_count: int, attach_count: int, seed: int) -> Graph:
     ``attach_count * (node_count - attach_count)`` edges.
     """
     rng = np.random.default_rng(seed)
-    adj = np.zeros((node_count, node_count), dtype=bool)
-    # flat endpoint list: picking uniformly from it is degree-weighted
+    # flat endpoint list: picking uniformly from it is degree-weighted;
+    # each newcomer adds its targets, then itself once per target
     endpoint_pool: list[int] = []
     targets = list(range(attach_count))
     for newcomer in range(attach_count, node_count):
-        for t in targets:
-            adj[newcomer, t] = adj[t, newcomer] = True
         endpoint_pool.extend(targets)
         endpoint_pool.extend([newcomer] * attach_count)
         if newcomer == node_count - 1:
@@ -271,7 +342,13 @@ def _scale_free(node_count: int, attach_count: int, seed: int) -> Graph:
             if pick not in chosen:
                 chosen.append(pick)
         targets = chosen
-    return Graph(adj)
+    # so the pool, in blocks of 2 * attach_count, is the edges' two ends
+    ends = np.array(endpoint_pool).reshape(-1, 2, attach_count)
+    return _from_pairs(node_count, ends[:, 0].ravel(), ends[:, 1].ravel())
+
+
+# upper-triangle draws the random builder makes per block of rows
+_DRAW_BLOCK = 1 << 16
 
 
 def _random(node_count: int, edge_prob: float, seed: int) -> Graph:
@@ -280,11 +357,21 @@ def _random(node_count: int, edge_prob: float, seed: int) -> Graph:
     May be disconnected; downstream metrics account for that.
     """
     rng = np.random.default_rng(seed)
-    adj = np.zeros((node_count, node_count), dtype=bool)
-    iu, ju = np.triu_indices(node_count, k=1)
-    mask = rng.random(iu.size) < edge_prob
-    adj[iu[mask], ju[mask]] = True
-    return Graph(adj | adj.T)
+    n = node_count
+    # the pairs i < j, row by row, take one draw each from one stream; a
+    # block of rows draws its stretch of the stream, so memory stays
+    # O(n + edges) while the draws and their order are those of one call
+    rows_per_block = max(1, _DRAW_BLOCK // n)
+    i_parts, j_parts = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for lo in range(0, n - 1, rows_per_block):
+        rows = np.arange(lo, min(lo + rows_per_block, n - 1))
+        lengths = n - 1 - rows
+        starts = np.cumsum(lengths) - lengths
+        hits = np.flatnonzero(rng.random(int(lengths.sum())) < edge_prob)
+        row = np.searchsorted(starts, hits, side="right") - 1
+        i_parts.append(rows[row])
+        j_parts.append(rows[row] + 1 + hits - starts[row])
+    return _from_pairs(n, np.concatenate(i_parts), np.concatenate(j_parts))
 
 
 def _small_world(node_count: int, degree: int, rewire_prob: float, seed: int) -> Graph:
@@ -296,22 +383,35 @@ def _small_world(node_count: int, degree: int, rewire_prob: float, seed: int) ->
     probability ``rewire_prob``.  The edge count never changes.
     """
     rng = np.random.default_rng(seed)
-    adj = np.array(_circulant(node_count, degree // 2))
+    n = node_count
+
+    def key(a: int, b: int) -> int:
+        return min(a, b) * n + max(a, b)
+
+    near, far = _circulant_pairs(n, degree // 2)
+    # the edges as keys min * n + max, and every node's degree
+    edges = set((np.minimum(near, far) * n + np.maximum(near, far)).tolist())
+    degrees = [degree] * n
     for d in range(1, degree // 2 + 1):
-        for i in range(node_count):
+        for i in range(n):
             if rng.random() >= rewire_prob:
                 continue
             # a node adjacent to everything has nowhere to rewire
-            if adj[i].sum() >= node_count - 1:
+            if degrees[i] >= n - 1:
                 continue
-            j = (i + d) % node_count
+            j = (i + d) % n
             while True:
-                k = int(rng.integers(node_count))
-                if k != i and not adj[i, k]:
+                k = int(rng.integers(n))
+                if k != i and key(i, k) not in edges:
                     break
-            adj[i, j] = adj[j, i] = False
-            adj[i, k] = adj[k, i] = True
-    return Graph(adj)
+            # the lattice edge (i, j) is still there: no earlier step
+            # removes it, since two levels never add up to n
+            edges.remove(key(i, j))
+            edges.add(key(i, k))
+            degrees[j] -= 1
+            degrees[k] += 1
+    keys = np.fromiter(edges, dtype=np.int64, count=len(edges))
+    return _from_pairs(n, keys // n, keys % n)
 
 
 # ---------------------------------------------------------------------------

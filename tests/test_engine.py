@@ -12,6 +12,7 @@ that derived its keys with one-element arrays under ``np.errstate``).
 """
 
 import hashlib
+import pickle
 from collections import Counter
 from unittest import mock
 
@@ -38,8 +39,9 @@ from swarmtopo.engine import (
     run,
     step,
 )
-from swarmtopo.harness import SUCCESS_MODES, SuccessCriterion, success_predicate
+from swarmtopo.harness import SUCCESS_MODES, SuccessCriterion, run_plan, success_predicate
 from swarmtopo.objectives import OBJECTIVE_NAMES, default_spec
+from swarmtopo.plans import parse_plan
 from swarmtopo.topology import (
     TOPOLOGY_KINDS,
     Graph,
@@ -1271,3 +1273,67 @@ class TestStateLayout:
                 assert getattr(rows, field).tobytes() == expected, (iteration, field)
         assert rows.positions.flags.c_contiguous
         assert not columns.alive.all()
+
+
+def _every_kind(n_side: int = 4) -> list[TopologySpec]:
+    n = n_side * n_side
+    return [
+        TopologySpec("complete", node_count=n),
+        TopologySpec("star", node_count=n),
+        TopologySpec("ring", node_count=n),
+        TopologySpec("core-periphery", node_count=n, core_size=5),
+        TopologySpec("ring-core-star", node_count=n, hub_count=4),
+        TopologySpec("multi-ring", node_count=n, ring_levels=3),
+        TopologySpec("von-neumann", rows=n_side, cols=n_side),
+        TopologySpec("scale-free", node_count=n, attach_count=2, seed=3),
+        TopologySpec("random", node_count=n, edge_prob=0.2, seed=3),
+        TopologySpec("small-world", node_count=n, degree=4, rewire_prob=0.3, seed=3),
+    ]
+
+
+class TestGraphReads:
+    def test_run_reads_no_dense_adjacency(self, monkeypatch):
+        # the engine reads each graph's candidate CSR and complete flag only
+        specs = _every_kind()
+        assert {spec.kind for spec in specs} == set(TOPOLOGY_KINDS)
+        objective = default_spec("rastrigin")
+        qualifies = success_predicate(SuccessCriterion(), objective)
+        batch = SwarmBatch([
+            SwarmConfig(n_agents=16, max_iters=30, death_prob=0.02, seed=seed)
+            for seed in range(len(specs))
+        ])
+        expected = run(batch, [build_topology(spec) for spec in specs], objective, qualifies)
+
+        def dense_read(*args, **kwargs):
+            raise AssertionError("the engine read a dense adjacency")
+
+        monkeypatch.setattr(Graph, "adjacency", property(dense_read))
+        monkeypatch.setattr(Graph, "dense", dense_read)
+        # fresh graphs, whose candidate sets are built under the patch
+        graphs = [build_topology(spec) for spec in specs]
+        assert all("candidates" not in vars(graph) for graph in graphs)
+        assert run(batch, graphs, objective, qualifies) == expected
+
+    def test_workers_ship_graphs_without_a_square_array(self):
+        text = "\n".join([
+            "version = 1",
+            "base_seed = 5",
+            "repetitions = 2",
+            "max_iters = 20",
+            "objectives = rastrigin",
+            "death_fractions = 0, 0.3",
+            "topology = complete n=400",
+            "topology = star n=400",
+            "topology = von-neumann rows=20 cols=20",
+            "topology = small-world n=400 degree=6 rewire_prob=0.1 seed=1",
+        ]) + "\n"
+        plan = parse_plan(text)
+        for spec in plan.topologies:
+            graph = build_topology(spec)
+            graph.candidates  # the cache stays behind
+            # a pool task carries the stored CSR, 4 bytes per neighbour entry
+            # and 8 per offset (a complete graph, neither), against 160 000
+            # for a 400 x 400 bool array
+            stored = 0 if graph.is_complete else 8 * graph.edge_count + 8 * 401
+            assert len(pickle.dumps(graph)) <= stored + 1024 < 400 * 400 // 8
+        assert run_plan(plan, workers=2) == run_plan(plan, workers=1)

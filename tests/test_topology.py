@@ -1,6 +1,7 @@
 """Graph constructors, the topology spectrum, and edge-list round-trips."""
 
 import itertools
+import pickle
 import re
 import string
 import tracemalloc
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from swarmtopo import topology
 from swarmtopo.plans import _topology_line, parse_topology_line
 from swarmtopo.topology import (
     KINDS,
@@ -159,45 +161,75 @@ def _traced_peak(build) -> int:
         tracemalloc.stop()
 
 
+# the graphs TestGraphCost builds at 10 000 nodes, every kind but the
+# complete one; random at 4096, since its n(n - 1)/2 draws take O(n^2) time
+SPARSE_AT_SCALE = {
+    "star": lambda: graph_of("star", node_count=10_000),
+    "ring": lambda: graph_of("ring", node_count=10_000),
+    "core-periphery": lambda: graph_of("core-periphery", node_count=10_000, core_size=100),
+    "ring-core-star": lambda: graph_of("ring-core-star", node_count=10_000, hub_count=100),
+    "multi-ring": lambda: graph_of("multi-ring", node_count=10_000, ring_levels=3),
+    "von-neumann": lambda: graph_of("von-neumann", rows=100, cols=100),
+    "scale-free": lambda: graph_of("scale-free", node_count=10_000, attach_count=3, seed=1),
+    "random": lambda: graph_of("random", node_count=4096, edge_prob=0.01, seed=1),
+    "small-world": lambda: graph_of(
+        "small-world", node_count=10_000, degree=6, rewire_prob=0.1, seed=1
+    ),
+}
+
+
 class TestGraphCost:
-    """A graph is one n x n bool array; building it holds at most two."""
+    """A graph is its neighbour CSR: building or reading one holds
+    O(n + edges) bytes, a complete graph O(n), never an n x n array."""
 
     N = 2048
+    # traced bytes allowed per node and per edge: the builders peak at 20
+    # to 65, the small-world one at about 127 for its Python edge set,
+    # and an n x n bool array at n = 10 000 would be 2500 or more
+    LINEAR = 160
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda n: graph_of("multi-ring", node_count=n, ring_levels=3),
-            lambda n: graph_of("complete", node_count=n),
-        ],
-        ids=["multi-ring", "complete"],
-    )
-    def test_view_built_graph_costs_its_copy(self, build):
-        assert _traced_peak(lambda: build(self.N)) <= 1.1 * self.N**2
+    def linear(self, graph: Graph) -> int:
+        return self.LINEAR * (graph.node_count + graph.edge_count)
+
+    @pytest.mark.parametrize("build", SPARSE_AT_SCALE.values(), ids=SPARSE_AT_SCALE.keys())
+    def test_sparse_kind_holds_no_square_term(self, build):
+        build()  # the first call imports numpy.random and fills caches
+        peak = _traced_peak(build)
+        graph = build()
+        assert graph.node_count >= 4096 and not graph.is_complete
+        assert peak <= self.linear(graph)
+
+    def test_complete_graph_is_its_flag(self):
+        n = 10_000
+        graph = graph_of("complete", node_count=n)
+        assert graph.is_complete and graph.edge_count == n * (n - 1) // 2
+        assert _traced_peak(lambda: graph_of("complete", node_count=n)) <= 8 * n
 
     def test_graph_of_an_array_costs_its_copy(self):
+        # far less: Graph keeps none of its input and builds from its nonzeros
         adj = graph_of("multi-ring", node_count=self.N, ring_levels=3).adjacency
-        assert _traced_peak(lambda: Graph(adj)) <= 1.1 * self.N**2
+        graph = Graph(adj)
+        assert _traced_peak(lambda: Graph(adj)) <= self.linear(graph)
 
     @pytest.mark.parametrize(
         "read", [lambda g: g.candidates, Graph.edges], ids=["candidates", "edges"]
     )
     def test_candidates_and_edges_make_no_square_temporary(self, read):
         ring = graph_of("ring", node_count=self.N)
-        assert _traced_peak(lambda: read(ring)) <= 0.2 * self.N**2
+        assert _traced_peak(lambda: read(ring)) <= self.linear(ring)
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda n: graph_of("von-neumann", rows=32, cols=64),
-            lambda n: graph_of("small-world", node_count=n, degree=6, rewire_prob=0.1, seed=1),
-        ],
-        ids=["von-neumann", "small-world"],
-    )
-    def test_array_built_graph_holds_at_most_two(self, build):
-        # numpy.random's first import is not the graph's
-        graph_of("small-world", node_count=10, degree=4, rewire_prob=0.5, seed=0)
-        assert _traced_peak(lambda: build(self.N)) <= 2.25 * self.N**2
+    @pytest.mark.parametrize("kind", ["complete", "ring", "small-world"])
+    def test_pickle_carries_the_stored_form_only(self, kind):
+        n = 2048
+        fields = {"degree": 6, "rewire_prob": 0.1, "seed": 1} if kind == "small-world" else {}
+        graph = graph_of(kind, node_count=n, **fields)
+        graph.candidates  # cached on the graph, not shipped with it
+        data = pickle.dumps(graph)
+        # the int32 neighbours and the n + 1 offsets; a complete graph, neither
+        stored = 0 if graph.is_complete else 4 * 2 * graph.edge_count + 8 * (n + 1)
+        assert len(data) <= stored + 1024 < n * n // 8
+        clone = pickle.loads(data)
+        assert clone == graph and "candidates" not in vars(clone)
 
     @pytest.mark.parametrize(
         "entry", [(255, 256), (256, 255), (0, 514), (514, 0), (511, 512)]
@@ -388,6 +420,23 @@ class TestEveryKind:
         text = edge_list_text(graph)
         assert edge_list_text(parse_edge_list(text)) == text
 
+    @settings(max_examples=200, deadline=None)
+    @given(spec=topology_specs())
+    def test_dense_and_pickle_round_trips(self, spec):
+        graph = build_topology(spec)
+        for other in (Graph(graph.adjacency), pickle.loads(pickle.dumps(graph))):
+            assert other == graph
+            assert other.edges() == graph.edges()
+            assert other.is_complete == graph.is_complete
+        assert Graph.from_edges(graph.node_count, graph.edges()) == graph
+        # every dense build against the edge list, entry by entry
+        expected = np.zeros((graph.node_count, graph.node_count))
+        for i, j in graph.edges():
+            expected[i, j] = expected[j, i] = 1
+        for dtype in (bool, np.float32, np.float64):
+            dense = graph.dense(dtype)
+            assert dense.dtype == dtype and np.array_equal(dense, expected)
+
 
 class TestRandomizedFamilies:
     def test_scale_free_edge_count(self):
@@ -426,6 +475,31 @@ class TestRandomizedFamilies:
         ]
         sd = np.sqrt(4950 * 0.1 * 0.9)
         assert abs(np.mean(counts) - 495.0) < 3 * sd / np.sqrt(len(counts))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        edge_prob=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        block=st.sampled_from([1, 7, 64, 1 << 16]),
+    )
+    def test_random_row_blocks_draw_one_stream(self, n, edge_prob, seed, block):
+        # consecutive rng.random(k) calls continue one stream, so the row
+        # blocks draw what one call over the whole upper triangle draws
+        counts = np.random.default_rng(seed).integers(0, 50, size=5)
+        split = np.random.default_rng(seed)
+        whole = np.random.default_rng(seed).random(int(counts.sum()))
+        assert np.array_equal(np.concatenate([split.random(int(k)) for k in counts]), whole)
+        iu, ju = np.triu_indices(n, k=1)
+        hit = np.random.default_rng(seed).random(iu.size) < edge_prob
+        expected = Graph.from_edges(n, zip(iu[hit].tolist(), ju[hit].tolist()))
+        original = topology._DRAW_BLOCK
+        topology._DRAW_BLOCK = block
+        try:
+            graph = graph_of("random", node_count=n, edge_prob=edge_prob, seed=seed)
+        finally:
+            topology._DRAW_BLOCK = original
+        assert graph == expected
 
     def test_random_rejects_bad_prob(self):
         for prob in (-0.1, 1.5):
