@@ -3,14 +3,20 @@ random agent deactivation.
 
 Agents maximize a score (minimization objectives are negated by the
 objective layer).  Each iteration applies a synchronous constriction
-update followed by an independent per-agent death draw.  The update is
-fixed, the social-only constriction step of Clerc & Kennedy (2002):
+update, after which every alive agent dies with its row's probability
+by an independent draw.  The update is fixed, the social-only
+constriction step of Clerc & Kennedy (2002):
 ``v' = clip(chi * (v + phi * r * (g - x)), -10, 10)``, ``x' = x + v'``
 with chi 0.7298438 and phi 2.05, where ``g`` is the best position of the
 agent's neighbourhood leader and ``r`` one uniform draw per agent.  Dead
 agents keep their state forever: they stop moving, stop dying, and drop out
 of every neighborhood candidate set, but their recorded bests still
 count when final winners are tallied.
+
+The death draws never read the search, so each agent's death iteration
+is fixed by its row's seed before the swarm moves: :func:`randomized_death`
+draws that schedule once per run, and the loop reads every iteration's
+alive mask from it.
 
 The engine has one array shape: every state array carries a leading
 row axis of B swarms, ``(B, N, d)`` and ``(B, N)``.  The rows of a
@@ -25,9 +31,9 @@ the run its own config gives alone.
 ``run`` is the one checked entry: :class:`SwarmConfig` and
 :class:`SwarmBatch` check their values when built, and ``run`` checks
 the graphs against the rows and the agent count once per call.  Its
-loop parts, :func:`initialize`, :class:`Neighborhoods`, :func:`step`
-and :func:`randomized_death` on a :class:`SwarmState` and its alive
-mask, are not public and trust those checks: they check nothing on any
+parts, :func:`randomized_death` and the loop's :func:`initialize`,
+:class:`Neighborhoods` and :func:`step` on a :class:`SwarmState`, are
+not public and trust those checks: they check nothing on any
 iteration.
 
 All randomness flows through a counter-based uniform source keyed by
@@ -72,11 +78,12 @@ Cost per iteration, for B rows of N agents in dimension d:
   K from 1 up to the ``_BLOCK_WORDS`` budget of 2**12 words (K = 4 at
   B = 10, N = 100), so a draw call is mostly a dictionary lookup that
   returns a read-only view of one iteration;
-* a row that has settled (see :func:`run`) costs no stepping: it has
-  left the batch, and only its death draws go on, for all settled rows
-  with losses at once, after the loop.  They are played a block of
-  iterations at a time: each alive agent's first draw below its row's
-  probability in the block is its death.
+* deaths cost one comparison of the schedule against the iteration.
+  The schedule itself is drawn once per run, before the loop, for the
+  rows that can lose agents, in the source's blocks of iterations,
+  until every agent of those rows has died or ``max_iters``;
+* a row that has settled or died out (see :func:`run`) costs nothing:
+  it has left the batch.
 
 At N=100 one swarm's iteration is mostly fixed per-call numpy
 overhead, which a batch shares among its rows; the coordinate-major
@@ -243,9 +250,11 @@ class SwarmConfig:
 
     When built, a config checks that ``n_agents``, ``max_iters`` and
     ``seed`` are integers and ``death_prob`` a number (no bool is
-    either), that ``n_agents, max_iters >= 1`` and ``0 <= death_prob <
-    1``, and raises ``ValueError`` otherwise.  It stores the three
-    integers as Python ints, whatever integer type they came as.
+    either), that ``n_agents, max_iters >= 1``, ``0 <= death_prob < 1``
+    and ``0 <= seed < 2**64``, and raises ``ValueError`` otherwise.  The
+    draws key on the seed modulo 2**64, so no two accepted seeds share
+    their draws.  It stores the three integers as Python ints, whatever
+    integer type they came as.
     """
 
     n_agents: int = 100
@@ -265,6 +274,8 @@ class SwarmConfig:
             raise ValueError("max_iters must be >= 1")
         if not 0.0 <= self.death_prob < 1.0:
             raise ValueError(f"death_prob must be in [0, 1), got {self.death_prob}")
+        if not 0 <= self.seed <= _U64_MASK:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -471,16 +482,37 @@ def step(
     return swarm
 
 
-def randomized_death(
-    alive: np.ndarray, probs: np.ndarray, rand_fn, iteration: int
-) -> np.ndarray:
-    """Independent per-agent deactivation of a ``(B, N)`` alive mask,
-    in place: alive agents of row ``b`` whose draw is below ``probs[b, 0]``
-    die.  ``probs`` is the float64 ``(B, 1)`` column that :func:`run`
-    builds once from the rows' validated ``death_prob``."""
-    if probs.any():
-        alive &= rand_fn(CHANNEL_DEATH, iteration, alive.shape[1])[..., 0] >= probs
-    return alive
+def randomized_death(probs: np.ndarray, draws, n: int, max_iters: int) -> np.ndarray:
+    """Every agent's death iteration, a ``(B, N)`` int64 array: the first
+    iteration in 1..``max_iters`` whose death draw is below its row's
+    probability, or ``max_iters + 1`` for an agent that survives.
+
+    ``probs`` is the float64 ``(B, 1)`` column that :func:`run` builds
+    once from the rows' validated ``death_prob``, and ``draws(rows)``
+    gives the draw source of the batch rows ``rows``.  Only the rows with
+    a positive probability are drawn, a block of iterations at a time,
+    the blocks doubling from one iteration up to ``_BLOCK_WORDS`` words
+    as the source's own do, until every agent of those rows has died or
+    ``max_iters`` is drawn."""
+    deaths = np.full((len(probs), n), max_iters + 1, dtype=np.int64)
+    rows = np.flatnonzero(probs[:, 0] > 0)
+    if not rows.size:
+        return deaths
+    rand, probs, schedule = draws(rows), probs[rows], deaths[rows]
+    cap = max(1, _BLOCK_WORDS // schedule.size)
+    first, span = 1, 1
+    while first <= max_iters and (schedule > max_iters).any():
+        stop = min(first + span, max_iters + 1)
+        # (K, R, N): the block's draws, one contiguous (R, N) plane per
+        # iteration; each agent's first iteration below its row's
+        # probability, and an agent already dead keeps its earlier one
+        block = np.stack([rand(CHANNEL_DEATH, iteration, n)[..., 0]
+                          for iteration in range(first, stop)])
+        hits = np.where(block < probs, np.arange(first, stop)[:, None, None], max_iters + 1)
+        np.minimum(schedule, hits.min(axis=0), out=schedule)
+        first, span = stop, min(2 * span, cap)
+    deaths[rows] = schedule
+    return deaths
 
 
 def _take_rows(swarm: SwarmState, keep: np.ndarray) -> SwarmState:
@@ -499,47 +531,10 @@ def _take_rows(swarm: SwarmState, keep: np.ndarray) -> SwarmState:
     )
 
 
-def _play_deaths(
-    alive: np.ndarray, probs: np.ndarray, rand_fn, left_at: np.ndarray, max_iters: int
-) -> np.ndarray:
-    """The last iteration each row executes, for rows that stopped
-    stepping with agents alive, row ``r`` after iteration ``left_at[r]``:
-    from there to ``max_iters`` or its extinction it draws the death
-    channel alone, in place on ``alive``, with death probabilities the
-    ``(B, 1)`` column ``probs``.
-
-    The iterations are played a block at a time: an alive agent dies at
-    its first draw below its row's probability in the block, and a row
-    executes up to the last iteration that one of its agents starts
-    alive.  All rows play from the earliest ``left_at`` on, so a row that
-    left later draws again the iterations it stepped through; that kills
-    no one, since a draw depends on its coordinates alone, and its
-    ``left_at`` stays its floor."""
-    executed = left_at.copy()
-    n = alive.shape[1]
-    span = max(1, _BLOCK_WORDS // alive.size)
-    first = int(left_at.min()) + 1
-    while first <= max_iters and alive.any():
-        stop = min(first + span, max_iters + 1)
-        # (B, N, K): each agent's draws of the block, contiguous
-        dies = np.concatenate(
-            [rand_fn(CHANNEL_DEATH, iteration, n) for iteration in range(first, stop)], axis=2
-        ) < probs[..., None]
-        died = dies.any(axis=2)
-        # the last iteration each alive agent starts alive: its first
-        # draw below the probability, or the block's last iteration
-        last = np.where(died, dies.argmax(axis=2) + first, stop - 1)
-        np.maximum(executed, np.where(alive, last, 0).max(axis=1), out=executed)
-        alive &= ~died
-        first = stop
-    return executed
-
-
-def _results(converged_at, winners, alive, executed, trace=None) -> list[RunResult]:
+def _results(converged_at, winners, survivors, executed, trace=None) -> list[RunResult]:
     """One :class:`RunResult` per row, from its convergence iteration
-    (0: not converged), winner count, final alive mask, last executed
+    (0: not converged), winner and survivor counts, last executed
     iteration and, when traced, ``trace(row)``."""
-    survivors = np.count_nonzero(alive, axis=1)
     return [
         RunResult(
             converged=at > 0,
@@ -563,7 +558,7 @@ def run(
     rand_fn=None,
     record_trace: bool = False,
 ) -> RunResult | BatchResult:
-    """Full run: iterate step + death until max_iters or swarm death.
+    """Full run: step until max_iters or swarm death.
 
     ``success_fn`` maps (best_positions, best_scores) to a boolean
     qualification mask per agent.  The run converges at the first
@@ -574,6 +569,12 @@ def run(
     ``config.seed`` (or an injected ``rand_fn``, which draws
     ``(B, count, lanes)`` arrays like :func:`make_rand_source`).
 
+    Deaths are drawn before the loop: :func:`randomized_death` gives
+    every agent's death iteration, and from it each row's survivors and
+    iterations executed, the last iteration that one of its agents
+    starts alive.  After each step, the agents whose death iteration
+    has come are dead.
+
     ``success_fn`` may carry two certificates, as
     :func:`harness.success_predicate` attaches; either may be ``None``
     or absent, and neither changes a result.  Below ``floor_score`` no
@@ -583,9 +584,9 @@ def run(
     ``settle_score`` every best score qualifies: a row whose every alive
     agent scores above it has its final winners and convergence
     iteration, since bests never fall and the dead are frozen.  It
-    leaves the batch, and only its death draws go on, played a block of
-    iterations at a time, for its survivors and iterations executed.  A
-    traced run steps every row to the end, since its best scores keep
+    leaves the batch, and so does a row whose agents have all died,
+    since nothing about it can change.  A traced run steps every row to
+    the last iteration any row executes, since its best scores keep
     moving.
 
     A :class:`SwarmBatch` takes one graph per row and gives a
@@ -608,8 +609,6 @@ def run(
     neighborhoods = Neighborhoods(graphs)
     rand = rand_fn or make_rand_source([c.seed for c in batch.configs])
     swarm = initialize(batch, objective, rand)
-    # one death probability per row, a column against the (B, N) masks
-    death = np.array([[c.death_prob] for c in batch.configs], dtype=np.float64)
     alive, d = swarm.alive, swarm.dimension
     floor_score = getattr(success_fn, "floor_score", None)
     settle_score = None if record_trace else getattr(success_fn, "settle_score", None)
@@ -626,93 +625,69 @@ def run(
             return make_rand_source([batch.configs[row].seed for row in rows])
         return lambda *args: rand_fn(*args)[rows]
 
-    # per stepped row: its batch row, its last executed iteration, its
-    # convergence iteration (0: not converged), whether it has not
-    # converged yet and whether it has agents alive
-    rows = np.arange(len(graphs))
-    executed = np.zeros(len(graphs), dtype=np.int64)
+    # every agent's death iteration, and from it each row's last executed
+    # iteration and survivors; each row's convergence iteration (0: not
+    # converged) and winners are filled in as it leaves
+    probs = np.array([[c.death_prob] for c in batch.configs], dtype=np.float64)
+    deaths = randomized_death(probs, source, shared.n_agents, shared.max_iters)
+    executed = np.minimum(deaths.max(axis=1), shared.max_iters)
+    survivors = np.count_nonzero(deaths > shared.max_iters, axis=1)
     converged_at = np.zeros(len(graphs), dtype=np.int64)
+    winners = np.zeros(len(graphs), dtype=np.int64)
+    # per stepped row: its batch row, its death iterations, the iteration
+    # it leaves after (in a traced run, the last any row executes) and
+    # whether it has not converged yet
+    rows, schedule = np.arange(len(graphs)), deaths
+    ends = np.full_like(executed, executed.max()) if record_trace else executed
     open_rows = np.ones(len(graphs), dtype=bool)
-    live = np.ones(len(graphs), dtype=bool)
-    # per leaving: the rows' (batch rows, iteration, convergence
-    # iterations, winners, alive masks, death probabilities)
-    left = []
-    alive_counts, best_scores = [], []
+    best_scores = []
     for iteration in range(1, shared.max_iters + 1):
-        if not live.any():
-            break
-        executed[live] = iteration
         step(swarm, neighborhoods, objective, rand, iteration)
-        randomized_death(alive, death, rand, iteration)
-        live = alive.any(axis=1)
+        np.greater(schedule, iteration, out=alive)
         # each row's lowest best score among its alive agents (inf: none),
         # which both certificates are checked against
         if certified:
             lowest = np.where(alive, swarm.best_scores, np.inf).min(axis=1)
         # the success mask of this iteration, once asked for
         mask = None
-        pending = open_rows & live
+        pending = open_rows & alive.any(axis=1)
         if floor_score is not None:
             pending &= lowest >= floor_score
         if pending.any():
             mask = qualified()
             done = pending & (mask | ~alive).all(axis=1)
-            converged_at[done] = iteration
+            converged_at[rows[done]] = iteration
             open_rows[done] = False
         if record_trace:
-            alive_counts.append(np.count_nonzero(alive, axis=1))
             best_scores.append(swarm.best_scores.max(axis=1))
+        leaving = ends <= iteration
         if settle_score is not None:
-            settled = lowest > settle_score
-            if settled.any():
-                # settled rows leave with their final winners; the rest
-                # step on, compacted
-                if mask is None:
-                    mask = qualified()
-                left.append((
-                    rows[settled], np.full(np.count_nonzero(settled), iteration),
-                    converged_at[settled], np.count_nonzero(mask[settled], axis=1),
-                    alive[settled], death[settled],
-                ))
-                keep = ~settled
-                rows, executed, converged_at = rows[keep], executed[keep], converged_at[keep]
-                open_rows, live = open_rows[keep], live[keep]
-                if not rows.size:
-                    break
-                swarm, death = _take_rows(swarm, keep), death[keep]
-                alive = swarm.alive
-                neighborhoods = Neighborhoods([graphs[row] for row in rows])
-                rand = source(rows)
+            leaving |= lowest > settle_score
+        if leaving.any():
+            # leaving rows have their final winners; the rest step on,
+            # compacted
+            if mask is None:
+                mask = qualified()
+            winners[rows[leaving]] = np.count_nonzero(mask[leaving], axis=1)
+            keep = ~leaving
+            rows, schedule, ends, open_rows = rows[keep], schedule[keep], ends[keep], open_rows[keep]
+            if not rows.size:
+                break
+            swarm = _take_rows(swarm, keep)
+            alive = swarm.alive
+            neighborhoods = Neighborhoods([graphs[row] for row in rows])
+            rand = source(rows)
 
-    results: dict[int, RunResult] = {}
-    if left:
-        batch_rows, left_at, converged, winners, left_alive, probs = (
-            np.concatenate(part) for part in zip(*left)
-        )
-        # a row that can no longer die stays alive to the end; the others
-        # play their deaths together
-        played = np.where(left_alive.any(axis=1), shared.max_iters, left_at)
-        dying = (probs[:, 0] > 0) & left_alive.any(axis=1)
-        if dying.any():
-            dying_alive = left_alive[dying]
-            played[dying] = _play_deaths(
-                dying_alive, probs[dying], source(batch_rows[dying]), left_at[dying],
-                shared.max_iters,
-            )
-            left_alive[dying] = dying_alive
-        results.update(zip(batch_rows.tolist(), _results(converged, winners, left_alive, played)))
-    if rows.size:
-        trace = None
-        if record_trace:
-            # rows never leave a traced run; a row's trace ends with its
-            # last executed iteration
-            counts, scores = np.array(alive_counts), np.array(best_scores)
+    trace = None
+    if record_trace:
+        # rows never leave a traced run before its last iteration; a
+        # row's trace ends with its last executed iteration
+        scores = np.array(best_scores)
 
-            def trace(row: int):
-                span = int(executed[row])
-                return tuple(counts[:span, row].tolist()), tuple(scores[:span, row].tolist())
+        def trace(row: int):
+            span = int(executed[row])
+            counts = np.count_nonzero(deaths[row] > np.arange(1, span + 1)[:, None], axis=1)
+            return tuple(counts.tolist()), tuple(scores[:span, row].tolist())
 
-        winners = np.count_nonzero(qualified(), axis=1)
-        results.update(zip(rows.tolist(), _results(converged_at, winners, alive, executed, trace)))
-    ordered = tuple(results[row] for row in range(len(graphs)))
-    return ordered[0] if single else BatchResult(ordered)
+    results = tuple(_results(converged_at, winners, survivors, executed, trace))
+    return results[0] if single else BatchResult(results)

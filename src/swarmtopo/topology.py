@@ -19,7 +19,7 @@ core-periphery's ``c = 1`` endpoint), whose pairs come from a few array
 operations with no loop over edges; the randomized builders make the
 same draws in the same order as when they filled a dense matrix.
 Building any kind holds O(n + edges) memory.  The 240-graph spectrum
-at ``n = 100`` builds in about 15 ms on a 2-core Xeon, most of it the
+at ``n = 100`` builds in about 19 ms on a 2-core Xeon, most of it the
 pair constructor's sort.
 
 A graph is built from its :class:`TopologySpec` by

@@ -11,6 +11,7 @@ draws is pinned by sha256 (taken from the numpy-array implementation
 that derived its keys with one-element arrays under ``np.errstate``).
 """
 
+import dataclasses
 import hashlib
 import pickle
 from collections import Counter
@@ -646,30 +647,51 @@ class TestLeaderTable:
         assert _leaders(graph, scores, all_dead).tolist() == list(range(6))
 
 
+def _one_source(source):
+    """``draws(rows)`` for :func:`randomized_death` over one full source:
+    the rows ``rows`` of each of its draws."""
+    return lambda rows: lambda *args: source(*args)[rows]
+
+
 class TestDeathAndRun:
     def test_death_draws_deterministic(self):
+        # an agent dies at its first draw below p, or survives past max_iters
         rand = make_rand_source([31])
-        config = SwarmConfig(n_agents=200, max_iters=1)
-        objective = default_spec("rastrigin")
-        swarm = initialize(SwarmBatch([config]), objective, rand)
-        randomized_death(swarm.alive, np.array([[0.1]]), rand, 7)
-        expected = np.flatnonzero(rand(CHANNEL_DEATH, 7, 200)[0, :, 0] < 0.1).tolist()
-        assert np.flatnonzero(~swarm.alive[0]).tolist() == expected
+        deaths = randomized_death(np.array([[0.1]]), _one_source(rand), 200, 7)
+        expected = []
+        for agent in range(200):
+            below = [k for k in range(1, 8) if rand(CHANNEL_DEATH, k, 200)[0, agent, 0] < 0.1]
+            expected.append(below[0] if below else 8)
+        assert deaths.tolist() == [expected]
+        assert 0 < np.count_nonzero(deaths == 8) < 200
 
     def test_death_zero_probability(self):
-        rand = make_rand_source([0])
-        swarm = initialize(SwarmBatch([SwarmConfig(n_agents=50)]), default_spec("ackley"), rand)
-        randomized_death(swarm.alive, np.array([[0.0]]), rand, 1)
-        assert swarm.alive.all()
+        def never(rows):
+            raise AssertionError("a row with p = 0 was drawn")
 
-    def test_dead_stay_dead(self):
-        rand = make_rand_source([13])
-        swarm = initialize(SwarmBatch([SwarmConfig(n_agents=100)]), default_spec("ackley"), rand)
-        swarm.alive[0, :50] = False
-        randomized_death(swarm.alive, np.array([[0.9]]), rand, 1)
-        # the dead are not revived; the alive half loses agents of its own
-        assert not swarm.alive[0, :50].any()
-        assert 0 < np.count_nonzero(swarm.alive[0, 50:]) < 50
+        deaths = randomized_death(np.array([[0.0]]), never, 50, 1000)
+        assert deaths.shape == (1, 50) and (deaths == 1001).all()
+
+    def test_dead_stay_dead(self, monkeypatch):
+        # every step sees the alive mask the schedule gives its iteration
+        masks = []
+        original = engine.step
+
+        def recorded(swarm, *args):
+            masks.append(swarm.alive.copy())
+            return original(swarm, *args)
+
+        monkeypatch.setattr(engine, "step", recorded)
+        config = SwarmConfig(n_agents=100, max_iters=10, death_prob=0.5, seed=13)
+        result = run(config, graph_of("ring", node_count=100), default_spec("ackley"), _everyone)
+        deaths = randomized_death(np.array([[0.5]]), _one_source(make_rand_source([13])), 100, 10)
+        assert len(masks) == result.iterations_executed == min(10, deaths.max())
+        for iteration, mask in enumerate(masks, start=1):
+            assert mask.tolist() == (deaths > iteration - 1).tolist()
+        # the dead are not revived; the alive lose agents of their own
+        assert masks[0].all() and 0 < np.count_nonzero(masks[1]) < 100
+        for before, after in zip(masks, masks[1:]):
+            assert not (after & ~before).any()
 
     def test_initialize_within_bounds(self):
         objective = default_spec("schwefel")
@@ -810,6 +832,18 @@ class TestConfigValidation:
             SwarmConfig(**{field: value})
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["minus-one", "two-to-the-64"])
+    def test_rejects_seeds_outside_64_bits(self, seed):
+        # the draws key on the seed modulo 2**64, so -1 would run as
+        # 2**64 - 1 and 2**64 as 0
+        with pytest.raises(ValueError) as caught:
+            SwarmConfig(seed=seed)
+        assert str(caught.value) == f"seed must be in [0, 2**64), got {seed}"
+
+    def test_accepts_the_largest_seed(self):
+        assert SwarmConfig(seed=2**64 - 1).seed == 2**64 - 1
+        assert SwarmConfig(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+
     def test_accepts_numpy_scalars(self):
         config = SwarmConfig(n_agents=np.int64(5), max_iters=np.int64(3),
                              death_prob=np.float64(0.25), seed=np.int64(7))
@@ -843,8 +877,8 @@ class TestDrawChannels:
         config = SwarmConfig(n_agents=10, max_iters=12, death_prob=0.01)
         run(config, graph_of("ring", node_count=10), default_spec("shekel"), _everyone,
             rand_fn=rand)
-        # the start once, then one social and one death draw per iteration;
-        # channel 3 is unused
+        # the start once, one social draw per iteration, and the death
+        # schedule's one draw per iteration; channel 3 is unused
         assert calls == {CHANNEL_INIT_POSITION: 1, CHANNEL_INIT_VELOCITY: 1,
                          CHANNEL_VELOCITY_SOCIAL: 12, CHANNEL_DEATH: 12}
         assert (CHANNEL_INIT_POSITION, CHANNEL_INIT_VELOCITY,
@@ -896,13 +930,15 @@ class TestBatch:
             SwarmConfig(
                 n_agents=n,
                 max_iters=25,
-                death_prob=data.draw(st.sampled_from((0.0, 0.02, 0.3))),
+                # 0.6 ends most rows inside the batch
+                death_prob=data.draw(st.sampled_from((0.0, 0.02, 0.3, 0.6))),
                 seed=data.draw(st.integers(0, 2**64 - 1)),
             )
             for _ in graphs
         ]
+        traced = data.draw(st.booleans())
         serial = [
-            run(config, graph, objective, qualifies, record_trace=True)
+            run(config, graph, objective, qualifies, record_trace=traced)
             for config, graph in zip(configs, graphs)
         ]
         cuts = data.draw(st.lists(st.integers(1, len(graphs) - 1), unique=True))
@@ -911,7 +947,7 @@ class TestBatch:
         for lo, hi in zip(bounds, bounds[1:]):
             result = run(
                 SwarmBatch(configs[lo:hi]), graphs[lo:hi], objective, qualifies,
-                record_trace=True,
+                record_trace=traced,
             )
             assert isinstance(result, BatchResult)
             assert result.iterations_executed == sum(r.iterations_executed for r in serial[lo:hi])
@@ -944,12 +980,16 @@ class TestBatch:
                 _everyone)
 
     def test_death_takes_one_probability_per_row(self):
-        batch = SwarmBatch([SwarmConfig(n_agents=50), SwarmConfig(n_agents=50, seed=1)])
-        rand = make_rand_source([0, 1])
-        swarm = initialize(batch, default_spec("ackley"), rand)
-        randomized_death(swarm.alive, np.array([[0.0], [0.5]]), rand, 1)
-        # row 0 cannot lose anyone
-        assert swarm.alive[0].all() and not swarm.alive[1].all()
+        drawn = []
+
+        def draws(rows):
+            drawn.append(rows.tolist())
+            return make_rand_source([[0, 1][row] for row in rows])
+
+        deaths = randomized_death(np.array([[0.0], [0.5]]), draws, 50, 10)
+        # row 0 cannot lose anyone, and only row 1 is drawn
+        assert (deaths[0] == 11).all() and (deaths[1] <= 10).all()
+        assert drawn == [[1]]
 
 
 def _stripped(predicate, *keep):
@@ -988,8 +1028,9 @@ _TOLERANCES = {
 
 class TestSettledRows:
     """A row whose every alive agent scores above the predicate's
-    ``settle_score`` leaves the stepped batch; the oracle is the same
-    run with the certificate stripped, which steps every row."""
+    ``settle_score`` leaves the stepped batch, and so does a row whose
+    agents have all died; the oracle is the same run with the
+    certificate stripped, or each row run alone."""
 
     @settings(max_examples=30, deadline=None)
     @given(mixed=_mixed_graphs(), data=st.data())
@@ -1053,8 +1094,8 @@ class TestSettledRows:
 
     def test_a_batch_whose_rows_all_leave(self, monkeypatch):
         # a value gap of 10 qualifies any score above 0.53: every row
-        # leaves within 18 iterations, and the rows that lose agents play
-        # their deaths to the end or to extinction
+        # leaves within 18 iterations, and the death schedule gives the
+        # rows that lose agents their survivors and iterations executed
         objective = default_spec("shekel")
         qualifies = success_predicate(SuccessCriterion("value-gap", 10.0), objective)
         graphs = [graph_of("complete", node_count=10)] * 3
@@ -1082,7 +1123,8 @@ class TestSettledRows:
     def test_floor_gates_the_success_check(self):
         # with the floor alone, the predicate runs on every agent, and
         # only on iterations where a row not yet converged has every
-        # alive agent at or above the floor, and once at the end
+        # alive agent at or above the floor, and at the end unless the
+        # last iteration ran it
         objective = default_spec("shekel")
         qualifies = success_predicate(SuccessCriterion(tolerance=1.0), objective)
         graphs = [graph_of(kind, node_count=20) for kind in ("complete", "ring", "star")]
@@ -1098,11 +1140,51 @@ class TestSettledRows:
         counted.floor_score = qualifies.floor_score
         result = run(batch, graphs, objective, counted)
         assert result == run(batch, graphs, objective, _stripped(qualifies))
-        # 26 calls, against one per iteration and one at the end without
-        # the floor
-        assert len(calls) == 26
+        # 25 calls, against one per iteration without the floor; the
+        # last iteration's mask also gives the winners
+        assert len(calls) == 25
         assert set(calls) == {60}
         assert qualifies.floor_score is not None
+
+    def test_an_extinct_row_leaves(self, monkeypatch):
+        # row 0 loses agents 0-2 at iteration 2 and the rest at 3; rows 1
+        # and 2 lose no one.  Rastrigin has no settle score, so only the
+        # extinction makes a row leave
+        n, max_iters = 6, 12
+        table = np.full((max_iters + 1, 3, n), 0.9)
+        table[2, 0, :3] = table[3, 0, 3:] = 0.0
+        source = make_rand_source([0, 1, 2])
+
+        def rand(channel, iteration, agent_count, lanes=1):
+            if channel == CHANNEL_DEATH:
+                return table[iteration][..., None]
+            return source(channel, iteration, agent_count, lanes)
+
+        objective = default_spec("rastrigin")
+        qualifies = success_predicate(SuccessCriterion(), objective)
+        configs = [
+            SwarmConfig(n_agents=n, max_iters=max_iters, death_prob=0.5, seed=k) for k in range(3)
+        ]
+        graphs = [graph_of(kind, node_count=n) for kind in ("ring", "star", "complete")]
+        sizes = _recording_step(monkeypatch)
+        result = run(SwarmBatch(configs), graphs, objective, qualifies, rand_fn=rand)
+        assert sizes == [3] * 3 + [2] * 9
+        assert [row.iterations_executed for row in result.rows] == [3, 12, 12]
+        assert [row.survivors for row in result.rows] == [0, 6, 6]
+        # a traced run steps every row, and row 0's trace ends at its extinction
+        del sizes[:]
+        traced = run(SwarmBatch(configs), graphs, objective, qualifies, rand_fn=rand,
+                     record_trace=True)
+        assert sizes == [3] * 12
+        assert traced.rows[0].trace[0] == (6, 3, 0)
+        for row, alone in enumerate(result.rows):
+            def own(*args, row=row):
+                return rand(*args)[[row]]
+
+            assert run(configs[row], graphs[row], objective, qualifies, rand_fn=own) == alone
+            assert traced.rows[row] == run(configs[row], graphs[row], objective, qualifies,
+                                           rand_fn=own, record_trace=True)
+            assert dataclasses.replace(traced.rows[row], trace=None) == alone
 
     def test_no_certificate_builds_one_source(self, monkeypatch):
         # rastrigin has no settle score: one source, and no row ever leaves
@@ -1119,20 +1201,24 @@ class TestSettledRows:
         assert sources == [[0, 1, 2]]
 
 
-def replay_deaths_per_iteration(alive, probs, rand_fn, left_at, max_iters):
-    """Reference death replay, one iteration at a time from the earliest
-    ``left_at``: each row that still has an agent alive executes the
-    iteration, then every alive agent whose draw is below its row's
-    probability dies."""
-    executed = left_at.copy()
-    for iteration in range(int(left_at.min()) + 1, max_iters + 1):
+def replay_deaths_per_iteration(probs, rand_fn, n, max_iters):
+    """Reference death schedule, one iteration at a time from iteration
+    1: each row that still has an agent alive executes the iteration,
+    then every alive agent whose draw is below its row's probability
+    dies at it.  Gives every agent's death iteration (``max_iters + 1``:
+    it survives) and each row's last executed iteration."""
+    alive = np.ones((len(probs), n), dtype=bool)
+    deaths = np.full((len(probs), n), max_iters + 1)
+    executed = np.zeros(len(probs), dtype=int)
+    for iteration in range(1, max_iters + 1):
         live = alive.any(axis=1)
         if not live.any():
             break
         executed[live] = iteration
-        draws = rand_fn(CHANNEL_DEATH, iteration, alive.shape[1])[..., 0]
-        alive &= draws >= probs
-    return executed
+        dies = alive & (rand_fn(CHANNEL_DEATH, iteration, n)[..., 0] < probs)
+        deaths[dies] = iteration
+        alive &= ~dies
+    return deaths, executed
 
 
 def _table_source(table):
@@ -1147,68 +1233,70 @@ def _table_source(table):
 
 
 class TestDeathReplay:
-    """``_play_deaths`` plays blocks of iterations; the reference plays
-    one iteration at a time."""
+    """``randomized_death`` draws every agent's death iteration a block of
+    iterations at a time; the reference replays one iteration at a
+    time."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_blocks_match_the_per_iteration_replay(self, data):
         rows, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
         max_iters = data.draw(st.integers(1, 90))
-        # rows leave at different iterations, p = 0 among the rows, and
-        # fast losses that end a row inside a block
-        left_at = np.array(data.draw(st.lists(
-            st.integers(1, max_iters), min_size=rows, max_size=rows
-        )))
+        # p = 0 among the rows, and fast losses that end a row inside a block
         probs = np.array(data.draw(st.lists(
             st.sampled_from([0.0, 0.01, 0.1, 0.5]), min_size=rows, max_size=rows
         )))[:, None]
+        dying = np.flatnonzero(probs[:, 0] > 0).tolist()
         seed = data.draw(st.integers(0, 2**32 - 1))
-        rng = np.random.default_rng(seed)
-        # blocks of 1 to 15 iterations, so max_iters is rarely a multiple
-        words = data.draw(st.integers(1, 15)) * rows * n
+        # blocks capped at 1 to 15 iterations, so max_iters is rarely a multiple
+        words = data.draw(st.integers(1, 15)) * max(1, len(dying)) * n
         if data.draw(st.booleans()):
-            rand = _table_source(rng.random((max_iters + 1, rows, n)))
+            rand = _table_source(np.random.default_rng(seed).random((max_iters + 1, rows, n)))
+            sources = _one_source(rand)
         else:
-            rand = make_rand_source(range(seed, seed + rows))
-        # each row's alive mask when it left: its draws through left_at
-        # applied, as a run leaves it
-        alive = rng.random((rows, n)) < 0.8
-        for row, last in enumerate(left_at.tolist()):
-            for iteration in range(1, last + 1):
-                alive[row] &= rand(CHANNEL_DEATH, iteration, n)[row, :, 0] >= probs[row]
-        expected_alive = alive.copy()
-        expected = replay_deaths_per_iteration(expected_alive, probs, rand, left_at, max_iters)
+            seeds = range(seed, seed + rows)
+            rand = make_rand_source(seeds)
+
+            def sources(picked):
+                return make_rand_source([seeds[row] for row in picked])
+
+        drawn = []
+
+        def draws(picked):
+            drawn.append(picked.tolist())
+            return sources(picked)
+
+        expected, executed = replay_deaths_per_iteration(probs, rand, n, max_iters)
         with mock.patch.object(engine, "_BLOCK_WORDS", words):
-            executed = engine._play_deaths(alive, probs, rand, left_at, max_iters)
-        assert executed.tolist() == expected.tolist()
-        assert np.array_equal(alive, expected_alive)
+            deaths = randomized_death(probs, draws, n, max_iters)
+        assert deaths.tolist() == expected.tolist()
+        # run's iterations executed and survivors, read off the schedule
+        assert np.minimum(deaths.max(axis=1), max_iters).tolist() == executed.tolist()
+        # only the rows that can lose agents are drawn
+        assert drawn == ([dying] if dying else [])
 
     def test_extinction_inside_a_block(self):
         # row 0 dies at iterations 3 and 5, row 1 loses agent 0 at 4 and
-        # keeps agent 1, row 2 (p = 0) loses no one; blocks of 4 iterations
+        # keeps agent 1, row 2 (p = 0) loses no one; blocks of 1, 2, 4
+        # and 3 iterations.  Row 0's agent 0 draws low again at 7, dead.
         table = np.full((11, 3, 2), 0.9)
-        table[3, 0, 0] = table[5, 0, 1] = table[4, 1, 0] = 0.0
-        alive = np.ones((3, 2), dtype=bool)
+        table[3, 0, 0] = table[5, 0, 1] = table[4, 1, 0] = table[7, 0, 0] = 0.0
         probs = np.array([[0.5], [0.5], [0.0]])
-        with mock.patch.object(engine, "_BLOCK_WORDS", 4 * 6):
-            executed = engine._play_deaths(
-                alive, probs, _table_source(table), np.array([1, 2, 1]), 10
-            )
-        assert executed.tolist() == [5, 10, 10]
-        assert alive.tolist() == [[False, False], [False, True], [True, True]]
+        with mock.patch.object(engine, "_BLOCK_WORDS", 4 * 2 * 2):
+            deaths = randomized_death(probs, _one_source(_table_source(table)), 2, 10)
+        assert deaths.tolist() == [[3, 5], [4, 11], [11, 11]]
+        # row 0 alone: every agent is dead in the block of 4 to 7, so no
+        # later block is drawn
+        asked = []
 
-    def test_a_row_that_left_later_keeps_its_iteration(self):
-        # row 1 left at 9 after iterations whose draws killed no one; the
-        # replay, from row 0's departure on, draws iterations 2 to 9 again
-        table = np.full((12, 2, 1), 0.9)
-        table[3, 0, 0] = 0.0
-        alive = np.ones((2, 1), dtype=bool)
-        executed = engine._play_deaths(
-            alive, np.array([[0.5], [0.5]]), _table_source(table), np.array([1, 9]), 11
-        )
-        assert executed.tolist() == [3, 11]
-        assert alive.tolist() == [[False], [True]]
+        def rand(channel, iteration, agent_count, lanes=1):
+            asked.append(iteration)
+            return table[iteration][[0], :, None]
+
+        with mock.patch.object(engine, "_BLOCK_WORDS", 4 * 2):
+            deaths = randomized_death(probs[:1], lambda rows: rand, 2, 10)
+        assert deaths.tolist() == [[3, 5]]
+        assert asked == list(range(1, 8))
 
 
 def _coordinate_major_ok(array: np.ndarray) -> bool:
@@ -1263,10 +1351,11 @@ class TestStateLayout:
         )
         assert not _coordinate_major_ok(rows.positions)
         hoods = Neighborhoods(graphs)
+        deaths = randomized_death(probs, _one_source(rand), batch.n_agents, 50)
         for iteration in range(1, 51):
             for swarm in (columns, rows):
                 step(swarm, hoods, objective, rand, iteration)
-                randomized_death(swarm.alive, probs, rand, iteration)
+                np.greater(deaths, iteration, out=swarm.alive)
             for field in _STATE_FIELDS:
                 # tobytes reads both in C order: equal bytes are equal bits
                 expected = getattr(columns, field).tobytes()
