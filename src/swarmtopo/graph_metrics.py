@@ -48,10 +48,6 @@ __all__ = [
 # attributes only: the benchmark wraps them by name
 
 
-def _as_rng(rng) -> np.random.Generator:
-    return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-
-
 def _bfs_levels(adjacency: np.ndarray, sources: np.ndarray | list[int]):
     """Yield ``(depth, new, count)`` for each BFS level from ``sources``
     at once.
@@ -246,7 +242,7 @@ def small_world_ness(
     lattice_clustering = _lattice_clustering(n, levels)
     if lattice_clustering <= 0.0:
         return None
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)  # a Generator is returned as it is
     pairs = _upper_pairs(n)
     lengths = []
     attempts = 0

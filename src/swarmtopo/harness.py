@@ -34,7 +34,7 @@ import numpy as np
 from .engine import RunResult, SwarmBatch, SwarmConfig, run
 from .graph_metrics import average_geodesic, natural_connectivity
 from .objectives import ObjectiveSpec, _shekel_ceiling, _sum_rows, shekel_params
-from .topology import Graph, TopologySpec, build_topology
+from .topology import Graph, TopologySpec, _check_type, build_topology
 
 __all__ = [
     "MODE_POSITION_RADIUS",
@@ -66,7 +66,8 @@ class SuccessCriterion:
     ``position-radius`` accepts bests within Euclidean ``tolerance``
     of the optimum location; ``value-gap`` accepts bests whose
     objective value is within ``tolerance`` of the optimum value.  A
-    ``None`` tolerance is 0.5% of the objective's box diagonal.
+    ``None`` tolerance is 0.5% of the objective's box diagonal; any other
+    is a finite number above 0, not a bool, stored as a float.
     """
 
     mode: str = MODE_POSITION_RADIUS
@@ -77,9 +78,13 @@ class SuccessCriterion:
             raise ValueError(
                 f"unknown success mode {self.mode!r}; expected one of {SUCCESS_MODES}"
             )
-        # an infinite tolerance would count every run converged at iteration 1
-        if self.tolerance is not None and not 0 < self.tolerance < np.inf:
-            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
+        if self.tolerance is not None:
+            # a plan file writes the tolerance as a float's repr
+            _check_type("tolerance", self.tolerance, integer=False)
+            object.__setattr__(self, "tolerance", float(self.tolerance))
+            # an infinite tolerance would count every run converged at iteration 1
+            if not 0 < self.tolerance < np.inf:
+                raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
 
 
 # the relative margin a certified Shekel bound gets: it covers the
@@ -222,6 +227,10 @@ class ExperimentPlan:
 
     Death fractions convert to per-iteration probabilities at the
     fixed ``death_horizon`` (expected loss reached at that iteration).
+    ``base_seed``, ``repetitions``, ``death_horizon`` and ``max_iters``
+    are integers, stored as Python ints, and ``alpha`` a number, stored
+    as a float; none is a bool.  A plan checks them when it is built and
+    raises ``ValueError`` naming the field.
     """
 
     topologies: tuple[TopologySpec, ...]
@@ -248,6 +257,13 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one objective")
         if not self.death_fractions:
             raise ValueError("plan needs at least one death fraction")
+        # stored as a plan file and a results row read them back: a bool
+        # or a numpy scalar would be written in a form neither parses
+        for name in ("base_seed", "repetitions", "death_horizon", "max_iters"):
+            _check_type(name, getattr(self, name), integer=True)
+            object.__setattr__(self, name, int(getattr(self, name)))
+        _check_type("alpha", self.alpha, integer=False)
+        object.__setattr__(self, "alpha", float(self.alpha))
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if not 0.0 <= self.alpha <= 1.0:

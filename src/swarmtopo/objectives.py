@@ -28,6 +28,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .topology import _check_type
+
 __all__ = [
     "OBJECTIVE_NAMES",
     "ShekelParams",
@@ -262,7 +264,8 @@ def _landscape(name: str) -> _Landscape:
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """One benchmark objective: a named landscape in ``dimension``
-    coordinates.  The name fixes everything else, read from one table:
+    coordinates, an integer of at least 1 (not a bool; a ``ValueError``
+    otherwise).  The name fixes everything else, read from one table:
     the search box ``[lower, upper]`` per coordinate, the ``direction``
     (``"max"`` or ``"min"``) and the optimum, whose ``optimum_value``
     is the objective evaluated exactly at ``optimum_location``.
@@ -273,6 +276,8 @@ class ObjectiveSpec:
 
     def __post_init__(self) -> None:
         _landscape(self.name)
+        _check_type("dimension", self.dimension, integer=True)
+        object.__setattr__(self, "dimension", int(self.dimension))
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
         if self.name == "shekel" and self.dimension != 4:

@@ -22,11 +22,13 @@ Building any kind holds O(n + edges) memory.  The 240-graph spectrum
 at ``n = 100`` builds in about 19 ms on a 2-core Xeon, most of it the
 pair constructor's sort.
 
-A graph is built from its :class:`TopologySpec` by
-:func:`build_topology`.  The spec checks every field once, when it is
-made, against its kind's row of :data:`KINDS`, and raises ``ValueError``
-with a specific message on bad input; the private builders the rows
-call check nothing.
+A graph of a kind is built from its :class:`TopologySpec` by
+:func:`build_topology`, and any other graph from its edges by
+``Graph(node_count, edges)``, as :func:`parse_edge_list` does.  The
+spec checks every field once, when it is made, against its kind's row
+of :data:`KINDS`, and the constructor checks each edge; both raise
+``ValueError`` with a specific message on bad input.  The private
+builders the rows call check nothing.
 """
 
 from __future__ import annotations
@@ -57,47 +59,21 @@ __all__ = [
 class Graph:
     """An undirected, unweighted graph over agent indices ``0..n-1``.
 
-    Parameters
-    ----------
-    adjacency : numpy.ndarray
-        Square boolean matrix with at least one node.  Must be
-        symmetric with a zero diagonal.  It is read, not kept.
+    ``Graph(node_count, edges)`` takes at least one node and the
+    ``(i, j)`` pairs, or a ``(k, 2)`` array, of distinct nodes below
+    ``node_count``, in either order, repeats allowed.
 
     A graph stores its sorted neighbour lists in CSR form: node ``i``'s
     neighbours are ``neighbours[indptr[i]:indptr[i + 1]]``, ascending
     ``int32`` indices, ``2 * edge_count`` of them in all.  A complete
-    graph stores only that it is complete.  Every builder hands its
-    edges to the one pair constructor :func:`_from_pairs`, as does this
-    constructor its matrix's nonzeros, so no graph keeps an n x n array:
-    :meth:`dense` builds one per call for the dense metrics.  Graphs
-    are immutable and compare by their edges.
+    graph stores only that it is complete.  This constructor and every
+    builder hand their edges to the one pair constructor
+    :func:`_from_pairs`, so no graph keeps an n x n array: :meth:`dense`
+    is the one read that builds one, per call.  Graphs are immutable and
+    compare by their edges.
     """
 
-    def __new__(cls, adjacency) -> Graph:
-        adj = np.asarray(adjacency, dtype=bool)
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise ValueError(f"adjacency must be square, got shape {adj.shape}")
-        n = adj.shape[0]
-        if n < 1:
-            raise ValueError("graph needs at least one node")
-        if adj.diagonal().any():
-            raise ValueError("self-loops are not allowed")
-        # the nonzeros' row-major positions ascend; the matrix is
-        # symmetric when the mirrored positions, sorted, are the same
-        flat = np.flatnonzero(adj)
-        rows, cols = np.divmod(flat, n)
-        if not np.array_equal(np.sort(cols * n + rows), flat):
-            raise ValueError("adjacency must be symmetric")
-        upper = rows < cols
-        return _from_pairs(n, rows[upper], cols[upper])
-
-    def __reduce__(self):
-        # the stored form, never a derived array
-        return _stored, (self.node_count, self._neighbours)
-
-    @classmethod
-    def from_edges(cls, node_count: int, edges) -> Graph:
-        """Build a graph from an iterable of ``(i, j)`` pairs."""
+    def __new__(cls, node_count: int, edges) -> Graph:
         if node_count < 1:
             raise ValueError("graph needs at least one node")
         pairs = []
@@ -108,6 +84,10 @@ class Graph:
                 raise ValueError(f"self-loop ({i}, {j}) is not allowed")
             pairs.append((i, j))
         return _from_pairs(node_count, *np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
+
+    def __reduce__(self):
+        # the stored form, never a derived array
+        return _stored, (self.node_count, self._neighbours)
 
     @property
     def node_count(self) -> int:
@@ -143,14 +123,6 @@ class Graph:
         matrix = np.zeros(n * n, dtype=dtype)
         matrix[self._flat()] = 1
         return matrix.reshape(n, n)
-
-    @property
-    def adjacency(self) -> np.ndarray:
-        """The boolean n x n adjacency matrix, read-only, built on every
-        read: 100 MB at n = 10 000."""
-        matrix = self.dense(bool)
-        matrix.setflags(write=False)
-        return matrix
 
     @cached_property
     def candidates(self) -> tuple[np.ndarray, np.ndarray]:
@@ -739,5 +711,5 @@ def parse_edge_list(text: str) -> Graph:
         edges.append((i, j))
     if node_count is None:
         raise ValueError("empty edge-list text")
-    return Graph.from_edges(node_count, edges)
+    return Graph(node_count, edges)
 

@@ -1,5 +1,6 @@
 """Hypothesis strategies and graph helpers shared by the test modules."""
 
+import numpy as np
 from hypothesis import strategies as st
 
 from swarmtopo.topology import TOPOLOGY_KINDS, Graph, TopologySpec, build_topology
@@ -8,6 +9,15 @@ from swarmtopo.topology import TOPOLOGY_KINDS, Graph, TopologySpec, build_topolo
 def graph_of(kind: str, **fields) -> Graph:
     """The graph of ``TopologySpec(kind, **fields)``."""
     return build_topology(TopologySpec(kind, **fields))
+
+
+def graph_from_matrix(adjacency) -> Graph:
+    """The graph of a symmetric n x n 0/1 matrix with a zero diagonal,
+    for oracle tests that start from a random matrix."""
+    adj = np.asarray(adjacency, dtype=bool)
+    assert np.array_equal(adj, adj.T) and not adj.diagonal().any()
+    rows, cols = np.nonzero(np.triu(adj, k=1))
+    return Graph(adj.shape[0], zip(rows.tolist(), cols.tolist()))
 
 
 @st.composite

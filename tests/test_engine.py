@@ -63,7 +63,7 @@ def neighborhood_best(agent: int, graph: Graph, swarm: SwarmState) -> np.ndarray
     the agent falls back to its own best (no outside information is
     available).
     """
-    row = np.array(graph.adjacency[agent])
+    row = graph.dense()[agent]
     row[agent] = True
     candidates = np.flatnonzero(row & swarm.alive[0])
     if candidates.size == 0:
@@ -76,7 +76,7 @@ def dense_leaders(graph: Graph, scores: np.ndarray, alive: np.ndarray) -> np.nda
     """Whole-swarm oracle: leaders from the dense N x N candidate mask,
     the selection ``step`` used before the neighbor table."""
     n = scores.shape[0]
-    cand = np.array(graph.adjacency, dtype=bool)
+    cand = graph.dense()
     np.fill_diagonal(cand, True)
     eligible = cand & alive[None, :]
     masked = np.where(eligible, scores[None, :], -np.inf)
@@ -88,9 +88,10 @@ def brute_force_leader(graph: Graph, scores, alive, agent: int) -> int:
     """Per-agent oracle on plain Python values: the alive candidate
     (the agent or a neighbour) with the highest score, the lowest index
     among equals; the agent itself when no candidate is alive."""
+    adjacent = graph.dense()[agent]
     best = None
     for other in range(graph.node_count):
-        if (other == agent or graph.adjacency[agent, other]) and alive[other]:
+        if (other == agent or adjacent[other]) and alive[other]:
             if best is None or scores[other] > scores[best]:
                 best = other
     return agent if best is None else best
@@ -577,7 +578,7 @@ class TestLeaderTable:
         assert indptr.tolist() == [0, 4, 6, 8, 10]
         assert indices.tolist() == [0, 1, 2, 3, 0, 1, 0, 2, 0, 3]
         # an edgeless graph gives each node itself alone
-        indptr, indices = Graph(np.zeros((2, 2), dtype=bool)).candidates
+        indptr, indices = Graph(2, []).candidates
         assert indptr.tolist() == [0, 1, 2] and indices.tolist() == [0, 1]
         assert star.candidates is star.candidates
         assert not any(array.flags.writeable for array in star.candidates)
@@ -887,7 +888,7 @@ class TestDrawChannels:
 
 def _isolated_first(n: int) -> Graph:
     """Node 0 alone, the other nodes on a ring."""
-    return Graph.from_edges(n, [(i, i % (n - 1) + 1) for i in range(1, n)])
+    return Graph(n, [(i, i % (n - 1) + 1) for i in range(1, n)])
 
 
 @st.composite
@@ -1396,7 +1397,6 @@ class TestGraphReads:
         def dense_read(*args, **kwargs):
             raise AssertionError("the engine read a dense adjacency")
 
-        monkeypatch.setattr(Graph, "adjacency", property(dense_read))
         monkeypatch.setattr(Graph, "dense", dense_read)
         # fresh graphs, whose candidate sets are built under the patch
         graphs = [build_topology(spec) for spec in specs]

@@ -260,7 +260,7 @@ def metrics_csv_text() -> str:
     points = spectrum_points(40, 10)
     named = [(p.spec.topology_id(), g) for p, g in zip(points, build_spectrum(40, 10))]
     named += [(spec.topology_id(), build_topology(spec)) for spec in METRICS_EXTRA_SPECS]
-    named.append(("two-paths", Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])))
+    named.append(("two-paths", Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])))
     lines = [",".join(METRICS_COLUMNS)]
     for topology_id, graph in named:
         m = compute_metrics(graph, rng=0, omega_samples=10)

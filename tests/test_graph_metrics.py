@@ -52,7 +52,7 @@ def _floyd_warshall(graph: Graph) -> np.ndarray:
 
 
 def _two_components() -> Graph:
-    return Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    return Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
 
 
 @st.composite
@@ -61,10 +61,10 @@ def graphs(draw, max_nodes: int = 24) -> Graph:
     sparse, disconnected graphs and isolated nodes."""
     n = draw(st.integers(1, max_nodes))
     if n == 1:
-        return Graph.from_edges(1, [])
+        return Graph(1, [])
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     edges = draw(st.lists(pairs.filter(lambda p: p[0] != p[1]), max_size=3 * n))
-    return Graph.from_edges(n, edges)
+    return Graph(n, edges)
 
 
 def _to_networkx(graph: Graph) -> nx.Graph:
@@ -115,9 +115,9 @@ class TestShortestPaths:
 
     @settings(max_examples=200, deadline=None)
     @given(graph=graphs())
-    @example(graph=Graph.from_edges(1, []))
-    @example(graph=Graph.from_edges(2, []))
-    @example(graph=Graph.from_edges(2, [(0, 1)]))
+    @example(graph=Graph(1, []))
+    @example(graph=Graph(2, []))
+    @example(graph=Graph(2, [(0, 1)]))
     @example(graph=_two_components())
     def test_matches_networkx(self, graph):
         distances = _networkx_distances(graph)
@@ -150,8 +150,8 @@ class TestBfsLevels:
     single-source distances, one source row at a time."""
 
     GRAPHS = {
-        "one-node": Graph.from_edges(1, []),
-        "edgeless": Graph.from_edges(5, []),
+        "one-node": Graph(1, []),
+        "edgeless": Graph(5, []),
         "two-component": _two_components(),
         "ring": graph_of("ring", node_count=9),
         "small-world": graph_of("small-world", node_count=30, degree=4, rewire_prob=0.1, seed=1),
@@ -170,7 +170,7 @@ class TestBfsLevels:
         sources = self.SOURCES[pick](graph.node_count)
         reached = [{source: 0} for source in sources]
         depths = []
-        levels = graph_metrics._bfs_levels(graph.adjacency.astype(np.float32), sources)
+        levels = graph_metrics._bfs_levels(graph.dense(np.float32), sources)
         for depth, new, count in levels:
             assert count == np.count_nonzero(new) > 0
             depths.append(depth)
@@ -215,7 +215,7 @@ class TestSpectra:
     def test_natural_connectivity_definition(self):
         # log of the mean exponentiated eigenvalue, computed naively
         g = graph_of("von-neumann", rows=4, cols=5)
-        lam = np.linalg.eigvalsh(g.adjacency.astype(float))
+        lam = np.linalg.eigvalsh(g.dense(float))
         naive = float(np.log(np.exp(lam).mean()))
         assert abs(natural_connectivity(g) - naive) < 1e-12
 
@@ -236,11 +236,11 @@ class TestClustering:
 
     def test_degree_one_nodes_count_zero(self):
         # path graph: ends have degree 1, middle has no triangle
-        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        g = Graph(3, [(0, 1), (1, 2)])
         assert clustering_coefficient(g) == 0.0
 
     def test_single_triangle(self):
-        g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        g = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
         # nodes 0,1: C=1; node 2: 1 of 3 pairs; node 3: degree 1 -> 0
         expected = (1 + 1 + 1 / 3 + 0) / 4
         assert abs(clustering_coefficient(g) - expected) < 1e-12
@@ -256,7 +256,7 @@ class TestClustering:
         # the float64 formula is the oracle: its A @ A is exact in float64,
         # so the float32 product must give the same bits on dense graphs
         graph = build()
-        a = graph.adjacency.astype(np.float64)
+        a = graph.dense(np.float64)
         deg = a.sum(axis=1)
         closed_walks = ((a @ a) * a).sum(axis=1)
         denom = deg * (deg - 1.0)
@@ -299,6 +299,12 @@ class TestSmallWorldNess:
         g = graph_of("small-world", node_count=60, degree=6, rewire_prob=0.2, seed=5)
         assert _omega(g, rng=11) == _omega(g, rng=11)
 
+    def test_a_seed_and_its_generator_agree(self):
+        g = graph_of("small-world", node_count=60, degree=6, rewire_prob=0.2, seed=5)
+        omega = _omega(g, rng=11)
+        assert omega is not None
+        assert _omega(g, rng=np.random.default_rng(11)) == omega
+
     @pytest.mark.parametrize("rng", [0, 1, 2])
     def test_hand_computed_omega(self, rng):
         # Telesford et al. 2011: omega = L_random / L - C / C_lattice.  K5
@@ -306,7 +312,7 @@ class TestSmallWorldNess:
         # distance 2) and C = (1 + 1 + 3 * 5/6) / 5 = 0.9; its lattice
         # baseline multi-ring(5, 2) is K5 with C = 1, and every random
         # graph of 5 nodes and 9 edges is again K5 minus one edge.
-        g = Graph.from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5)][1:])
+        g = Graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)][1:])
         assert g.edge_count == 9
         assert average_geodesic(g) == pytest.approx(1.1, abs=1e-12)
         assert clustering_coefficient(g) == pytest.approx(0.9, abs=1e-12)
@@ -322,7 +328,7 @@ def _sparse_ring(n: int) -> Graph:
     # baseline multi-ring(n, 2) has clustering 0.5
     ring = [(i, (i + 1) % n) for i in range(n)]
     chords = [(i, (i + 2) % n) for i in range(0, n, 2)]
-    return Graph.from_edges(n, ring + chords)
+    return Graph(n, ring + chords)
 
 
 def _reference_omega(graph: Graph, rng: np.random.Generator, sample_count: int):
@@ -365,7 +371,7 @@ def _ring_with_chords(draw) -> Graph:
     ring = [(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)]
     others = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in ring]
     chords = draw(st.lists(st.sampled_from(others), min_size=m - n, max_size=m - n, unique=True))
-    return Graph.from_edges(n, ring + chords)
+    return Graph(n, ring + chords)
 
 
 class TestSparseOmega:
@@ -463,7 +469,7 @@ class TestComputeMetrics:
         assert m.connected
         # g gets one all-pairs search and no second, single-source one
         # for connectivity; every other search is on a random omega sample
-        on_g = [count for adjacency, count in searches if np.array_equal(adjacency, g.adjacency)]
+        on_g = [count for adjacency, count in searches if np.array_equal(adjacency, g.dense())]
         assert on_g == [40]
         assert all(count == 40 for _, count in searches)  # no single-source search
         # a sample with an isolated node is rejected unsearched; any other
@@ -505,7 +511,7 @@ class TestNetworkxOracles:
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_edgeless_and_one_node(self, n):
-        graph = Graph(np.zeros((n, n), dtype=bool))
+        graph = Graph(n, [])
         assert clustering_coefficient(graph) == 0.0
         assert graph_spectrum(graph).tolist() == [0.0] * n
         self._check(graph)

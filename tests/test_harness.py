@@ -2,6 +2,7 @@
 results serialization formats."""
 
 import json
+import re
 import string
 from unittest import mock
 
@@ -27,6 +28,7 @@ from swarmtopo.harness import (
 )
 from swarmtopo.graph_metrics import natural_connectivity
 from swarmtopo.objectives import ObjectiveSpec, default_spec, shekel_params
+from swarmtopo.plans import parse_plan, plan_to_text
 from swarmtopo.topology import TOPOLOGY_KINDS, TopologySpec
 
 from strategies import graph_of
@@ -118,6 +120,11 @@ class TestSuccessCriterion:
             SuccessCriterion(tolerance=0.0)
         for tolerance in (float("inf"), float("-inf"), float("nan")):
             with pytest.raises(ValueError, match=f"got {tolerance}"):
+                SuccessCriterion(tolerance=tolerance)
+        # plan_to_text would write True, which does not parse back
+        for tolerance in (True, "0.1"):
+            message = f"tolerance must be a number, got {tolerance!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 SuccessCriterion(tolerance=tolerance)
 
     @pytest.mark.parametrize("dimension", [1, 2, 4, 10])
@@ -465,6 +472,40 @@ class TestPlanValidation:
             _tiny_plan(death_fractions=(1.0,))
         with pytest.raises(ValueError):
             _tiny_plan(death_horizon=0)
+
+    @pytest.mark.parametrize("field, value, expected", [
+        # a bool would be written as True, which neither reader takes back
+        ("repetitions", True, "an integer"),
+        ("repetitions", 2.5, "an integer"),
+        ("base_seed", 1.5, "an integer"),
+        ("death_horizon", 2.5, "an integer"),
+        ("max_iters", 10.5, "an integer"),
+        ("alpha", True, "a number"),
+        ("alpha", "0.5", "a number"),
+    ])
+    def test_rejects_wrong_types_when_built(self, field, value, expected):
+        message = f"{field} must be {expected}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _tiny_plan(**{field: value})
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        # so the plan text and the results rows read back as the same plan
+        plan = _tiny_plan(
+            topologies=(TopologySpec(kind="ring", node_count=12),),
+            death_fractions=(0.0,),
+            base_seed=np.int64(99),
+            repetitions=np.int32(2),
+            alpha=np.float32(0.7),
+            death_horizon=np.uint16(500),
+            max_iters=np.int64(20),
+            success=SuccessCriterion(tolerance=np.float32(0.25)),
+        )
+        for name in ("base_seed", "repetitions", "death_horizon", "max_iters"):
+            assert type(getattr(plan, name)) is int, name
+        assert type(plan.alpha) is float and type(plan.success.tolerance) is float
+        assert parse_plan(plan_to_text(plan)) == plan
+        text = results_to_csv(run_plan(plan))
+        assert results_to_csv(parse_results_csv(text)) == text
 
 
 class TestRunCellAndPlan:

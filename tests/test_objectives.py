@@ -319,6 +319,15 @@ class TestSpecContainer:
         with pytest.raises(ValueError):
             default_spec("ackley", 0)
 
+    @pytest.mark.parametrize("dimension", [2.0, True, "2"])
+    def test_rejects_a_dimension_that_is_not_an_integer(self, dimension):
+        # these once built and raised TypeError at optimum_location
+        message = f"dimension must be an integer, got {dimension!r}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ObjectiveSpec("rastrigin", dimension)
+        spec = ObjectiveSpec("rastrigin", np.int64(2))
+        assert type(spec.dimension) is int and spec == default_spec("rastrigin")
+
     def test_a_spec_is_its_name_and_dimension(self):
         assert [f.name for f in dataclasses.fields(ObjectiveSpec)] == ["name", "dimension"]
         spec = default_spec("ackley")

@@ -2,6 +2,7 @@
 
 from dataclasses import fields
 import importlib
+import inspect
 from pathlib import Path
 import pkgutil
 import subprocess
@@ -26,8 +27,8 @@ def test_every_public_name_resolves(module):
 
 
 # the package's public names, pinned: a change that adds or removes one
-# edits this list and says why.  A graph is built from its TopologySpec
-# only; the RNG channels and source, the Shekel table, the spectrum point
+# edits this list and says why.  A kind's graph is built from its
+# TopologySpec, any other from its edges; the RNG channels and source, the Shekel table, the spectrum point
 # type and the lower-level graph metrics stay attributes of their modules
 PUBLIC_NAMES = [
     "AggregateMetrics", "BUILTIN_PLAN_NAMES", "BatchResult", "ExperimentPlan", "Graph",
@@ -61,6 +62,18 @@ def test_engine_surface_is_pinned():
     from swarmtopo import engine
 
     assert sorted(engine.__all__) == ENGINE_NAMES
+
+
+# a graph's public attributes, pinned: it is made one way,
+# Graph(node_count, edges), and dense is its one n x n read
+GRAPH_ATTRIBUTES = ["candidates", "dense", "edge_count", "edges", "is_complete", "node_count"]
+
+
+def test_graph_surface_is_pinned():
+    from swarmtopo.topology import Graph
+
+    assert sorted(name for name in dir(Graph) if not name.startswith("_")) == GRAPH_ATTRIBUTES
+    assert list(inspect.signature(Graph).parameters) == ["node_count", "edges"]
 
 
 def test_swarm_config_holds_only_what_a_plan_sets():
