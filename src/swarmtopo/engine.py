@@ -38,11 +38,11 @@ iteration.
 
 All randomness flows through a counter-based uniform source keyed by
 (seed, channel, iteration, agent, lane), so draws are independent of
-evaluation order, and the draws of later iterations can be computed
-early without changing a bit.  :func:`make_rand_source` takes the B
-seeds and draws read-only ``(B, count, lanes)`` arrays; an injected
-``rand_fn`` has that shape too, which lets tests replace the draws
-wholesale.
+evaluation order, and a caller asks for a block of iterations at once
+without changing a bit.  :func:`make_rand_source` takes the B seeds
+and draws the read-only ``(K, B, count, lanes)`` block of the K
+iterations a call names; an injected ``rand_fn`` answers the same call,
+which lets tests replace the draws wholesale.
 
 The ``(B, N, d)`` arrays are stored coordinate-major: :func:`initialize`
 makes each a view of a C-contiguous ``(d, B, N)`` block, so every
@@ -71,17 +71,15 @@ Cost per iteration, for B rows of N agents in dimension d:
 * the success check runs only on iterations where a row not yet
   converged has every alive agent at or above the predicate's
   ``floor_score`` (see :func:`run`), and then on every stepped row;
-* the uniform draws are computed ahead, a block of up to K
-  iterations per (channel, count, lanes) at a time: three in-place
-  vector splitmix64 rounds over the K * B keys, the K * B * N and the
-  K * B * N * lanes words of the block.  Consecutive iterations double
-  K from 1 up to the ``_BLOCK_WORDS`` budget of 2**12 words (K = 4 at
-  B = 10, N = 100), so a draw call is mostly a dictionary lookup that
-  returns a read-only view of one iteration;
+* the social draws are fetched a block of K iterations at a time, K
+  the most that fits the ``_BLOCK_WORDS`` budget of 2**12 words (K = 4
+  at B = 10, N = 100), and ``step`` reads one ``(B, N, 1)`` plane of
+  it.  A block costs three in-place vector splitmix64 rounds over its
+  K * B keys, K * B * N and K * B * N * lanes words;
 * deaths cost one comparison of the schedule against the iteration.
   The schedule itself is drawn once per run, before the loop, for the
-  rows that can lose agents, in the source's blocks of iterations,
-  until every agent of those rows has died or ``max_iters``;
+  rows that can lose agents, in blocks of the same budget, until every
+  agent of those rows has died or ``max_iters``;
 * a row that has settled or died out (see :func:`run`) costs nothing:
   it has left the batch.
 
@@ -132,11 +130,11 @@ _MUL2 = 0x94D049BB133111EB
 # the same as uint64 scalars, so the array rounds convert nothing per call
 _U_GAMMA, _U_MUL1, _U_MUL2 = np.uint64(_GAMMA), np.uint64(_MUL1), np.uint64(_MUL2)
 _U30, _U27, _U31, _U11 = np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11)
-# the most words one cached block of draws holds (32 KiB of float64):
-# enough iterations to amortize most of the per-call numpy overhead at
-# N = 100, small enough that a block and the temporaries that build it
-# stay below malloc's 128 KiB mmap and trim thresholds, so refilling blocks
-# reuses freed heap memory and faults in no new pages once warm
+# the most words a block of draws that the engine asks for holds (32 KiB
+# of float64), but at least one iteration: enough to amortize most of
+# the per-call numpy overhead at N = 100, small enough that a block and
+# its temporaries stay below malloc's 128 KiB mmap and trim thresholds,
+# so fetching blocks reuses freed heap and faults in no new pages once warm
 _BLOCK_WORDS = 1 << 12
 
 
@@ -168,60 +166,35 @@ def make_rand_source(seeds):
     """Counter-based uniform source for B swarms.
 
     ``seeds`` is a sequence of B >= 1 seeds, one per row.  Returns
-    ``rand(channel, iteration, agent_count, lanes=1)`` giving a
-    read-only ``(B, agent_count, lanes)`` array of floats in ``[0, 1)``,
-    whose row ``b`` depends on ``seeds[b]`` alone.  Every value is a
-    pure hash of ``(seed, channel, iteration, agent, lane)``: no hidden
-    stream state, so the same coordinates always yield the same number
-    regardless of call order.
+    ``rand(channel, first, stop, count, lanes=1)`` giving the draws of
+    iterations ``first .. stop - 1`` as one read-only ``(stop - first,
+    B, count, lanes)`` array of floats in ``[0, 1)``, whose row ``b``
+    depends on ``seeds[b]`` alone.  Every value is a pure hash of
+    ``(seed, channel, iteration, agent, lane)``: no hidden stream state,
+    so the same coordinates always yield the same number regardless of
+    call order or of the block they are asked for in.
 
     The value at ``(agent, lane)`` is the top 53 bits of
     ``mix(mix(key + agent) + lane)`` scaled to ``[0, 1)``, where
     ``key = mix(mix(mix(seed) + channel) + iteration)``, ``mix`` is
     the splitmix64 finalizer and every sum wraps modulo 2**64.
-    ``channel`` and ``iteration`` must lie in ``[0, 2**64)``
-    (``OverflowError`` otherwise).
-
-    Draws are computed a block of K iterations at a time.  The source
-    keeps one ``(K, B, agent_count, lanes)`` block per ``(channel,
-    agent_count, lanes)`` and answers from it, a contiguous view of one
-    iteration, while the iteration lies inside.  A miss on the iteration
-    right after that shape's previous call doubles K; any other miss
-    starts over at K = 1.  K is capped so that a block holds at most
-    ``_BLOCK_WORDS`` words (but at least one iteration), and a block
-    never runs past iteration ``2**64 - 1``.
+    ``channel`` must lie in ``[0, 2**64)`` and ``0 <= first < stop <=
+    2**64`` must hold: ``OverflowError`` for a coordinate outside 64
+    bits, ``ValueError`` for an empty block.  Each call computes its
+    block afresh; the source keeps only each channel's B keys.
     """
     bases = [_mix64(int(seed)) for seed in seeds]
     if not bases:
         raise ValueError("a source needs at least one seed")
     channel_keys: dict[int, np.ndarray] = {}
-    counters: dict[int, np.ndarray] = {}
-    # (channel, agent_count, lanes) -> [first iteration, block, last call's iteration]
-    blocks: dict[tuple[int, int, int], list] = {}
 
-    def counter(count: int) -> np.ndarray:
-        # 0 .. count-1 as uint64, built once per size and never written
-        values = counters.get(count)
-        if values is None:
-            values = counters[count] = np.arange(count, dtype=np.uint64)
-        return values
-
-    def rand(channel: int, iteration: int, agent_count: int, lanes: int = 1) -> np.ndarray:
-        if agent_count < 1 or lanes < 1:
-            raise ValueError("agent_count and lanes must be >= 1")
-        if not 0 <= iteration <= _U64_MASK:
-            raise OverflowError(f"iteration {iteration} is outside [0, 2**64)")
-        shape = (channel, agent_count, lanes)
-        cached = blocks.get(shape)
-        span = 1
-        if cached is not None:
-            first, block, previous = cached
-            cached[2] = iteration
-            if first <= iteration < first + len(block):
-                return block[iteration - first]
-            if iteration == previous + 1:
-                cap = max(1, _BLOCK_WORDS // (len(bases) * agent_count * lanes))
-                span = min(2 * len(block), cap, _U64_MASK + 1 - iteration)
+    def rand(channel: int, first: int, stop: int, count: int, lanes: int = 1) -> np.ndarray:
+        if count < 1 or lanes < 1:
+            raise ValueError("count and lanes must be >= 1")
+        if first < 0 or stop > _U64_MASK + 1:
+            raise OverflowError(f"iterations {first}..{stop - 1} are outside [0, 2**64)")
+        if first >= stop:
+            raise ValueError(f"empty block of iterations {first}..{stop - 1}")
         channel_key = channel_keys.get(channel)
         if channel_key is None:
             if not 0 <= channel <= _U64_MASK:
@@ -230,16 +203,15 @@ def make_rand_source(seeds):
                 [_mix64(base + channel) for base in bases], dtype=np.uint64
             )
         # one key per (iteration, row), then the per-agent and per-lane rounds
-        keys = counter(span)[:, None] + channel_key
-        keys += np.uint64(iteration)
-        hashed = _mix64_inplace(_mix64_inplace(keys)[..., None] + counter(agent_count))
-        hashed = _mix64_inplace(hashed[..., None] + counter(lanes))
+        hashed = np.arange(first, stop, dtype=np.uint64)[:, None] + channel_key
+        for size in (count, lanes):
+            hashed = _mix64_inplace(hashed)[..., None] + np.arange(size, dtype=np.uint64)
+        _mix64_inplace(hashed)
         hashed >>= _U11
         block = hashed.astype(np.float64)
         block *= 2.0**-53
         block.setflags(write=False)
-        blocks[shape] = [iteration, block, iteration]
-        return block[0]
+        return block
 
     return rand
 
@@ -424,10 +396,11 @@ def initialize(batch: SwarmBatch, objective, rand_fn) -> SwarmState:
     """Fresh ``(B, N, d)`` swarm: positions uniform in the search box,
     velocities uniform in the clamp interval, bests at the starting
     positions, everyone alive; the ``(B, N, d)`` arrays coordinate-major.
-    ``rand_fn`` draws like :func:`make_rand_source` of the batch's seeds."""
+    ``rand_fn`` draws like :func:`make_rand_source` of the batch's seeds,
+    each channel's one block of iteration 0."""
     n, d = batch.n_agents, objective.dimension
-    u_pos = rand_fn(CHANNEL_INIT_POSITION, 0, n, d)
-    u_vel = rand_fn(CHANNEL_INIT_VELOCITY, 0, n, d)
+    u_pos = rand_fn(CHANNEL_INIT_POSITION, 0, 1, n, d)[0]
+    u_vel = rand_fn(CHANNEL_INIT_VELOCITY, 0, 1, n, d)[0]
     positions = _coordinate_major(
         objective.lower + u_pos * (objective.upper - objective.lower)
     )
@@ -442,22 +415,18 @@ def initialize(batch: SwarmBatch, objective, rand_fn) -> SwarmState:
 
 
 def step(
-    swarm: SwarmState,
-    neighborhoods: Neighborhoods,
-    objective,
-    rand_fn,
-    iteration: int,
+    swarm: SwarmState, neighborhoods: Neighborhoods, objective, social: np.ndarray
 ) -> SwarmState:
     """One synchronous constriction update of every row, in place.
 
     ``neighborhoods`` holds one graph per row.  Neighborhood bests come
     from the pre-step state, so update order cannot leak information
-    within an iteration.  The uniform draw is one scalar per agent,
-    multiplying the whole difference vector.  Velocities are clamped
-    per component after the update; positions are never clamped.  Dead
-    agents do not move.
+    within an iteration.  ``social`` is the iteration's ``(B, N, 1)``
+    plane of social draws: one uniform scalar per agent, multiplying the
+    whole difference vector.  Velocities are clamped per component after
+    the update; positions are never clamped.  Dead agents do not move.
     """
-    n, d = swarm.n_agents, swarm.dimension
+    d = swarm.dimension
     positions, alive = swarm.positions, swarm.alive
 
     # social term: toward each agent's neighborhood leader, read before any
@@ -467,7 +436,7 @@ def step(
     targets = np.take(swarm.best_positions.reshape(-1, d).T, leaders, axis=1)
     velocity = targets.T.reshape(positions.shape)
     velocity -= positions
-    velocity *= _PHI * rand_fn(CHANNEL_VELOCITY_SOCIAL, iteration, n)
+    velocity *= _PHI * social
     velocity += swarm.velocities
     velocity *= _CHI
     np.clip(velocity, _V_MIN, _V_MAX, out=velocity)
@@ -490,27 +459,23 @@ def randomized_death(probs: np.ndarray, draws, n: int, max_iters: int) -> np.nda
     ``probs`` is the float64 ``(B, 1)`` column that :func:`run` builds
     once from the rows' validated ``death_prob``, and ``draws(rows)``
     gives the draw source of the batch rows ``rows``.  Only the rows with
-    a positive probability are drawn, a block of iterations at a time,
-    the blocks doubling from one iteration up to ``_BLOCK_WORDS`` words
-    as the source's own do, until every agent of those rows has died or
+    a positive probability are drawn, one call per block of up to
+    ``_BLOCK_WORDS`` words, until every agent of those rows has died or
     ``max_iters`` is drawn."""
     deaths = np.full((len(probs), n), max_iters + 1, dtype=np.int64)
     rows = np.flatnonzero(probs[:, 0] > 0)
     if not rows.size:
         return deaths
     rand, probs, schedule = draws(rows), probs[rows], deaths[rows]
-    cap = max(1, _BLOCK_WORDS // schedule.size)
-    first, span = 1, 1
+    span, first = max(1, _BLOCK_WORDS // schedule.size), 1
     while first <= max_iters and (schedule > max_iters).any():
         stop = min(first + span, max_iters + 1)
-        # (K, R, N): the block's draws, one contiguous (R, N) plane per
-        # iteration; each agent's first iteration below its row's
-        # probability, and an agent already dead keeps its earlier one
-        block = np.stack([rand(CHANNEL_DEATH, iteration, n)[..., 0]
-                          for iteration in range(first, stop)])
+        # (K, R, N): each agent's first iteration of the block below its
+        # row's probability, and an agent already dead keeps its earlier one
+        block = rand(CHANNEL_DEATH, first, stop, n)[..., 0]
         hits = np.where(block < probs, np.arange(first, stop)[:, None, None], max_iters + 1)
         np.minimum(schedule, hits.min(axis=0), out=schedule)
-        first, span = stop, min(2 * span, cap)
+        first = stop
     deaths[rows] = schedule
     return deaths
 
@@ -566,8 +531,13 @@ def run(
     ``max_iters`` so late winners still count.  Winners are
     qualifying agents in the final state, dead ones included;
     survivors are agents still alive.  Fully deterministic given
-    ``config.seed`` (or an injected ``rand_fn``, which draws
-    ``(B, count, lanes)`` arrays like :func:`make_rand_source`).
+    ``config.seed`` (or an injected ``rand_fn``, which answers
+    ``rand_fn(channel, first, stop, count, lanes)`` with a ``(stop -
+    first, B, count, lanes)`` block like :func:`make_rand_source`).
+    The social draws are fetched a block of iterations at a time, as
+    many as fit ``_BLOCK_WORDS`` words at the current row count, and
+    each iteration's plane goes to :func:`step`; when rows leave, the
+    rest keep their part of the block, so no iteration is drawn twice.
 
     Deaths are drawn before the loop: :func:`randomized_death` gives
     every agent's death iteration, and from it each row's survivors and
@@ -623,7 +593,7 @@ def run(
         # its own seed alone
         if rand_fn is None:
             return make_rand_source([batch.configs[row].seed for row in rows])
-        return lambda *args: rand_fn(*args)[rows]
+        return lambda *args: rand_fn(*args)[:, rows]
 
     # every agent's death iteration, and from it each row's last executed
     # iteration and survivors; each row's convergence iteration (0: not
@@ -641,8 +611,13 @@ def run(
     ends = np.full_like(executed, executed.max()) if record_trace else executed
     open_rows = np.ones(len(graphs), dtype=bool)
     best_scores = []
+    first = stop = 1  # the social draws of iterations first .. stop - 1
     for iteration in range(1, shared.max_iters + 1):
-        step(swarm, neighborhoods, objective, rand, iteration)
+        if iteration == stop:
+            span = max(1, _BLOCK_WORDS // alive.size)
+            first, stop = iteration, min(iteration + span, shared.max_iters + 1)
+            social = rand(CHANNEL_VELOCITY_SOCIAL, first, stop, shared.n_agents)
+        step(swarm, neighborhoods, objective, social[iteration - first])
         np.greater(schedule, iteration, out=alive)
         # each row's lowest best score among its alive agents (inf: none),
         # which both certificates are checked against
@@ -673,7 +648,7 @@ def run(
             rows, schedule, ends, open_rows = rows[keep], schedule[keep], ends[keep], open_rows[keep]
             if not rows.size:
                 break
-            swarm = _take_rows(swarm, keep)
+            swarm, social = _take_rows(swarm, keep), social[:, keep]
             alive = swarm.alive
             neighborhoods = Neighborhoods([graphs[row] for row in rows])
             rand = source(rows)

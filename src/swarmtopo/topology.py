@@ -61,7 +61,8 @@ class Graph:
 
     ``Graph(node_count, edges)`` takes at least one node and the
     ``(i, j)`` pairs, or a ``(k, 2)`` array, of distinct nodes below
-    ``node_count``, in either order, repeats allowed.
+    ``node_count``, in either order, repeats allowed.  The count and
+    every node must be integers, no bool among them (``ValueError``).
 
     A graph stores its sorted neighbour lists in CSR form: node ``i``'s
     neighbours are ``neighbours[indptr[i]:indptr[i + 1]]``, ascending
@@ -74,10 +75,14 @@ class Graph:
     """
 
     def __new__(cls, node_count: int, edges) -> Graph:
+        _check_type("node_count", node_count, integer=True)
+        node_count = int(node_count)
         if node_count < 1:
             raise ValueError("graph needs at least one node")
         pairs = []
         for i, j in edges:
+            for node in (i, j):
+                _check_type(f"node of edge ({i}, {j})", node, integer=True)
             if not (0 <= i < node_count and 0 <= j < node_count):
                 raise ValueError(f"edge ({i}, {j}) out of range for {node_count} nodes")
             if i == j:

@@ -31,7 +31,7 @@ Start: x = (1, -9.5), v = (0.5, 0), bests at x; agent 0 leads (-1 > -90.25).
 
 import numpy as np
 
-from swarmtopo.engine import CHANNEL_VELOCITY_SOCIAL, SwarmState
+from swarmtopo.engine import SwarmState
 
 # the update's constants, as the constriction setup states them
 CHI = 0.7298438
@@ -69,10 +69,9 @@ TRACE = [
 ]
 
 
-def trace_rand(channel, iteration, agent_count, lanes=1):
-    """The pinned draws; a step draws on the social channel only."""
-    assert channel == CHANNEL_VELOCITY_SOCIAL
-    assert agent_count == 2 and lanes == 1
+def trace_plane(iteration):
+    """The pinned social draws of step ``iteration``, as the ``(1, 2, 1)``
+    plane that ``step`` takes."""
     return np.array(TRACE_DRAWS[iteration - 1], dtype=np.float64).reshape(1, 2, 1)
 
 

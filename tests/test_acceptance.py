@@ -21,6 +21,7 @@ import pytest
 
 from swarmtopo.engine import (
     CHANNEL_DEATH,
+    CHANNEL_VELOCITY_SOCIAL,
     Neighborhoods,
     SwarmBatch,
     SwarmConfig,
@@ -44,7 +45,7 @@ from swarmtopo.objectives import default_spec
 from swarmtopo.plans import parse_plan
 from swarmtopo.topology import build_spectrum
 
-from hand_trace import TRACE, V_MAX, Parabola, trace_rand, trace_start
+from hand_trace import TRACE, V_MAX, Parabola, trace_plane, trace_start
 from strategies import graph_of
 
 
@@ -117,8 +118,9 @@ def test_criterion_3_death_model():
     for prob, expected in ((3.3e-4, 84.8), (7.0e-4, 70.5)):
         rand = make_rand_source([1])
         alive = np.ones((100, 1000), dtype=bool)
-        for iteration in range(1, 501):
-            alive &= rand(CHANNEL_DEATH, iteration, 100, 1000)[0] >= prob
+        # blocks of 50 iterations: one block of all 500 would hold 0.4 GB
+        for first in range(1, 501, 50):
+            alive &= (rand(CHANNEL_DEATH, first, first + 50, 100, 1000)[:, 0] >= prob).all(axis=0)
         survivors = alive.sum(axis=0)
         mean = survivors.mean()
         stderr = survivors.std(ddof=1) / math.sqrt(1000)
@@ -192,7 +194,7 @@ def test_criterion_5_update_rule_trace_and_clamp():
     objective = Parabola()
     swarm = trace_start()
     for iteration, (pos, vel, best) in enumerate(TRACE, start=1):
-        step(swarm, graph, objective, trace_rand, iteration)
+        step(swarm, graph, objective, trace_plane(iteration))
         assert np.allclose(swarm.positions[0, :, 0], pos, rtol=0.0, atol=1e-12)
         assert np.allclose(swarm.velocities[0, :, 0], vel, rtol=0.0, atol=1e-12)
         assert np.allclose(swarm.best_positions[0, :, 0], best, rtol=0.0, atol=1e-12)
@@ -203,8 +205,8 @@ def test_criterion_5_update_rule_trace_and_clamp():
     objective = default_spec("rastrigin")
     graph = Neighborhoods((graph_of("random", node_count=1000, edge_prob=0.01, seed=3),))
     swarm = initialize(SwarmBatch([config]), objective, rand)
-    for iteration in range(1, 101):
-        step(swarm, graph, objective, rand, iteration)
+    for social in rand(CHANNEL_VELOCITY_SOCIAL, 1, 101, 1000):
+        step(swarm, graph, objective, social)
         assert (np.abs(swarm.velocities) <= V_MAX).all()
 
 

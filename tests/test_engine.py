@@ -14,7 +14,6 @@ that derived its keys with one-element arrays under ``np.errstate``).
 import dataclasses
 import hashlib
 import pickle
-from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -50,7 +49,7 @@ from swarmtopo.topology import (
     build_topology,
 )
 
-from hand_trace import CHI, PHI, TRACE, V_MAX, Parabola, trace_rand, trace_start
+from hand_trace import CHI, PHI, TRACE, V_MAX, Parabola, trace_plane, trace_start
 from strategies import graph_of, topology_specs
 
 
@@ -130,7 +129,7 @@ def reference_draw(seed: int, channel: int, iteration: int, agent: int, lane: in
     return (key >> 11) / float(1 << 53)
 
 
-# sha256 of the float64 bytes of rand(channel, iteration, 37, 3) over
+# sha256 of the float64 bytes of rand(channel, iteration, iteration + 1, 37, 3) over
 # the seeds, channels 1-5 and iterations below, in that nesting order
 DRAW_BLOCK_SEEDS = (0, -5, 1 << 63, MASK64, 20201)
 DRAW_BLOCK_ITERATIONS = (0, 1, 999, 1 << 40)
@@ -167,13 +166,13 @@ class TestRandSource:
         lanes=st.integers(min_value=1, max_value=6),
     )
     def test_matches_reference(self, seed, channel, iteration, agent_count, lanes):
-        draws = make_rand_source([seed])(channel, iteration, agent_count, lanes)
+        draws = make_rand_source([seed])(channel, iteration, iteration + 1, agent_count, lanes)
         expected = [
             [reference_draw(seed, channel, iteration, agent, lane) for lane in range(lanes)]
             for agent in range(agent_count)
         ]
         assert draws.dtype == np.float64
-        assert np.array_equal(draws, np.array([expected]))
+        assert np.array_equal(draws, np.array([[expected]]))
 
     def test_draw_block_pinned(self):
         parts = []
@@ -181,161 +180,124 @@ class TestRandSource:
             rand = make_rand_source([seed])
             for channel in range(1, 6):
                 for iteration in DRAW_BLOCK_ITERATIONS:
-                    parts.append(rand(channel, iteration, 37, 3))
+                    parts.append(rand(channel, iteration, iteration + 1, 37, 3))
         block = np.concatenate(parts).tobytes()
         assert hashlib.sha256(block).hexdigest() == DRAW_BLOCK_SHA256
 
     def test_cached_keys_match_a_fresh_source(self):
-        # the per-channel keys and counter arrays are cached: every call
-        # in an interleaved sequence must give a fresh source's draws
+        # the per-channel keys are cached: every call in an interleaved
+        # sequence must give a fresh source's draws
         rand = make_rand_source([9])
-        calls = [(5, 4, 50, 2), (5, 5, 80, 3), (4, 4, 50, 2), (4, 5, 2, 50),
-                 (5, 4, 50, 2), (1, 0, 80, 1), (4, 4, 3, 3)]
+        calls = [(5, 4, 5, 50, 2), (5, 5, 9, 80, 3), (4, 4, 5, 50, 2), (4, 1, 6, 2, 50),
+                 (5, 4, 5, 50, 2), (1, 0, 1, 80, 1), (4, 4, 7, 3, 3)]
         for coords in calls:
             assert np.array_equal(rand(*coords), make_rand_source([9])(*coords)), coords
 
     def test_shape_and_range(self):
         rand = make_rand_source([7])
-        draws = rand(CHANNEL_DEATH, 3, 50, 4)
-        assert draws.shape == (1, 50, 4)
+        draws = rand(CHANNEL_DEATH, 3, 9, 50, 4)
+        assert draws.shape == (6, 1, 50, 4)
         assert (draws >= 0.0).all() and (draws < 1.0).all()
-        assert rand(CHANNEL_DEATH, 3, 50).shape == (1, 50, 1)
+        assert rand(CHANNEL_DEATH, 3, 4, 50).shape == (1, 1, 50, 1)
 
     def test_pure_coordinates(self):
         rand = make_rand_source([7])
-        a = rand(CHANNEL_VELOCITY_SOCIAL, 9, 20)
-        b = rand(CHANNEL_VELOCITY_SOCIAL, 9, 20)
+        a = rand(CHANNEL_VELOCITY_SOCIAL, 9, 10, 20)
+        b = rand(CHANNEL_VELOCITY_SOCIAL, 9, 10, 20)
         assert np.array_equal(a, b)
         # same coordinates from a fresh source with the same seed
-        assert np.array_equal(a, make_rand_source([7])(CHANNEL_VELOCITY_SOCIAL, 9, 20))
+        assert np.array_equal(a, make_rand_source([7])(CHANNEL_VELOCITY_SOCIAL, 9, 10, 20))
 
     def test_agent_and_lane_prefixes(self):
         rand = make_rand_source([11])
-        big = rand(CHANNEL_INIT_POSITION, 0, 30, 6)
-        assert np.array_equal(big[:, :12], rand(CHANNEL_INIT_POSITION, 0, 12, 6))
-        assert np.array_equal(big[..., :2], rand(CHANNEL_INIT_POSITION, 0, 30, 2))
+        big = rand(CHANNEL_INIT_POSITION, 0, 1, 30, 6)
+        assert np.array_equal(big[:, :, :12], rand(CHANNEL_INIT_POSITION, 0, 1, 12, 6))
+        assert np.array_equal(big[..., :2], rand(CHANNEL_INIT_POSITION, 0, 1, 30, 2))
 
     def test_channels_iterations_seeds_decorrelated(self):
         rand = make_rand_source([0])
-        a = rand(CHANNEL_VELOCITY_SOCIAL, 1, 100)
-        assert not np.array_equal(a, rand(CHANNEL_DEATH, 1, 100))
-        assert not np.array_equal(a, rand(CHANNEL_VELOCITY_SOCIAL, 2, 100))
-        assert not np.array_equal(a, make_rand_source([1])(CHANNEL_VELOCITY_SOCIAL, 1, 100))
+        a = rand(CHANNEL_VELOCITY_SOCIAL, 1, 2, 100)
+        assert not np.array_equal(a, rand(CHANNEL_DEATH, 1, 2, 100))
+        assert not np.array_equal(a, rand(CHANNEL_VELOCITY_SOCIAL, 2, 3, 100))
+        assert not np.array_equal(a, make_rand_source([1])(CHANNEL_VELOCITY_SOCIAL, 1, 2, 100))
 
     def test_roughly_uniform(self):
         rand = make_rand_source([3])
-        draws = rand(CHANNEL_DEATH, 1, 100_000)[0, :, 0]
+        draws = rand(CHANNEL_DEATH, 1, 2, 100_000)[0, 0, :, 0]
         assert abs(draws.mean() - 0.5) < 0.005
         assert abs(np.quantile(draws, 0.25) - 0.25) < 0.01
 
     def test_rejects_empty(self):
         rand = make_rand_source([0])
-        with pytest.raises(ValueError, match="agent_count and lanes must be >= 1"):
-            rand(CHANNEL_DEATH, 0, 0)
-        with pytest.raises(ValueError, match="agent_count and lanes must be >= 1"):
-            rand(CHANNEL_DEATH, 0, 5, 0)
+        with pytest.raises(ValueError, match="count and lanes must be >= 1"):
+            rand(CHANNEL_DEATH, 0, 1, 0)
+        with pytest.raises(ValueError, match="count and lanes must be >= 1"):
+            rand(CHANNEL_DEATH, 0, 1, 5, 0)
 
     @pytest.mark.parametrize("bad", [-1, -(1 << 40), 1 << 64])
     def test_rejects_coordinates_outside_64_bits(self, bad):
         rand = make_rand_source([0])
         with pytest.raises(OverflowError):
-            rand(bad, 0, 5)
+            rand(bad, 0, 1, 5)
         with pytest.raises(OverflowError):
-            rand(CHANNEL_DEATH, bad, 5)
+            rand(CHANNEL_DEATH, bad, bad + 1, 5)
+
+    @pytest.mark.parametrize(
+        "first, stop, error",
+        [(5, 5, ValueError), (6, 5, ValueError), (0, MASK64 + 2, OverflowError),
+         (MASK64, MASK64 + 2, OverflowError), (-1, 3, OverflowError)],
+        ids=["empty", "reversed", "stop-past-2**64", "top-past-2**64", "negative-first"],
+    )
+    def test_rejects_bad_blocks(self, first, stop, error):
+        with pytest.raises(error):
+            make_rand_source([0])(CHANNEL_DEATH, first, stop, 5)
 
 
-# one move of the iteration cursor: the next `count` iterations in order,
-# the same one again, a step back, a jump, or a jump to near 2**64 - 1
-_MOVES = st.one_of(
-    st.tuples(st.just("next"), st.integers(min_value=1, max_value=20)),
-    st.tuples(st.just("repeat"), st.just(1)),
-    st.tuples(st.just("back"), st.integers(min_value=1, max_value=40)),
-    st.tuples(st.just("jump"), st.integers(min_value=0, max_value=1 << 40)),
-    st.tuples(st.just("top"), st.integers(min_value=0, max_value=6)),
+# (first, stop) of a block of 1 to 6 iterations: near 0, anywhere in 64
+# bits, or ending exactly at 2**64
+_BLOCKS = st.one_of(
+    st.tuples(st.one_of(st.integers(0, 40), st.integers(0, MASK64 - 5)), st.integers(1, 6))
+    .map(lambda block: (block[0], block[0] + block[1])),
+    st.integers(1, 6).map(lambda span: (MASK64 + 1 - span, MASK64 + 1)),
 )
-# (channel, agent_count, lanes) from small pools, so that shapes recur
-_SHAPES = st.tuples(
-    st.sampled_from([1, 4, 5]),
-    st.sampled_from([1, 3, 5]),
-    st.sampled_from([1, 2]),
-)
-
-
-def _iterations(moves):
-    cursor = 0
-    for (kind, amount), shape in moves:
-        if kind == "next":
-            for _ in range(amount):
-                cursor = min(cursor + 1, MASK64)
-                yield shape, cursor
-            continue
-        if kind == "back":
-            cursor = max(cursor - amount, 0)
-        elif kind == "jump":
-            cursor = amount
-        elif kind == "top":
-            cursor = MASK64 - amount
-        yield shape, cursor
 
 
 class TestDrawBlocks:
-    """The source computes whole blocks of iterations ahead of the calls;
-    every call must still give what a fresh source's single call gives."""
+    """A call names a block of iterations; every block must hold the
+    reference draw at each coordinate and equal its one-iteration blocks
+    end to end, whatever the calls before it."""
 
     @settings(max_examples=40, deadline=None)
     @given(
         seeds=st.lists(
             st.integers(min_value=-(1 << 64), max_value=1 << 65), min_size=1, max_size=4
         ),
-        moves=st.lists(st.tuples(_MOVES, _SHAPES), min_size=1, max_size=12),
-        budget=st.sampled_from([1, 7, 64, engine._BLOCK_WORDS]),
+        calls=st.lists(
+            st.tuples(st.sampled_from([1, 4, 5]), _BLOCKS, st.integers(1, 5), st.integers(1, 3)),
+            min_size=1, max_size=8,
+        ),
     )
-    def test_any_call_sequence_matches_fresh_single_calls(self, seeds, moves, budget):
-        with mock.patch.object(engine, "_BLOCK_WORDS", budget):
-            rand = make_rand_source(seeds)
-            kept = []
-            for (channel, count, lanes), iteration in _iterations(moves):
-                draws = rand(channel, iteration, count, lanes)
-                assert np.array_equal(
-                    draws, make_rand_source(seeds)(channel, iteration, count, lanes)
-                )
-                expected = [
-                    [[reference_draw(seed, channel, iteration, agent, lane)
-                      for lane in range(lanes)] for agent in range(count)]
-                    for seed in seeds
-                ]
-                assert np.array_equal(draws, np.array(expected))
-                with pytest.raises(ValueError, match="read-only"):
-                    draws[...] = 0.5
-                kept.append((draws, draws.copy()))
-        # later calls never rewrite an array handed out earlier
-        for draws, copy in kept:
-            assert np.array_equal(draws, copy)
-
-    def test_block_sizes_double_on_consecutive_calls(self):
-        # record K of each block through its (K, B) array of iteration keys
-        spans = []
-
-        def recording(z):
-            if z.ndim == 2:
-                spans.append(z.shape[0])
-            return _mix64_inplace(z)
-
-        with mock.patch.object(engine, "_mix64_inplace", recording), \
-                mock.patch.object(engine, "_BLOCK_WORDS", 2 * 3 * 10 * 4):
-            rand = make_rand_source([1, 2])
-            rand(CHANNEL_INIT_POSITION, 0, 3, 4)
-            for iteration in range(1, 30):
-                rand(CHANNEL_VELOCITY_SOCIAL, iteration, 3, 4)
-            rand(CHANNEL_VELOCITY_SOCIAL, 40, 3, 4)
-            rand(CHANNEL_VELOCITY_SOCIAL, 41, 3, 4)
-            rand(CHANNEL_VELOCITY_SOCIAL, 3, 3, 4)
-            for iteration in range(MASK64 - 5, MASK64 + 1):
-                rand(CHANNEL_VELOCITY_SOCIAL, iteration, 3, 4)
-        # one iteration at 0, then 1, 2, 4, 8 and the cap of 10 to iteration
-        # 35; a jump starts over, a step back too, and no block runs past
-        # the last iteration
-        assert spans == [1, 1, 2, 4, 8, 10, 10, 1, 2, 1, 1, 2, 3]
+    def test_any_call_sequence_matches_fresh_single_calls(self, seeds, calls):
+        rand = make_rand_source(seeds)
+        kept = []
+        for channel, (first, stop), count, lanes in calls:
+            block = rand(channel, first, stop, count, lanes)
+            expected = [
+                [[[reference_draw(seed, channel, iteration, agent, lane)
+                   for lane in range(lanes)] for agent in range(count)] for seed in seeds]
+                for iteration in range(first, stop)
+            ]
+            assert block.dtype == np.float64
+            assert np.array_equal(block, np.array(expected))
+            fresh = make_rand_source(seeds)
+            singles = [fresh(channel, k, k + 1, count, lanes) for k in range(first, stop)]
+            assert np.array_equal(block, np.concatenate(singles))
+            with pytest.raises(ValueError, match="read-only"):
+                block[...] = 0.5
+            kept.append((block, block.copy()))
+        # later calls never rewrite a block handed out earlier
+        for block, copy in kept:
+            assert np.array_equal(block, copy)
 
     def test_rejects_empty_seed_list(self):
         with pytest.raises(ValueError, match="at least one seed"):
@@ -348,7 +310,7 @@ class TestHandTrace:
         objective = Parabola()
         swarm = trace_start()
         for iteration, (pos, vel, best) in enumerate(TRACE, start=1):
-            step(swarm, graph, objective, trace_rand, iteration)
+            step(swarm, graph, objective, trace_plane(iteration))
             assert np.allclose(swarm.positions[0, :, 0], pos, rtol=0.0, atol=1e-12)
             assert np.allclose(swarm.velocities[0, :, 0], vel, rtol=0.0, atol=1e-12)
             assert np.allclose(swarm.best_positions[0, :, 0], best, rtol=0.0, atol=1e-12)
@@ -366,9 +328,6 @@ class TestHandTrace:
             def score_many(self, points):
                 return -np.abs(np.asarray(points)).sum(axis=1)
 
-        def fixed_rand(channel, iteration, agent_count, lanes=1):
-            return np.full((1, agent_count, lanes), 0.5)
-
         positions = np.array([[0.0, 0.0], [3.0, -6.0]])
         swarm = _one_row(
             positions=positions.copy(),
@@ -377,7 +336,7 @@ class TestHandTrace:
             best_scores=Plane().score_many(positions),
             alive=np.ones(2, dtype=bool),
         )
-        step(swarm, _hoods(graph_of("complete", node_count=2)), Plane(), fixed_rand, 1)
+        step(swarm, _hoods(graph_of("complete", node_count=2)), Plane(), np.full((1, 2, 1), 0.5))
         # agent 1 moves toward agent 0's best: v = CHI * 2.05 * 0.5 * (0 - x)
         # = 0.748089895 * (-3, 6)
         assert np.allclose(swarm.velocities[0, 1], [-2.244269685, 4.48853937], rtol=0.0, atol=1e-12)
@@ -397,15 +356,12 @@ class TestStepInvariants:
             alive=np.ones(1000, dtype=bool),
         )
         swarm.best_scores = objective.score_many(swarm.best_positions[0])[None]
-        for iteration in range(1, 101):  # 10^5 agent-steps
-            step(swarm, graph, objective, rand, iteration)
+        for social in rand(CHANNEL_VELOCITY_SOCIAL, 1, 101, 1000):  # 10^5 agent-steps
+            step(swarm, graph, objective, social)
             assert (np.abs(swarm.velocities) <= V_MAX).all()
 
     def test_positions_not_clamped(self):
         objective = Parabola()
-
-        def push(channel, iteration, agent_count, lanes=1):
-            return np.full((1, agent_count, lanes), 0.999)
 
         positions = np.array([[4.9], [-4.9]])
         swarm = _one_row(
@@ -415,7 +371,8 @@ class TestStepInvariants:
             best_scores=objective.score_many(positions),
             alive=np.ones(2, dtype=bool),
         )
-        step(swarm, _hoods(graph_of("complete", node_count=2)), objective, push, 1)
+        push = np.full((1, 2, 1), 0.999)
+        step(swarm, _hoods(graph_of("complete", node_count=2)), objective, push)
         # agent 0 leads (a tie goes to the lower index), so it keeps only
         # its own momentum: v = CHI * 9 = 6.5685942; agent 1 is pulled
         # across: v = CHI * (-9 + 2.05 * 0.999 * 9.8) = 8.079305180058.
@@ -430,16 +387,14 @@ class TestStepInvariants:
         frozen_pos = swarm.positions[0, 2].copy()
         frozen_best = swarm.best_scores[0, 2]
         swarm.alive[0, 2] = False
-        step(swarm, _hoods(graph_of("complete", node_count=4)), objective, rand, 1)
+        social = rand(CHANNEL_VELOCITY_SOCIAL, 1, 2, 4)[0]
+        step(swarm, _hoods(graph_of("complete", node_count=4)), objective, social)
         assert np.array_equal(swarm.positions[0, 2], frozen_pos)
         assert swarm.best_scores[0, 2] == frozen_best
 
     def test_synchronous_update_uses_snapshot(self):
         # if updates leaked within the iteration, agent 1 would chase
         # agent 0's *new* best; the snapshot keeps it on the old one
-        def rand(channel, iteration, agent_count, lanes=1):
-            return np.ones((1, agent_count, lanes)) * 0.5
-
         positions = np.array([[2.0], [10.0]])
         swarm = _one_row(
             positions=positions.copy(),
@@ -448,7 +403,7 @@ class TestStepInvariants:
             best_scores=Parabola().score_many(positions),
             alive=np.ones(2, dtype=bool),
         )
-        step(swarm, _hoods(graph_of("complete", node_count=2)), Parabola(), rand, 1)
+        step(swarm, _hoods(graph_of("complete", node_count=2)), Parabola(), np.full((1, 2, 1), 0.5))
         # agent 0 moved to 2 + CHI * -1 = 1.2701562 (a better best), but
         # agent 1 must have targeted the snapshot best 2.0:
         # v = CHI * 2.05 * 0.5 * (2 - 10) = -5.98471916, not the
@@ -464,8 +419,8 @@ class TestStepInvariants:
         swarm = initialize(SwarmBatch([config_with(n_agents=30)]), objective, rand)
         graph = _hoods(graph_of("ring", node_count=30))
         previous = swarm.best_scores.copy()
-        for iteration in range(1, 40):
-            step(swarm, graph, objective, rand, iteration)
+        for social in rand(CHANNEL_VELOCITY_SOCIAL, 1, 40, 30):
+            step(swarm, graph, objective, social)
             assert (swarm.best_scores >= previous).all()
             previous = swarm.best_scores.copy()
 
@@ -537,10 +492,7 @@ class TestNeighborhoodBest:
         graph = graph_of("ring", node_count=12)
         expected = np.stack([neighborhood_best(i, graph, probe) for i in range(12)])
 
-        def ones(channel, iteration, agent_count, lanes=1):
-            return np.ones((1, agent_count, lanes))
-
-        step(probe, _hoods(graph), objective, ones, 1)
+        step(probe, _hoods(graph), objective, np.ones((1, 12, 1)))
         # the dead agents stay at the origin
         moved = np.where(probe.alive[0, :, None], CHI * PHI * expected, 0.0)
         assert np.allclose(probe.positions[0], moved, rtol=0.0, atol=1e-12)
@@ -651,7 +603,7 @@ class TestLeaderTable:
 def _one_source(source):
     """``draws(rows)`` for :func:`randomized_death` over one full source:
     the rows ``rows`` of each of its draws."""
-    return lambda rows: lambda *args: source(*args)[rows]
+    return lambda rows: lambda *args: source(*args)[:, rows]
 
 
 class TestDeathAndRun:
@@ -659,9 +611,10 @@ class TestDeathAndRun:
         # an agent dies at its first draw below p, or survives past max_iters
         rand = make_rand_source([31])
         deaths = randomized_death(np.array([[0.1]]), _one_source(rand), 200, 7)
+        draws = rand(CHANNEL_DEATH, 1, 8, 200)[:, 0, :, 0]
         expected = []
         for agent in range(200):
-            below = [k for k in range(1, 8) if rand(CHANNEL_DEATH, k, 200)[0, agent, 0] < 0.1]
+            below = [k for k in range(1, 8) if draws[k - 1, agent] < 0.1]
             expected.append(below[0] if below else 8)
         assert deaths.tolist() == [expected]
         assert 0 < np.count_nonzero(deaths == 8) < 200
@@ -736,10 +689,11 @@ class TestDeathAndRun:
     @staticmethod
     def _death_draws(draws):
         # death channel pinned per agent, every other draw 0.5
-        def rand(channel, iteration, agent_count, lanes=1):
+        def rand(channel, first, stop, count, lanes=1):
             if channel == CHANNEL_DEATH:
-                return np.array(draws, dtype=float).reshape(1, agent_count, 1)
-            return np.full((1, agent_count, lanes), 0.5)
+                return np.broadcast_to(np.array(draws, dtype=float)[:, None],
+                                       (stop - first, 1, count, 1))
+            return np.full((stop - first, 1, count, lanes), 0.5)
 
         return rand
 
@@ -866,24 +820,64 @@ class TestConfigValidation:
             assert run(wide, graph, objective, _everyone).iterations_executed == 255
 
 
+def _recording(source, calls):
+    """``source``, recording the ``(channel, first, stop)`` of each call."""
+
+    def rand(channel, first, stop, count, lanes=1):
+        calls.append((channel, first, stop))
+        return source(channel, first, stop, count, lanes)
+
+    return rand
+
+
+def _blocks(calls, channel):
+    return [(first, stop) for drawn, first, stop in calls if drawn == channel]
+
+
 class TestDrawChannels:
     def test_run_draws_once_per_channel_and_iteration(self):
-        source = make_rand_source([4])
-        calls = Counter()
-
-        def rand(channel, iteration, agent_count, lanes=1):
-            calls[channel] += 1
-            return source(channel, iteration, agent_count, lanes)
-
-        config = SwarmConfig(n_agents=10, max_iters=12, death_prob=0.01)
-        run(config, graph_of("ring", node_count=10), default_spec("shekel"), _everyone,
-            rand_fn=rand)
-        # the start once, one social draw per iteration, and the death
-        # schedule's one draw per iteration; channel 3 is unused
-        assert calls == {CHANNEL_INIT_POSITION: 1, CHANNEL_INIT_VELOCITY: 1,
-                         CHANNEL_VELOCITY_SOCIAL: 12, CHANNEL_DEATH: 12}
+        calls = []
+        config = SwarmConfig(n_agents=100, max_iters=100, death_prob=0.01)
+        run(config, graph_of("ring", node_count=100), default_spec("shekel"), _everyone,
+            rand_fn=_recording(make_rand_source([4]), calls))
+        # the start once at iteration 0; the social draws and the death
+        # schedule in blocks of 40 iterations (2**12 words) that tile
+        # iterations 1..100; channel 3 is unused
+        assert _blocks(calls, CHANNEL_INIT_POSITION) == [(0, 1)]
+        assert _blocks(calls, CHANNEL_INIT_VELOCITY) == [(0, 1)]
+        for channel in (CHANNEL_VELOCITY_SOCIAL, CHANNEL_DEATH):
+            assert _blocks(calls, channel) == [(1, 41), (41, 81), (81, 101)]
+        assert len(calls) == 8
         assert (CHANNEL_INIT_POSITION, CHANNEL_INIT_VELOCITY,
                 CHANNEL_VELOCITY_SOCIAL, CHANNEL_DEATH) == (1, 2, 4, 5)
+
+    def test_rows_leaving_inside_a_block_keep_the_others_draws(self):
+        # the complete row leaves after iteration 39, inside the first
+        # social block, and the small-world row after 52, inside the
+        # second; each next block holds as many iterations as 2**12 words
+        # give the rows left, and every row is still itself run alone
+        objective = default_spec("shekel")
+        qualifies = success_predicate(SuccessCriterion(tolerance=1.0), objective)
+        graphs = [
+            graph_of("complete", node_count=20),
+            graph_of("ring", node_count=20),
+            graph_of("star", node_count=20),
+            graph_of("small-world", node_count=20, degree=4, rewire_prob=0.2, seed=3),
+        ]
+        configs = [
+            SwarmConfig(n_agents=20, max_iters=150, death_prob=p, seed=k)
+            for k, p in enumerate((0.0, 0.01, 0.0, 0.01))
+        ]
+        calls = []
+        source = make_rand_source([config.seed for config in configs])
+        result = run(SwarmBatch(configs), graphs, objective, qualifies,
+                     rand_fn=_recording(source, calls))
+        assert _blocks(calls, CHANNEL_VELOCITY_SOCIAL) == [(1, 52), (52, 120), (120, 151)]
+        # the schedule draws only the two rows that can lose agents
+        assert _blocks(calls, CHANNEL_DEATH) == [(1, 103), (103, 151)]
+        assert [row.convergence_iteration for row in result.rows] == [28, None, None, 42]
+        for config, graph, row in zip(configs, graphs, result.rows):
+            assert run(config, graph, objective, qualifies) == row
 
 
 def _isolated_first(n: int) -> Graph:
@@ -966,10 +960,11 @@ class TestBatch:
     def test_batch_source_rows_match_single_sources(self):
         seeds = [0, 7, 2**64 - 1]
         batch = make_rand_source(seeds)
-        draws = batch(CHANNEL_DEATH, 3, 5, 2)
-        assert draws.shape == (3, 5, 2)
-        for row, seed in zip(draws, seeds):
-            assert np.array_equal(row, make_rand_source([seed])(CHANNEL_DEATH, 3, 5, 2)[0])
+        draws = batch(CHANNEL_DEATH, 3, 5, 5, 2)
+        assert draws.shape == (2, 3, 5, 2)
+        for row, seed in enumerate(seeds):
+            alone = make_rand_source([seed])(CHANNEL_DEATH, 3, 5, 5, 2)
+            assert np.array_equal(draws[:, [row]], alone)
 
     def test_graph_count_and_size_checked(self):
         batch = SwarmBatch([SwarmConfig(n_agents=6), SwarmConfig(n_agents=6, seed=1)])
@@ -1156,10 +1151,10 @@ class TestSettledRows:
         table[2, 0, :3] = table[3, 0, 3:] = 0.0
         source = make_rand_source([0, 1, 2])
 
-        def rand(channel, iteration, agent_count, lanes=1):
+        def rand(channel, first, stop, count, lanes=1):
             if channel == CHANNEL_DEATH:
-                return table[iteration][..., None]
-            return source(channel, iteration, agent_count, lanes)
+                return table[first:stop, ..., None]
+            return source(channel, first, stop, count, lanes)
 
         objective = default_spec("rastrigin")
         qualifies = success_predicate(SuccessCriterion(), objective)
@@ -1180,7 +1175,7 @@ class TestSettledRows:
         assert traced.rows[0].trace[0] == (6, 3, 0)
         for row, alone in enumerate(result.rows):
             def own(*args, row=row):
-                return rand(*args)[[row]]
+                return rand(*args)[:, [row]]
 
             assert run(configs[row], graphs[row], objective, qualifies, rand_fn=own) == alone
             assert traced.rows[row] == run(configs[row], graphs[row], objective, qualifies,
@@ -1216,7 +1211,7 @@ def replay_deaths_per_iteration(probs, rand_fn, n, max_iters):
         if not live.any():
             break
         executed[live] = iteration
-        dies = alive & (rand_fn(CHANNEL_DEATH, iteration, n)[..., 0] < probs)
+        dies = alive & (rand_fn(CHANNEL_DEATH, iteration, iteration + 1, n)[0, ..., 0] < probs)
         deaths[dies] = iteration
         alive &= ~dies
     return deaths, executed
@@ -1226,16 +1221,16 @@ def _table_source(table):
     """An injected source that reads the death draws of iteration k from
     ``table[k]``, a ``(iterations, B, N)`` array."""
 
-    def rand(channel, iteration, agent_count, lanes=1):
+    def rand(channel, first, stop, count, lanes=1):
         assert channel == CHANNEL_DEATH and lanes == 1
-        return table[iteration][..., None]
+        return table[first:stop, ..., None]
 
     return rand
 
 
 class TestDeathReplay:
-    """``randomized_death`` draws every agent's death iteration a block of
-    iterations at a time; the reference replays one iteration at a
+    """``randomized_death`` draws every agent's death iteration one call
+    per block of iterations; the reference replays one iteration at a
     time."""
 
     @settings(max_examples=60, deadline=None)
@@ -1278,26 +1273,26 @@ class TestDeathReplay:
 
     def test_extinction_inside_a_block(self):
         # row 0 dies at iterations 3 and 5, row 1 loses agent 0 at 4 and
-        # keeps agent 1, row 2 (p = 0) loses no one; blocks of 1, 2, 4
-        # and 3 iterations.  Row 0's agent 0 draws low again at 7, dead.
+        # keeps agent 1, row 2 (p = 0) loses no one; blocks of 4, 4 and 2
+        # iterations.  Row 0's agent 0 draws low again at 7, dead.
         table = np.full((11, 3, 2), 0.9)
         table[3, 0, 0] = table[5, 0, 1] = table[4, 1, 0] = table[7, 0, 0] = 0.0
         probs = np.array([[0.5], [0.5], [0.0]])
         with mock.patch.object(engine, "_BLOCK_WORDS", 4 * 2 * 2):
             deaths = randomized_death(probs, _one_source(_table_source(table)), 2, 10)
         assert deaths.tolist() == [[3, 5], [4, 11], [11, 11]]
-        # row 0 alone: every agent is dead in the block of 4 to 7, so no
+        # row 0 alone: every agent is dead in the block of 5 to 8, so no
         # later block is drawn
         asked = []
 
-        def rand(channel, iteration, agent_count, lanes=1):
-            asked.append(iteration)
-            return table[iteration][[0], :, None]
+        def rand(channel, first, stop, count, lanes=1):
+            asked.append((first, stop))
+            return table[first:stop, [0], :, None]
 
         with mock.patch.object(engine, "_BLOCK_WORDS", 4 * 2):
             deaths = randomized_death(probs[:1], lambda rows: rand, 2, 10)
         assert deaths.tolist() == [[3, 5]]
-        assert asked == list(range(1, 8))
+        assert asked == [(1, 5), (5, 9)]
 
 
 def _coordinate_major_ok(array: np.ndarray) -> bool:
@@ -1334,9 +1329,9 @@ class TestStateLayout:
         rand = make_rand_source([c.seed for c in batch.configs])
         swarm = initialize(batch, objective, rand)
         hoods = Neighborhoods(graphs)
-        for iteration in range(4):
-            if iteration:
-                step(swarm, hoods, objective, rand, iteration)
+        for social in (None, *rand(CHANNEL_VELOCITY_SOCIAL, 1, 4, 30)):
+            if social is not None:
+                step(swarm, hoods, objective, social)
             for array in (swarm.positions, swarm.velocities, swarm.best_positions):
                 assert array.shape == (3, 30, objective.dimension)
                 assert _coordinate_major_ok(array)
@@ -1353,9 +1348,10 @@ class TestStateLayout:
         assert not _coordinate_major_ok(rows.positions)
         hoods = Neighborhoods(graphs)
         deaths = randomized_death(probs, _one_source(rand), batch.n_agents, 50)
-        for iteration in range(1, 51):
+        draws = rand(CHANNEL_VELOCITY_SOCIAL, 1, 51, batch.n_agents)
+        for iteration, social in enumerate(draws, start=1):
             for swarm in (columns, rows):
-                step(swarm, hoods, objective, rand, iteration)
+                step(swarm, hoods, objective, social)
                 np.greater(deaths, iteration, out=swarm.alive)
             for field in _STATE_FIELDS:
                 # tobytes reads both in C order: equal bytes are equal bits

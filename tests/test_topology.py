@@ -105,6 +105,24 @@ class TestGraph:
         with pytest.raises(ValueError, match="^graph needs at least one node$"):
             Graph(0, [])
 
+    def test_rejects_a_fractional_node(self):
+        # an int64 cast would truncate it to the edge (0, 2)
+        message = "node of edge (0.5, 2) must be an integer, got 0.5"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Graph(3, [(0.5, 2)])
+        with pytest.raises(ValueError, match="must be an integer"):
+            Graph(3, np.array([[0.0, 2.0]]))
+
+    def test_rejects_a_bool_node_count(self):
+        with pytest.raises(ValueError, match="^node_count must be an integer, got True$"):
+            Graph(True, [])
+
+    def test_rejects_a_fractional_node_count(self):
+        # it once reached _from_pairs and raised AttributeError there
+        with pytest.raises(ValueError, match="^node_count must be an integer, got 2.5$"):
+            Graph(2.5, [])
+        assert Graph(np.int64(3), np.array([[0, 2]])).node_count == 3
+
     def test_edgeless(self):
         for n in (1, 5):
             graph = Graph(n, [])
